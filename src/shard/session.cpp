@@ -22,7 +22,7 @@ struct SessionLayer::SendState {
     bool transmitted = false;
   };
 
-  std::mutex mu;
+  mutable std::mutex mu;
   std::uint64_t next_seq = 1;   // guarded by mu
   std::deque<Entry> unacked;    // oldest first; guarded by mu
   int in_flight = 0;            // transmitted && unacked; guarded by mu
@@ -34,7 +34,7 @@ struct SessionLayer::SendState {
 
 /// Receiver half of a directed channel (owned by the `to` shard).
 struct SessionLayer::RecvState {
-  std::mutex mu;
+  mutable std::mutex mu;
   /// Highest in-order seq delivered + 1. Atomic so ack stamping on the
   /// reverse channel's send path can read it without taking `mu`.
   std::atomic<std::uint64_t> next_expected{1};
@@ -112,7 +112,7 @@ void SessionLayer::NoteAckSent(int from, int to) {
   rs.ack_deadline = kTimeMax;
 }
 
-SimTime SessionLayer::TransmitLocked(SendState&, int from, int to, SimTime now,
+SimTime SessionLayer::TransmitLocked(int from, int to, SimTime now,
                                      const WireFrame& stored) {
   WireFrame f = AcquireFrame();
   f.bytes = stored.bytes;
@@ -130,7 +130,7 @@ SimTime SessionLayer::Send(int from, int to, SimTime now, WireFrame frame) {
 
   SimTime deliver = now;
   if (ss.in_flight < cfg_.window) {
-    deliver = TransmitLocked(ss, from, to, now, e.frame);
+    deliver = TransmitLocked(from, to, now, e.frame);
     e.transmitted = true;
     ++ss.in_flight;
     NoteAckSent(to, from);  // piggybacked
@@ -174,7 +174,7 @@ void SessionLayer::ProcessAck(int self, int peer, std::uint64_t ack,
     if (ss.in_flight >= cfg_.window) break;
     if (e.transmitted) continue;
     StampSession(e.frame, e.seq, AckValueFor(peer, self));
-    const SimTime at = TransmitLocked(ss, self, peer, now, e.frame);
+    const SimTime at = TransmitLocked(self, peer, now, e.frame);
     e.transmitted = true;
     ++ss.in_flight;
     piggybacked = true;
@@ -316,7 +316,7 @@ SimTime SessionLayer::Service(int shard, SimTime now,
         for (SendState::Entry& e : ss.unacked) {
           if (!e.transmitted) continue;
           StampSession(e.frame, e.seq, AckValueFor(p, shard));
-          const SimTime at = TransmitLocked(ss, shard, p, now, e.frame);
+          const SimTime at = TransmitLocked(shard, p, now, e.frame);
           retransmits_.fetch_add(1, std::memory_order_relaxed);
           NoteAckSent(p, shard);
           if (deliveries != nullptr) deliveries->emplace_back(p, at);
@@ -359,12 +359,11 @@ SimTime SessionLayer::NextDeadline(int shard) const {
     const Channel& out_ch = ChannelAt(shard, p);
     const Channel& in_ch = ChannelAt(p, shard);
     {
-      std::lock_guard lock(
-          const_cast<std::mutex&>(out_ch.send.mu));
+      std::lock_guard lock(out_ch.send.mu);
       next = MinTime(next, out_ch.send.rto_deadline);
     }
     {
-      std::lock_guard lock(const_cast<std::mutex&>(in_ch.recv.mu));
+      std::lock_guard lock(in_ch.recv.mu);
       next = MinTime(next, in_ch.recv.ack_deadline);
     }
   }

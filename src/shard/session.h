@@ -130,8 +130,8 @@ class SessionLayer {
                   std::vector<std::pair<int, SimTime>>* deliveries);
 
   /// Ships a clone of an entry's stamped frame with a freshly patched
-  /// piggyback ack. Caller holds the sender-state mutex.
-  SimTime TransmitLocked(SendState& ss, int from, int to, SimTime now,
+  /// piggyback ack. Caller holds the (from, to) sender-state mutex.
+  SimTime TransmitLocked(int from, int to, SimTime now,
                          const WireFrame& stored);
 
   void SendStandaloneAck(int self, int peer, SimTime now,

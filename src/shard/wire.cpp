@@ -1,20 +1,62 @@
 #include "shard/wire.h"
 
+#include <array>
+#include <bit>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
+#include "common/check.h"
 #include "common/pool.h"
 
 namespace cameo::shard {
 
 namespace {
 
-// ---- little-endian fixed-width writer / bounds-checked reader ----
+// ---- CRC32C: SSE4.2 instruction with a table-driven fallback ----
 
+constexpr std::array<std::uint32_t, 256> MakeCrc32cTable() {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c >> 1) ^ (0x82F63B78u & (0u - (c & 1u)));  // reflected Castagnoli
+    }
+    table[i] = c;
+  }
+  return table;
+}
+
+constexpr std::array<std::uint32_t, 256> kCrc32cTable = MakeCrc32cTable();
+
+#if defined(__x86_64__)
+// Only this function is compiled for SSE4.2; the rest of the library keeps
+// the baseline ISA and reaches it through the runtime check in Crc32c.
+__attribute__((target("sse4.2"))) std::uint32_t Crc32cSse42(
+    const std::uint8_t* data, std::size_t n) {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; n -= 8, data += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data, sizeof word);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; n > 0; --n) crc32 = _mm_crc32_u8(crc32, *data++);
+  return ~crc32;
+}
+#endif
+
+// ---- little-endian fixed-width cursor writer / bounds-checked reader ----
+
+/// Writes fields through a cursor into a frame BeginFrame has already sized,
+/// so assembling a frame costs one resize, not one per field.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& buf) : buf_(buf) {}
+  explicit Writer(std::uint8_t* at) : at_(at) {}
 
-  void U8(std::uint8_t v) { buf_.push_back(v); }
+  void U8(std::uint8_t v) { *at_++ = v; }
   void U16(std::uint16_t v) { Raw(&v, sizeof v); }
   void U32(std::uint32_t v) { Raw(&v, sizeof v); }
   void U64(std::uint64_t v) { Raw(&v, sizeof v); }
@@ -28,19 +70,18 @@ class Writer {
   template <typename T>
   void Column(const std::vector<T>& col) {
     static_assert(sizeof(T) == 8);
-    const std::size_t n = buf_.size();
-    buf_.resize(n + col.size() * 8);
-    if (!col.empty()) std::memcpy(buf_.data() + n, col.data(), col.size() * 8);
+    if (!col.empty()) Raw(col.data(), col.size() * 8);
   }
+
+  const std::uint8_t* at() const { return at_; }
 
  private:
   void Raw(const void* p, std::size_t n) {
-    const std::size_t at = buf_.size();
-    buf_.resize(at + n);
-    std::memcpy(buf_.data() + at, p, n);  // host is little-endian (x86/arm64)
+    std::memcpy(at_, p, n);  // host is little-endian (x86/arm64)
+    at_ += n;
   }
 
-  std::vector<std::uint8_t>& buf_;
+  std::uint8_t* at_;
 };
 
 class Reader {
@@ -90,36 +131,48 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
+/// Payload sizes: a data frame is 17 eight-byte fields plus the has_token
+/// byte, then three 8-byte columns per row; a reply is five 8-byte fields
+/// plus the valid byte.
+constexpr std::size_t kDataFixedPayload = 17 * 8 + 1;
+constexpr std::size_t kDataRowBytes = 3 * 8;
+constexpr std::size_t kReplyPayload = 5 * 8 + 1;
+
+/// Stores the CRC32C of everything before the trailer, zero-extended into
+/// the u64 trailer.
+void WriteChecksum(std::vector<std::uint8_t>& buf) {
+  const std::size_t body = buf.size() - kWireTrailerSize;
+  const std::uint64_t sum = Crc32c(buf.data(), body);
+  std::memcpy(buf.data() + body, &sum, sizeof sum);
 }
 
-/// Writes the fixed-size header; payload length is patched in FinishFrame
-/// once the payload has been written, and the session fields stay zero until
-/// StampSession patches them.
-void BeginFrame(std::vector<std::uint8_t>& buf, FrameKind kind) {
-  buf.clear();
-  Writer w(buf);
+/// Sizes `buf` for the whole frame in one resize and writes the header; the
+/// session fields stay zero until StampSession patches them. Returns a
+/// cursor at the first payload byte.
+Writer BeginFrame(std::vector<std::uint8_t>& buf, FrameKind kind,
+                  std::size_t payload_len) {
+  const std::size_t size = kWireHeaderSize + payload_len + kWireTrailerSize;
+  // Grow to a power of two, never to the exact size: pooled buffers cycle
+  // through frames of every kind and row count, and exact-fit capacity
+  // would make most reuses for a larger frame reallocate.
+  if (buf.capacity() < size) buf.reserve(std::bit_ceil(size));
+  buf.resize(size);
+  Writer w(buf.data());
   w.U32(kWireMagic);
   w.U8(static_cast<std::uint8_t>(kind));
   w.U8(kWireVersion);
   w.U16(0);  // reserved
-  w.U64(0);  // payload_len placeholder
+  w.U64(payload_len);
   w.U64(0);  // session seq (bare frame)
   w.U64(0);  // session ack (bare frame)
+  return w;
 }
 
-void FinishFrame(std::vector<std::uint8_t>& buf) {
-  const std::uint64_t payload_len = buf.size() - kWireHeaderSize;
-  std::memcpy(buf.data() + 8, &payload_len, sizeof payload_len);
-  const std::uint64_t sum = Fnv1a(buf.data(), buf.size());
-  Writer w(buf);
-  w.U64(sum);
+/// Checks that the payload filled exactly the size BeginFrame reserved, then
+/// writes the checksum trailer.
+void FinishFrame(std::vector<std::uint8_t>& buf, const Writer& w) {
+  CAMEO_CHECK(w.at() == buf.data() + buf.size() - kWireTrailerSize);
+  WriteChecksum(buf);
 }
 
 /// Validates magic/version/length/checksum; on success returns a payload
@@ -145,9 +198,11 @@ bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
   if (payload_len != b.size() - kWireHeaderSize - kWireTrailerSize) {
     return false;
   }
+  // The 32-bit CRC compares against the whole u64 trailer, so a nonzero
+  // upper half is a mismatch too.
   std::uint64_t sum;
   std::memcpy(&sum, b.data() + b.size() - kWireTrailerSize, sizeof sum);
-  if (sum != Fnv1a(b.data(), b.size() - kWireTrailerSize)) return false;
+  if (sum != Crc32c(b.data(), b.size() - kWireTrailerSize)) return false;
   kind = static_cast<FrameKind>(k);
   payload = Reader(b.data() + kWireHeaderSize, b.size() - kWireHeaderSize -
                                                    kWireTrailerSize);
@@ -156,9 +211,40 @@ bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
 
 }  // namespace
 
+std::uint32_t Crc32cTable(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc = (crc >> 8) ^ kCrc32cTable[(crc ^ data[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
+bool HasHardwareCrc32c() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    // A frame may be checksummed from a static initializer, before the
+    // runtime's own CPU probe has run.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t n) {
+#if defined(__x86_64__)
+  if (HasHardwareCrc32c()) return Crc32cSse42(data, n);
+#endif
+  return Crc32cTable(data, n);
+}
+
 void EncodeMessage(const Message& m, WireFrame& frame) {
-  BeginFrame(frame.bytes, FrameKind::kData);
-  Writer w(frame.bytes);
+  const std::size_t rows = m.batch.keys.size();
+  CAMEO_EXPECTS(m.batch.values.size() == rows && m.batch.times.size() == rows);
+  Writer w = BeginFrame(frame.bytes, FrameKind::kData,
+                        kDataFixedPayload + kDataRowBytes * rows);
   // Message envelope.
   w.I64(m.id.value);
   w.I64(m.target.value);
@@ -180,29 +266,28 @@ void EncodeMessage(const Message& m, WireFrame& frame) {
   // EventBatch: progress watermark, synthetic face, then the columns.
   w.I64(m.batch.progress);
   w.I64(m.batch.synthetic_count);
-  w.U64(m.batch.keys.size());
+  w.U64(rows);
   w.Column(m.batch.keys);
   w.Column(m.batch.values);
   w.Column(m.batch.times);
-  FinishFrame(frame.bytes);
+  FinishFrame(frame.bytes, w);
 }
 
 void EncodeReply(OperatorId sender, OperatorId from, const ReplyContext& rc,
                  WireFrame& frame) {
-  BeginFrame(frame.bytes, FrameKind::kReply);
-  Writer w(frame.bytes);
+  Writer w = BeginFrame(frame.bytes, FrameKind::kReply, kReplyPayload);
   w.I64(sender.value);
   w.I64(from.value);
   w.I64(rc.cost_m);
   w.I64(rc.cost_path);
   w.I64(rc.queueing_delay);
   w.U8(rc.valid ? 1 : 0);
-  FinishFrame(frame.bytes);
+  FinishFrame(frame.bytes, w);
 }
 
 void EncodeAck(WireFrame& frame) {
-  BeginFrame(frame.bytes, FrameKind::kAck);
-  FinishFrame(frame.bytes);
+  const Writer w = BeginFrame(frame.bytes, FrameKind::kAck, 0);
+  FinishFrame(frame.bytes, w);
 }
 
 void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack) {
@@ -210,8 +295,7 @@ void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack) {
   if (b.size() < kWireHeaderSize + kWireTrailerSize) return;
   std::memcpy(b.data() + kWireSeqOffset, &seq, sizeof seq);
   std::memcpy(b.data() + kWireAckOffset, &ack, sizeof ack);
-  const std::uint64_t sum = Fnv1a(b.data(), b.size() - kWireTrailerSize);
-  std::memcpy(b.data() + b.size() - kWireTrailerSize, &sum, sizeof sum);
+  WriteChecksum(b);
 }
 
 bool PeekSession(const WireFrame& frame, std::uint64_t& seq,
@@ -264,8 +348,11 @@ bool DecodeMessage(const WireFrame& frame, Message& out) {
   }
   m.pc.has_token = has_token != 0;
   // Exactly three 8-byte columns must remain. The division guard rejects a
-  // corrupt row count large enough to wrap `rows * 24`.
-  if (rows > r.remaining() / 24 || r.remaining() != rows * 24) return false;
+  // corrupt row count large enough to wrap `rows * kDataRowBytes`.
+  if (rows > r.remaining() / kDataRowBytes ||
+      r.remaining() != rows * kDataRowBytes) {
+    return false;
+  }
   if (rows > 0) {
     // Adopt pooled capacity through the batch's own Append pathway, then
     // bulk-copy: the first Append swaps in recycled column buffers.

@@ -13,7 +13,13 @@
 //   [u32 magic][u8 kind][u8 version][u16 reserved][u64 payload_len]
 //   [u64 seq][u64 ack]
 //   [payload bytes ...]
-//   [u64 FNV-1a checksum over header+payload]
+//   [u64 trailer: CRC32C over header+payload, zero-extended]
+//
+// The checksum is CRC32C (Castagnoli). It runs on the SSE4.2 crc32
+// instruction when the CPU has it -- chosen once at runtime, so the library
+// needs no global -msse4.2 -- and on a table-driven fallback otherwise (the
+// only path off x86-64). The 32-bit CRC fills the low half of the 8-byte
+// trailer; validation requires the upper half to be zero.
 //
 // `seq` and `ack` are the session layer's fields (session.h): a per-channel
 // sequence number and a piggybacked cumulative ack for the reverse channel.
@@ -57,8 +63,10 @@ enum class FrameKind : std::uint8_t {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x43414D39;  // "CAM9"
-/// v2: the header grew the session seq/ack fields (PR 10).
-inline constexpr std::uint8_t kWireVersion = 2;
+/// v2: the header grew the session seq/ack fields. v3: the trailer holds a
+/// zero-extended CRC32C instead of FNV-1a, so an old frame is rejected for
+/// its version rather than as a checksum failure.
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Header (magic, kind, version, reserved, payload_len, seq, ack) + trailing
 /// checksum.
 inline constexpr std::size_t kWireHeaderSize = 32;
@@ -83,6 +91,18 @@ struct WireStats {
   /// Frames rejected by magic/length/checksum validation.
   std::uint64_t rejected = 0;
 };
+
+/// CRC32C (reflected polynomial 0x82F63B78, all-ones initial value and final
+/// xor) of `n` bytes: the frame checksum. Runs the SSE4.2 crc32 instruction,
+/// 8 bytes per step, when HasHardwareCrc32c(), and Crc32cTable otherwise.
+std::uint32_t Crc32c(const std::uint8_t* data, std::size_t n);
+
+/// The portable table-driven CRC32C, one byte per step.
+std::uint32_t Crc32cTable(const std::uint8_t* data, std::size_t n);
+
+/// Whether this CPU has the SSE4.2 crc32 instruction (probed once; always
+/// false off x86-64).
+bool HasHardwareCrc32c();
 
 /// Serializes `m` into `frame.bytes` (replacing its contents; capacity is
 /// reused). The message itself is not consumed -- the caller still owns its

@@ -239,8 +239,9 @@ TEST(WireCodec, EveryByteCorruptionRejected) {
       scratch.batch.Recycle();
     }
   }
-  // FNV-1a catches every single-byte flip of this frame (the checksum also
-  // covers the header, so magic/kind/length flips reject too).
+  // CRC32C detects every error burst of up to 32 bits, so every single-byte
+  // flip is caught (the checksum also covers the header, so magic/kind/length
+  // flips reject too, and a flip in the trailer breaks the comparison).
   EXPECT_EQ(rejected, static_cast<int>(full.size()));
   in.batch.Recycle();
   ReleaseFrame(std::move(frame));
@@ -281,6 +282,95 @@ TEST(WireCodec, LengthFieldLyingRejected) {
     EXPECT_FALSE(DecodeMessage(frame, out));
     EXPECT_TRUE(out.batch.keys.empty());
   }
+  in.batch.Recycle();
+  ReleaseFrame(std::move(frame));
+}
+
+TEST(WireChecksum, Crc32cKnownAnswer) {
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32c(check, sizeof check), 0xE3069283u);
+  EXPECT_EQ(Crc32cTable(check, sizeof check), 0xE3069283u);
+  EXPECT_EQ(Crc32c(check, 0), 0u);
+}
+
+TEST(WireChecksum, HardwareMatchesTable) {
+  // Crc32c takes the SSE4.2 path whenever the CPU has it.
+  if (!HasHardwareCrc32c()) GTEST_SKIP() << "CPU lacks SSE4.2";
+  Rng rng(13);
+  std::vector<std::uint8_t> buf(512 + 8);
+  for (std::uint8_t& b : buf) {
+    b = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  }
+  // Every start alignment and every word/tail split of the SSE4.2 loop.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 512; ++len) {
+      const std::uint8_t* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(p, len), Crc32cTable(p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(WireCodec, EveryBitFlipRejected) {
+  Rng rng(14);
+  Message in = RandomMessage(rng, 300);
+  WireFrame frame = AcquireFrame();
+  EncodeMessage(in, frame);
+  ASSERT_EQ(frame.bytes.size(),
+            kWireHeaderSize + 137 + 300 * 24 + kWireTrailerSize);
+  for (std::size_t i = 0; i < frame.bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(1u << bit);
+      frame.bytes[i] ^= mask;
+      Message out;
+      ASSERT_FALSE(DecodeMessage(frame, out)) << "byte " << i << " bit " << bit;
+      ASSERT_TRUE(out.batch.keys.empty());
+      frame.bytes[i] ^= mask;
+    }
+  }
+  Message out;
+  ASSERT_TRUE(DecodeMessage(frame, out));  // the flips were all undone
+  out.batch.Recycle();
+  in.batch.Recycle();
+  ReleaseFrame(std::move(frame));
+}
+
+TEST(WireCodec, TrailerUpperHalfMustBeZero) {
+  Rng rng(15);
+  Message in = RandomMessage(rng, 4);
+  WireFrame frame = AcquireFrame();
+  EncodeMessage(in, frame);
+  const std::size_t body = frame.bytes.size() - kWireTrailerSize;
+  std::uint64_t trailer;
+  std::memcpy(&trailer, frame.bytes.data() + body, sizeof trailer);
+  EXPECT_EQ(trailer, Crc32c(frame.bytes.data(), body));  // zero-extended
+  // Keep the correct CRC in the low half, set one bit in the high half.
+  trailer |= std::uint64_t{1} << 40;
+  std::memcpy(frame.bytes.data() + body, &trailer, sizeof trailer);
+  EXPECT_FALSE(ValidateFrame(frame));
+  Message out;
+  EXPECT_FALSE(DecodeMessage(frame, out));
+  EXPECT_TRUE(out.batch.keys.empty());
+  in.batch.Recycle();
+  ReleaseFrame(std::move(frame));
+}
+
+TEST(WireCodec, OldVersionRejected) {
+  Rng rng(16);
+  Message in = RandomMessage(rng, 4);
+  WireFrame frame = AcquireFrame();
+  EncodeMessage(in, frame);
+  // Relabel as version 2 and re-checksum, so the version byte is the only
+  // thing wrong with the frame.
+  frame.bytes[5] = 2;
+  StampSession(frame, 0, 0);
+  EXPECT_FALSE(ValidateFrame(frame));
+  Message out;
+  EXPECT_FALSE(DecodeMessage(frame, out));
+  EXPECT_TRUE(out.batch.keys.empty());
+  frame.bytes[5] = kWireVersion;
+  StampSession(frame, 0, 0);
+  EXPECT_TRUE(ValidateFrame(frame));
   in.batch.Recycle();
   ReleaseFrame(std::move(frame));
 }
