@@ -6,8 +6,10 @@
 
 namespace cameo {
 
-OrleansScheduler::OrleansScheduler(SchedulerConfig config)
-    : Scheduler(config, MailboxOrder::kFifo) {}
+OrleansScheduler::OrleansScheduler(SchedulerConfig config, int num_workers)
+    : Scheduler(config, MailboxOrder::kFifo) {
+  for (int w = 0; w < num_workers; ++w) ready_.RegisterWorker(WorkerId{w});
+}
 
 void OrleansScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w,
                                bool to_global) {

@@ -25,7 +25,9 @@ namespace cameo {
 
 class OrleansScheduler final : public Scheduler {
  public:
-  explicit OrleansScheduler(SchedulerConfig config = {});
+  /// Workers 0..num_workers-1 join the steal order up front, in index
+  /// order; any other worker joins on its first DequeueBatch.
+  explicit OrleansScheduler(SchedulerConfig config = {}, int num_workers = 0);
 
   void Enqueue(Message m, WorkerId producer, SimTime now) override;
   std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,

@@ -62,7 +62,7 @@ std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind, int num_workers,
     case SchedulerKind::kFifo:
       return std::make_unique<FifoScheduler>(config);
     case SchedulerKind::kOrleans:
-      return std::make_unique<OrleansScheduler>(config);
+      return std::make_unique<OrleansScheduler>(config, num_workers);
     case SchedulerKind::kSlot:
       return std::make_unique<SlotScheduler>(num_workers, config);
   }

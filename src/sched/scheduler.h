@@ -262,8 +262,9 @@ class Scheduler {
   std::vector<WorkerSlot> slots_;
 };
 
-/// Shared factory used by both backends. `num_workers` is only consulted by
-/// the slot scheduler's round-robin pinning.
+/// Shared factory used by both backends. `num_workers` sets the slot
+/// scheduler's round-robin pinning and the Orleans scheduler's initial
+/// steal order.
 std::unique_ptr<Scheduler> MakeScheduler(SchedulerKind kind, int num_workers,
                                          const SchedulerConfig& config);
 

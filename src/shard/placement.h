@@ -54,19 +54,32 @@ class ShardPlacement {
       }
     }
     std::sort(ring_.begin(), ring_.end());
+    // jump_[b] = first ring point at or after bucket b's start hash.
+    jump_.resize(std::size_t{1} << kJumpBits);
+    std::size_t i = 0;
+    for (std::size_t b = 0; b < jump_.size(); ++b) {
+      const std::uint64_t start = static_cast<std::uint64_t>(b)
+                                  << (64 - kJumpBits);
+      while (i < ring_.size() && ring_[i].hash < start) ++i;
+      jump_[b] = static_cast<std::uint32_t>(i);
+    }
   }
 
   int num_shards() const { return num_shards_; }
 
-  /// Owning shard of `op`; pure, O(log ring).
+  /// Owning shard of `op`: the first ring point whose hash is >= the
+  /// operator's (what std::lower_bound returns), wrapping past the end.
+  /// Pure and O(1) expected: the jump table starts the scan at the first
+  /// ring point of the hash's top-bits bucket, and a bucket holds at most
+  /// one ring point on average up to 16 shards.
   int ShardOf(OperatorId op) const {
     if (num_shards_ == 1) return 0;
     const std::uint64_t h =
         KeyMix(op.value ^ static_cast<std::int64_t>(seed_ << 1));
-    auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                               Point{h, -1});
-    if (it == ring_.end()) it = ring_.begin();  // wrap
-    return it->shard;
+    std::size_t i = jump_[h >> (64 - kJumpBits)];
+    while (i < ring_.size() && ring_[i].hash < h) ++i;
+    if (i == ring_.size()) i = 0;  // wrap
+    return ring_[i].shard;
   }
 
  private:
@@ -78,9 +91,13 @@ class ShardPlacement {
     }
   };
 
+  /// Jump-table resolution: the top kJumpBits of a hash pick a bucket.
+  static constexpr int kJumpBits = 10;
+
   int num_shards_;
   std::uint64_t seed_;
   std::vector<Point> ring_;
+  std::vector<std::uint32_t> jump_;
 };
 
 }  // namespace cameo::shard

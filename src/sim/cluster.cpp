@@ -1,6 +1,7 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <bitset>
 
 #include "common/check.h"
 #include "common/pool.h"
@@ -384,25 +385,41 @@ void Cluster::KickIdleWorkers(int shard) {
   // given message. A kicked worker that finds nothing simply goes idle
   // again. Workers of other shards are never kicked -- their schedulers
   // hold no new work.
+  //
+  // One event sweeps this call's kicks in index order. Per-worker events at
+  // the same timestamp would carry consecutive sequence numbers, so nothing
+  // could run between them: the sweep keeps the schedule exactly. It visits
+  // only the workers kicked here; a worker whose `kicked` flag an earlier
+  // call set is served by that call's (earlier) sweep.
   const std::size_t begin =
       static_cast<std::size_t>(shard) * config_.num_workers;
-  const std::size_t end = begin + static_cast<std::size_t>(config_.num_workers);
-  for (std::size_t i = begin; i < end; ++i) {
-    WorkerState& ws = workers_[i];
+  std::bitset<Scheduler::kMaxWorkers> kicked;
+  for (int i = 0; i < config_.num_workers; ++i) {
+    WorkerState& ws = workers_[begin + static_cast<std::size_t>(i)];
     if (ws.busy || ws.kicked) continue;
     ws.kicked = true;
-    WorkerId w{static_cast<std::int64_t>(i)};
-    events_.Schedule(events_.now(), [this, w] { TryDispatch(w); });
+    kicked.set(static_cast<std::size_t>(i));
   }
+  if (kicked.none()) return;
+  events_.Schedule(events_.now(), [this, begin, kicked] {
+    for (int i = 0; i < config_.num_workers; ++i) {
+      if (!kicked.test(static_cast<std::size_t>(i))) continue;
+      TryDispatch(WorkerId{static_cast<std::int64_t>(begin) + i});
+    }
+  });
 }
 
 void Cluster::TryDispatch(WorkerId w) {
   WorkerState& ws = workers_[static_cast<std::size_t>(w.value)];
   ws.kicked = false;
   if (ws.busy) return;
+  Scheduler& sched = runtime_->scheduler(runtime_->ShardOfWorker(w));
+  // The sim is single-threaded: with nothing pending there is nothing to
+  // claim, and an empty DequeueBatch changes no scheduler state (Orleans's
+  // steal order is fixed at construction, see OrleansScheduler).
+  if (sched.pending() == 0) return;
   batch_scratch_.clear();
   exec_scratch_.clear();
-  Scheduler& sched = runtime_->scheduler(runtime_->ShardOfWorker(w));
   if (sched.DequeueBatch(runtime_->LocalWorker(w), events_.now(),
                          batch_scratch_) == 0) {
     return;

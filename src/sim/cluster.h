@@ -197,11 +197,13 @@ class Cluster {
   const shard::ShardRuntime& shard_runtime() const { return *runtime_; }
 
   std::uint64_t messages_delivered() const { return messages_delivered_; }
+  /// Simulator events run so far (the event loop's own cost unit).
+  std::uint64_t events_executed() const { return events_.executed(); }
 
  private:
   struct WorkerState {
     bool busy = false;
-    bool kicked = false;  // a TryDispatch event is in flight
+    bool kicked = false;  // in a pending wake-up sweep (KickIdleWorkers)
     OperatorId last_op;
   };
   struct SourceState {

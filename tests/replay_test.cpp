@@ -1,6 +1,7 @@
-// Golden seed-replay regression suite: three fixed-seed sim::Cluster
-// scenarios with their exact run summaries pinned (messages delivered,
-// outputs, met-deadline counts, coarse p99 buckets). The simulator is
+// Golden seed-replay regression suite: fixed-seed sim::Cluster scenarios
+// with their exact run summaries pinned (messages delivered, outputs,
+// met-deadline counts, coarse p99 buckets; for the control group also the
+// dispatch-order counters of every scheduler). The simulator is
 // bit-deterministic for a fixed seed, so any accidental change to
 // scheduling order, routing, retirement accounting or priority generation
 // fails these tests loudly instead of silently shifting every benchmark.
@@ -17,6 +18,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "bench_util/scenarios.h"
 
@@ -25,12 +27,38 @@ namespace {
 
 // ---- Golden values (see the update procedure above) ----
 
-// Scenario 1: MultiTenantControlGroupSeed7
-constexpr std::uint64_t kGoldenMtMessages = 8109;
-constexpr std::uint64_t kGoldenMtLsOutputs = 22;
-constexpr std::uint64_t kGoldenMtBaOutputs = 2;
-constexpr std::uint64_t kGoldenMtLsMet = 22;
-constexpr std::int64_t kGoldenMtLsP99Ms = 5;
+// Scenario 1: MultiTenantControlGroupSeed7, once per scheduler, at the
+// control group's light BA load and at a loaded 100 msg/s (~80% busy, where
+// worker wake-up order shows in Orleans's steals and Slot's queues). Counts,
+// met and p99 are coarse; operator swaps, continuations and the summed
+// output latency pin the dispatch order itself.
+struct ControlGroupGolden {
+  std::uint64_t messages;
+  std::uint64_t dispatched;  // < messages when a backlog outlives the run
+  std::uint64_t ls_outputs;
+  std::uint64_t ba_outputs;
+  std::uint64_t ls_met;
+  std::int64_t ls_p99_ms;
+  std::uint64_t operator_swaps;
+  std::uint64_t continuations;
+  std::int64_t latency_sum_us;
+};
+constexpr ControlGroupGolden kGoldenMtCameo{
+    8109, 8109, 22, 2, 22, 5, 8095, 10, 132739};
+constexpr ControlGroupGolden kGoldenMtFifo{
+    8109, 8109, 22, 2, 22, 5, 8095, 0, 132739};
+constexpr ControlGroupGolden kGoldenMtOrleans{
+    8109, 8109, 22, 2, 22, 5, 8095, 0, 132739};
+constexpr ControlGroupGolden kGoldenMtSlot{
+    8109, 8109, 22, 2, 22, 6, 8104, 0, 156012};
+constexpr ControlGroupGolden kGoldenMtLoadedCameo{
+    38736, 38736, 22, 2, 22, 8, 38392, 340, 163760};
+constexpr ControlGroupGolden kGoldenMtLoadedFifo{
+    38736, 38736, 22, 2, 22, 12, 38559, 0, 198076};
+constexpr ControlGroupGolden kGoldenMtLoadedOrleans{
+    38736, 38736, 22, 2, 22, 16, 38540, 0, 181997};
+constexpr ControlGroupGolden kGoldenMtLoadedSlot{
+    38724, 31784, 22, 0, 22, 40, 31555, 204, 491793};
 
 // Scenario 2: TenantChurnSeed3
 constexpr int kGoldenChurnTenants = 7;
@@ -86,22 +114,63 @@ std::uint64_t Outputs(const RunResult& run, const std::string& prefix) {
 
 // ---- Scenario 1: the §6.2 control-group multi-tenant workload ----
 
-TEST(ReplayTest, MultiTenantControlGroupSeed7) {
+// Sum of every job's output latencies in whole microseconds: moves with any
+// single output's completion time.
+std::int64_t LatencySumUs(const RunResult& run) {
+  double sum_ms = 0;
+  for (const JobResult& j : run.jobs) {
+    sum_ms += j.mean_ms * static_cast<double>(j.outputs);
+  }
+  return std::llround(sum_ms * 1000.0);
+}
+
+void ExpectControlGroupGolden(SchedulerKind kind, double ba_msgs_per_sec,
+                              const ControlGroupGolden& golden) {
+  SCOPED_TRACE(ToString(kind) + " at BA " +
+               std::to_string(ba_msgs_per_sec) + " msg/s");
   MultiTenantOptions opt;
   opt.ls_jobs = 2;
   opt.ba_jobs = 2;
-  opt.ba_msgs_per_sec = 20;
+  opt.ba_msgs_per_sec = ba_msgs_per_sec;
   opt.workers = 4;
   opt.duration = Seconds(12);
   opt.seed = 7;
+  opt.scheduler = kind;
   RunResult r = RunMultiTenant(opt);
 
-  EXPECT_EQ(r.messages, kGoldenMtMessages);
-  EXPECT_EQ(r.sched.enqueued, r.sched.dispatched);
-  EXPECT_EQ(Outputs(r, "LS"), kGoldenMtLsOutputs);
-  EXPECT_EQ(Outputs(r, "BA"), kGoldenMtBaOutputs);
-  EXPECT_EQ(MetCount(r, "LS"), kGoldenMtLsMet);
-  EXPECT_EQ(P99Bucket(r, "LS"), kGoldenMtLsP99Ms);
+  EXPECT_EQ(r.messages, golden.messages);
+  EXPECT_EQ(r.sched.enqueued, r.messages);
+  EXPECT_EQ(r.sched.dispatched, golden.dispatched);
+  EXPECT_EQ(Outputs(r, "LS"), golden.ls_outputs);
+  EXPECT_EQ(Outputs(r, "BA"), golden.ba_outputs);
+  EXPECT_EQ(MetCount(r, "LS"), golden.ls_met);
+  EXPECT_EQ(P99Bucket(r, "LS"), golden.ls_p99_ms);
+  EXPECT_EQ(r.sched.operator_swaps, golden.operator_swaps);
+  EXPECT_EQ(r.sched.continuations, golden.continuations);
+  EXPECT_EQ(LatencySumUs(r), golden.latency_sum_us);
+}
+
+TEST(ReplayTest, MultiTenantControlGroupSeed7) {
+  ExpectControlGroupGolden(SchedulerKind::kCameo, 20, kGoldenMtCameo);
+  ExpectControlGroupGolden(SchedulerKind::kCameo, 100, kGoldenMtLoadedCameo);
+}
+
+TEST(ReplayTest, MultiTenantControlGroupSeed7Fifo) {
+  ExpectControlGroupGolden(SchedulerKind::kFifo, 20, kGoldenMtFifo);
+  ExpectControlGroupGolden(SchedulerKind::kFifo, 100, kGoldenMtLoadedFifo);
+}
+
+// Orleans's steal order follows worker registration order, which depends on
+// when each worker first reaches the scheduler; these goldens pin it.
+TEST(ReplayTest, MultiTenantControlGroupSeed7Orleans) {
+  ExpectControlGroupGolden(SchedulerKind::kOrleans, 20, kGoldenMtOrleans);
+  ExpectControlGroupGolden(SchedulerKind::kOrleans, 100,
+                           kGoldenMtLoadedOrleans);
+}
+
+TEST(ReplayTest, MultiTenantControlGroupSeed7Slot) {
+  ExpectControlGroupGolden(SchedulerKind::kSlot, 20, kGoldenMtSlot);
+  ExpectControlGroupGolden(SchedulerKind::kSlot, 100, kGoldenMtLoadedSlot);
 }
 
 // ---- Scenario 2: tenant churn (hot add/remove) ----

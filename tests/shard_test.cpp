@@ -13,6 +13,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/shard_engine.h"
@@ -94,6 +95,46 @@ TEST(Placement, StableUnderGrowth) {
   // far below the ~4/5 a mod-N rehash would move.
   EXPECT_LT(moved, kOps * 2 / 5);
   EXPECT_GT(moved, 0);
+}
+
+// ShardOf's jump-table scan must return exactly what a binary search over
+// the ring returns. The reference rebuilds the ring from its definition
+// (kVirtualNodes points per shard, KeyMix of the seeded point id) and runs
+// std::lower_bound, the lookup the jump table replaced.
+TEST(Placement, JumpTableMatchesRingBinarySearch) {
+  constexpr std::int64_t kIds = 1'000'000;
+  for (int shards : {2, 3, 4, 8, 16}) {
+    for (std::uint64_t seed : {1ULL, 9001ULL, 0xC0FFEEULL}) {
+      std::vector<std::pair<std::uint64_t, int>> ring;
+      for (int s = 0; s < shards; ++s) {
+        for (int v = 0; v < ShardPlacement::kVirtualNodes; ++v) {
+          const auto id =
+              static_cast<std::uint64_t>(s) * ShardPlacement::kVirtualNodes +
+              static_cast<std::uint64_t>(v);
+          ring.emplace_back(KeyMix(static_cast<std::int64_t>(
+                                id ^ (seed * 0x9E3779B97F4A7C15ULL))),
+                            s);
+        }
+      }
+      std::sort(ring.begin(), ring.end());
+      const ShardPlacement p(shards, seed);
+      std::int64_t mismatches = 0;
+      std::int64_t first = -1;
+      for (std::int64_t v = 0; v < kIds; ++v) {
+        const std::uint64_t h =
+            KeyMix(v ^ static_cast<std::int64_t>(seed << 1));
+        auto it = std::lower_bound(ring.begin(), ring.end(),
+                                   std::make_pair(h, -1));
+        if (it == ring.end()) it = ring.begin();
+        if (p.ShardOf(OperatorId{v}) != it->second) {
+          if (first < 0) first = v;
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << shards << " shards, seed " << seed
+                               << ", first mismatch at id " << first;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
