@@ -122,8 +122,8 @@ void Run(bench::BenchContext& ctx) {
       "reorder/partition/stall schedules",
       "delivery conserved exactly under every schedule; met rate under "
       "1% drop + 1% dup stays >= 95%");
-  PrintHeaderRow("schedule",
-                 {"met", "p99", "frames", "retx", "dup_drop", "crpt", "rows"});
+  PrintHeaderRow("schedule", {"met", "p99", "frames", "retx", "fast", "rto",
+                              "dup_drop", "crpt", "rows"});
 
   const KeyedScenarioOptions base = BaseOptions(ctx);
   const std::vector<ChaosConfig> schedules = Schedules(base.duration);
@@ -140,7 +140,9 @@ void Run(bench::BenchContext& ctx) {
     PrintRow(cfg.tag,
              {FormatPct(run.met), FormatMs(run.p99),
               std::to_string(run.r.frames_sent),
-              std::to_string(ts.retransmits), std::to_string(ts.dup_drops),
+              std::to_string(ts.retransmits),
+              std::to_string(ts.fast_retransmits),
+              std::to_string(ts.rto_retransmits), std::to_string(ts.dup_drops),
               std::to_string(ts.corrupt_drops),
               std::to_string(run.r.rows_seen)});
     const std::string tag = cfg.tag;
@@ -149,6 +151,10 @@ void Run(bench::BenchContext& ctx) {
     ctx.Metric(tag + ".frames_sent", static_cast<double>(run.r.frames_sent));
     ctx.Metric(tag + ".rows_seen", static_cast<double>(run.r.rows_seen));
     ctx.Metric(tag + ".retransmits", static_cast<double>(ts.retransmits));
+    ctx.Metric(tag + ".fast_retransmits",
+               static_cast<double>(ts.fast_retransmits));
+    ctx.Metric(tag + ".rto_retransmits",
+               static_cast<double>(ts.rto_retransmits));
     ctx.Metric(tag + ".dup_drops", static_cast<double>(ts.dup_drops));
     ctx.Metric(tag + ".corrupt_drops", static_cast<double>(ts.corrupt_drops));
     ctx.Metric(tag + ".acks_sent", static_cast<double>(ts.acks_sent));

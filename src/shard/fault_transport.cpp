@@ -144,8 +144,9 @@ bool FaultInjectingTransport::Receive(int to, SimTime now, WireFrame& out,
                                       int& from) {
   if (Stalled(to, now)) return false;
   // Flush any held (reordered) frames destined for this shard so they cannot
-  // be stranded when their channel goes quiet.
-  for (int src = 0; src < num_shards_; ++src) {
+  // be stranded when their channel goes quiet. Only the reorder fault holds
+  // frames.
+  for (int src = 0; plan_.reorder_rate > 0 && src < num_shards_; ++src) {
     Channel& ch = ChannelAt(src, to);
     std::lock_guard lock(ch.mu);
     FlushHeldLocked(ch, src, to, now);

@@ -30,8 +30,9 @@ struct InprocTransport::Channel {
   std::uint64_t next_seq = 0;       // guarded by send_mu
 
   // ---- consumer side (single consumer per destination shard) ----
-  /// Drained-but-not-yet-delivered nodes, kept sorted by seq descending so
-  /// the next-in-order frame is at the back.
+  /// Drained-but-not-yet-delivered nodes: a min-heap on seq, so the
+  /// next-in-order frame is at the front. A heap keeps each drain and pop
+  /// O(log n) when a slow consumer lets thousands of frames pile up.
   std::vector<FrameNode*> pending;
   std::uint64_t next_deliver_seq = 0;
 
@@ -120,27 +121,26 @@ bool InprocTransport::Receive(int to, SimTime now, WireFrame& out,
     Channel& ch = ChannelAt(from, to);
     FrameNode* drained =
         ch.inbox.exchange(nullptr, std::memory_order_acquire);
-    if (drained != nullptr) {
-      for (FrameNode* n = drained; n != nullptr;) {
-        FrameNode* next = n->next;
-        ch.pending.push_back(n);
-        n = next;
-      }
-      // Sort by seq descending (next-in-order at the back). Sequence
-      // assignment and the push race under concurrency, so drain order is
-      // not seq order; seq, assigned under send_mu, is authoritative.
-      std::sort(ch.pending.begin(), ch.pending.end(),
-                [](const FrameNode* a, const FrameNode* b) {
-                  return a->seq > b->seq;
-                });
+    // Sequence assignment and the push race under concurrency, so drain
+    // order is not seq order; seq, assigned under send_mu, is
+    // authoritative.
+    const auto later = [](const FrameNode* a, const FrameNode* b) {
+      return a->seq > b->seq;
+    };
+    for (FrameNode* n = drained; n != nullptr;) {
+      FrameNode* next = n->next;
+      ch.pending.push_back(n);
+      std::push_heap(ch.pending.begin(), ch.pending.end(), later);
+      n = next;
     }
     if (ch.pending.empty()) continue;
-    FrameNode* head = ch.pending.back();
+    FrameNode* head = ch.pending.front();
     // Deliver strictly in seq order: a gap means a sender assigned a seq
     // under send_mu but has not completed its push yet -- its frame would
     // sort *before* head, so head must wait for it.
     if (head->seq != ch.next_deliver_seq) continue;
     if (head->frame.deliver_at > now) continue;  // not due yet
+    std::pop_heap(ch.pending.begin(), ch.pending.end(), later);
     ch.pending.pop_back();
     ++ch.next_deliver_seq;
     out = std::move(head->frame);

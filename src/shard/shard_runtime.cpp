@@ -117,12 +117,16 @@ ReceiveKind ShardRuntime::ReceiveOne(int shard, SimTime now, Message& msg,
                        ? session_->Receive(shard, now, frame, from)
                        : wire_->Receive(shard, now, frame, from);
   if (!got) return ReceiveKind::kNone;
+  // The session validated the frame's checksum on its way in; the raw
+  // transport path has only the decode to catch corruption.
+  const Checksum crc =
+      session_ != nullptr ? Checksum::kTrusted : Checksum::kVerify;
   FrameKind kind;
   ReceiveKind result = ReceiveKind::kNone;
   if (PeekFrameKind(frame, kind)) {
-    if (kind == FrameKind::kData && DecodeMessage(frame, msg)) {
+    if (kind == FrameKind::kData && DecodeMessage(frame, msg, crc)) {
       result = ReceiveKind::kMessage;
-    } else if (kind == FrameKind::kReply && DecodeReply(frame, reply)) {
+    } else if (kind == FrameKind::kReply && DecodeReply(frame, reply, crc)) {
       result = ReceiveKind::kReply;
     }
   }
@@ -210,6 +214,9 @@ TransportStats ShardRuntime::transport_stats() const {
   if (session_ != nullptr) {
     const TransportStats ses = session_->stats();
     s.retransmits = ses.retransmits;
+    s.fast_retransmits = ses.fast_retransmits;
+    s.rto_retransmits = ses.rto_retransmits;
+    s.out_of_order = ses.out_of_order;
     s.dup_drops = ses.dup_drops;
     s.corrupt_drops = ses.corrupt_drops;
     s.acks_sent = ses.acks_sent;

@@ -146,7 +146,8 @@ class ShardRuntime {
   /// (cannot happen on the in-process transports; the counter exists for
   /// the codec tests and real networks). With the session layer enabled,
   /// frames come out exactly once, per-channel ordered, already
-  /// checksum-validated.
+  /// checksum-validated -- the session counts a corrupted frame in
+  /// transport_stats().corrupt_drops, and the decode skips the checksum.
   ReceiveKind ReceiveOne(int shard, SimTime now, Message& msg,
                          WireReply& reply);
 

@@ -56,12 +56,15 @@ struct TransportStats {
   std::uint64_t partition_dropped = 0;  // discarded inside a partition window
 
   // ---- session layer (reliable delivery; session.h) ----
-  std::uint64_t retransmits = 0;    // RTO-driven re-sends
-  std::uint64_t dup_drops = 0;      // duplicate seqs discarded at receive
-  std::uint64_t corrupt_drops = 0;  // checksum-failed frames discarded
-  std::uint64_t acks_sent = 0;      // standalone ack frames emitted
-  std::uint64_t sent_unique = 0;    // distinct app frames offered for send
-  std::uint64_t delivered = 0;      // distinct app frames released, in order
+  std::uint64_t retransmits = 0;       // fast_retransmits + rto_retransmits
+  std::uint64_t fast_retransmits = 0;  // holes re-sent on SACK evidence
+  std::uint64_t rto_retransmits = 0;   // re-sends when the timer fired
+  std::uint64_t out_of_order = 0;      // arrivals parked in the reorder ring
+  std::uint64_t dup_drops = 0;         // duplicate seqs discarded at receive
+  std::uint64_t corrupt_drops = 0;     // checksum-failed frames discarded
+  std::uint64_t acks_sent = 0;         // standalone ack frames emitted
+  std::uint64_t sent_unique = 0;       // distinct app frames offered for send
+  std::uint64_t delivered = 0;         // distinct app frames released, in order
 
   // ---- overload protection (ShardRuntime admission control) ----
   std::uint64_t shed_messages = 0;  // messages refused by admission control

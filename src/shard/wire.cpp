@@ -161,7 +161,7 @@ Writer BeginFrame(std::vector<std::uint8_t>& buf, FrameKind kind,
   w.U32(kWireMagic);
   w.U8(static_cast<std::uint8_t>(kind));
   w.U8(kWireVersion);
-  w.U16(0);  // reserved
+  w.U16(0);  // session SACK bitmap (bare frame)
   w.U64(payload_len);
   w.U64(0);  // session seq (bare frame)
   w.U64(0);  // session ack (bare frame)
@@ -175,17 +175,18 @@ void FinishFrame(std::vector<std::uint8_t>& buf, const Writer& w) {
   WriteChecksum(buf);
 }
 
-/// Validates magic/version/length/checksum; on success returns a payload
-/// reader and the frame kind.
-bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
+/// Validates magic/version/length and, unless `crc` is kTrusted, the
+/// checksum; on success returns a payload reader and the frame kind.
+bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload,
+               Checksum crc) {
   const std::vector<std::uint8_t>& b = frame.bytes;
   if (b.size() < kWireHeaderSize + kWireTrailerSize) return false;
   Reader h(b.data(), kWireHeaderSize);
   std::uint32_t magic;
   std::uint8_t k, version;
-  std::uint16_t reserved;
+  std::uint16_t sack;
   std::uint64_t payload_len, seq, ack;
-  if (!h.U32(magic) || !h.U8(k) || !h.U8(version) || !h.U16(reserved) ||
+  if (!h.U32(magic) || !h.U8(k) || !h.U8(version) || !h.U16(sack) ||
       !h.U64(payload_len) || !h.U64(seq) || !h.U64(ack)) {
     return false;
   }
@@ -200,9 +201,11 @@ bool OpenFrame(const WireFrame& frame, FrameKind& kind, Reader& payload) {
   }
   // The 32-bit CRC compares against the whole u64 trailer, so a nonzero
   // upper half is a mismatch too.
-  std::uint64_t sum;
-  std::memcpy(&sum, b.data() + b.size() - kWireTrailerSize, sizeof sum);
-  if (sum != Crc32c(b.data(), b.size() - kWireTrailerSize)) return false;
+  if (crc == Checksum::kVerify) {
+    std::uint64_t sum;
+    std::memcpy(&sum, b.data() + b.size() - kWireTrailerSize, sizeof sum);
+    if (sum != Crc32c(b.data(), b.size() - kWireTrailerSize)) return false;
+  }
   kind = static_cast<FrameKind>(k);
   payload = Reader(b.data() + kWireHeaderSize, b.size() - kWireHeaderSize -
                                                    kWireTrailerSize);
@@ -290,18 +293,21 @@ void EncodeAck(WireFrame& frame) {
   FinishFrame(frame.bytes, w);
 }
 
-void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack) {
+void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack,
+                  std::uint16_t sack) {
   std::vector<std::uint8_t>& b = frame.bytes;
   if (b.size() < kWireHeaderSize + kWireTrailerSize) return;
+  std::memcpy(b.data() + kWireSackOffset, &sack, sizeof sack);
   std::memcpy(b.data() + kWireSeqOffset, &seq, sizeof seq);
   std::memcpy(b.data() + kWireAckOffset, &ack, sizeof ack);
   WriteChecksum(b);
 }
 
 bool PeekSession(const WireFrame& frame, std::uint64_t& seq,
-                 std::uint64_t& ack) {
+                 std::uint64_t& ack, std::uint16_t& sack) {
   const std::vector<std::uint8_t>& b = frame.bytes;
   if (b.size() < kWireHeaderSize) return false;
+  std::memcpy(&sack, b.data() + kWireSackOffset, sizeof sack);
   std::memcpy(&seq, b.data() + kWireSeqOffset, sizeof seq);
   std::memcpy(&ack, b.data() + kWireAckOffset, sizeof ack);
   return true;
@@ -310,7 +316,7 @@ bool PeekSession(const WireFrame& frame, std::uint64_t& seq,
 bool ValidateFrame(const WireFrame& frame) {
   FrameKind kind;
   Reader r(nullptr, 0);
-  return OpenFrame(frame, kind, r);
+  return OpenFrame(frame, kind, r, Checksum::kVerify);
 }
 
 bool PeekFrameKind(const WireFrame& frame, FrameKind& kind) {
@@ -325,10 +331,10 @@ bool PeekFrameKind(const WireFrame& frame, FrameKind& kind) {
   return true;
 }
 
-bool DecodeMessage(const WireFrame& frame, Message& out) {
+bool DecodeMessage(const WireFrame& frame, Message& out, Checksum crc) {
   FrameKind kind;
   Reader r(nullptr, 0);
-  if (!OpenFrame(frame, kind, r) || kind != FrameKind::kData) return false;
+  if (!OpenFrame(frame, kind, r, crc) || kind != FrameKind::kData) return false;
 
   // Decode into a local first: `out` must stay untouched on failure, and no
   // pooled column capacity is adopted until the row count has been validated
@@ -370,10 +376,12 @@ bool DecodeMessage(const WireFrame& frame, Message& out) {
   return true;
 }
 
-bool DecodeReply(const WireFrame& frame, WireReply& out) {
+bool DecodeReply(const WireFrame& frame, WireReply& out, Checksum crc) {
   FrameKind kind;
   Reader r(nullptr, 0);
-  if (!OpenFrame(frame, kind, r) || kind != FrameKind::kReply) return false;
+  if (!OpenFrame(frame, kind, r, crc) || kind != FrameKind::kReply) {
+    return false;
+  }
   WireReply reply;
   std::uint8_t valid;
   if (!r.I64(reply.sender.value) || !r.I64(reply.from.value) ||

@@ -10,7 +10,7 @@
 //
 // Frame layout (little-endian, fixed-width):
 //
-//   [u32 magic][u8 kind][u8 version][u16 reserved][u64 payload_len]
+//   [u32 magic][u8 kind][u8 version][u16 sack][u64 payload_len]
 //   [u64 seq][u64 ack]
 //   [payload bytes ...]
 //   [u64 trailer: CRC32C over header+payload, zero-extended]
@@ -21,12 +21,15 @@
 // only path off x86-64). The 32-bit CRC fills the low half of the 8-byte
 // trailer; validation requires the upper half to be zero.
 //
-// `seq` and `ack` are the session layer's fields (session.h): a per-channel
-// sequence number and a piggybacked cumulative ack for the reverse channel.
-// The codec writes them as zero ("bare" frame, no session); StampSession
-// patches them in place -- and recomputes the trailing checksum -- once the
-// session has assigned them, so a corrupted sequence number is caught by the
-// same checksum that guards the payload.
+// `seq`, `ack` and `sack` are the session layer's fields (session.h): a
+// per-channel sequence number, a piggybacked cumulative ack for the reverse
+// channel, and the selective-ack bitmap that goes with it (bit i set: the
+// receiver holds seq ack+1+i). The bitmap occupies what wire v3 reserved, so
+// the frame size did not change. The codec writes all three as zero ("bare"
+// frame, no session); StampSession patches them in place -- and recomputes
+// the trailing checksum -- once the session has assigned them, so a
+// corrupted sequence number or SACK bit is caught by the same checksum that
+// guards the payload.
 //
 // Decoding is defensive: a frame that is truncated, has a bad magic/kind/
 // length, or fails the checksum is rejected (DecodeMessage/DecodeReply
@@ -67,11 +70,12 @@ inline constexpr std::uint32_t kWireMagic = 0x43414D39;  // "CAM9"
 /// zero-extended CRC32C instead of FNV-1a, so an old frame is rejected for
 /// its version rather than as a checksum failure.
 inline constexpr std::uint8_t kWireVersion = 3;
-/// Header (magic, kind, version, reserved, payload_len, seq, ack) + trailing
+/// Header (magic, kind, version, sack, payload_len, seq, ack) + trailing
 /// checksum.
 inline constexpr std::size_t kWireHeaderSize = 32;
 inline constexpr std::size_t kWireTrailerSize = 8;
 /// Fixed header offsets of the session fields (StampSession patch targets).
+inline constexpr std::size_t kWireSackOffset = 6;
 inline constexpr std::size_t kWireSeqOffset = 16;
 inline constexpr std::size_t kWireAckOffset = 24;
 
@@ -117,17 +121,18 @@ void EncodeReply(OperatorId sender, OperatorId from, const ReplyContext& rc,
 /// ack itself is stamped by StampSession like any other frame).
 void EncodeAck(WireFrame& frame);
 
-/// Patches the session seq/ack header fields of an already-encoded frame in
-/// place and recomputes the trailing checksum. The session layer calls this
-/// at (re)transmission time -- retransmits re-stamp so the piggybacked ack is
-/// always the freshest cumulative value.
-void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack);
+/// Patches the session seq/ack/sack header fields of an already-encoded
+/// frame in place and recomputes the trailing checksum. The session layer
+/// calls this at (re)transmission time -- retransmits re-stamp so the
+/// piggybacked ack and SACK bitmap are always the freshest values.
+void StampSession(WireFrame& frame, std::uint64_t seq, std::uint64_t ack,
+                  std::uint16_t sack);
 
 /// Reads the session fields without validating the checksum; returns false
 /// when the header is truncated. Receivers must ValidateFrame first -- a
-/// corrupted seq would otherwise poison the reorder buffer.
+/// corrupted seq would otherwise poison the reorder ring.
 bool PeekSession(const WireFrame& frame, std::uint64_t& seq,
-                 std::uint64_t& ack);
+                 std::uint64_t& ack, std::uint16_t& sack);
 
 /// Full structural validation (magic, kind, version, length, checksum)
 /// without decoding the payload. The session receive path runs this once per
@@ -139,12 +144,19 @@ bool ValidateFrame(const WireFrame& frame);
 /// false when the header is truncated or malformed.
 bool PeekFrameKind(const WireFrame& frame, FrameKind& kind);
 
+/// Whether a decode recomputes the checksum. kTrusted is only for a frame
+/// that has already passed ValidateFrame (the session receive path), so a
+/// frame is checksummed once on its way in; its structure is still checked.
+enum class Checksum : std::uint8_t { kVerify, kTrusted };
+
 /// Decodes a data frame into `out`. Returns false -- leaving `out` untouched
 /// and adopting no pooled buffers -- on any validation failure.
-bool DecodeMessage(const WireFrame& frame, Message& out);
+bool DecodeMessage(const WireFrame& frame, Message& out,
+                   Checksum crc = Checksum::kVerify);
 
 /// Decodes a reply frame into `out`; same failure contract.
-bool DecodeReply(const WireFrame& frame, WireReply& out);
+bool DecodeReply(const WireFrame& frame, WireReply& out,
+                 Checksum crc = Checksum::kVerify);
 
 /// Takes a recycled frame buffer from the thread-local stash (empty bytes,
 /// warm capacity) or constructs a fresh one when the stash is cold.

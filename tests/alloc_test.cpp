@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <new>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,9 @@
 #include "common/rng.h"
 #include "sched/cameo_scheduler.h"
 #include "sched/fifo_scheduler.h"
+#include "shard/fault_transport.h"
+#include "shard/inproc_transport.h"
+#include "shard/session.h"
 #include "shard/wire.h"
 #include "sim/event_queue.h"
 #include "state/keyed_counter.h"
@@ -252,6 +256,109 @@ TEST(ZeroAllocTest, WireCodecEncodeShipDecodeSteadyState) {
         << "(allocs/msg = "
         << static_cast<double>(after - before) / kMessages << ")";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Session layer: out-of-order frames park in the reorder ring, not the heap.
+// ---------------------------------------------------------------------------
+
+/// Passes frames through to `inner`, tallying the heap allocations made
+/// inside it, so a test can tell the session's own allocations from the
+/// transport's (whose queues grow to each new in-flight peak).
+class AllocFenceTransport final : public cameo::shard::Transport {
+ public:
+  using Transport::Receive;
+
+  explicit AllocFenceTransport(cameo::shard::Transport* inner)
+      : inner_(inner) {}
+
+  void Start(int num_shards) override { inner_->Start(num_shards); }
+  SimTime Send(int from, int to, SimTime now,
+               cameo::shard::WireFrame frame) override {
+    const std::int64_t before = HeapAllocs();
+    const SimTime at = inner_->Send(from, to, now, std::move(frame));
+    inner_allocs += HeapAllocs() - before;
+    return at;
+  }
+  bool Receive(int to, SimTime now, cameo::shard::WireFrame& out,
+               int& from) override {
+    const std::int64_t before = HeapAllocs();
+    const bool got = inner_->Receive(to, now, out, from);
+    inner_allocs += HeapAllocs() - before;
+    return got;
+  }
+  cameo::shard::TransportStats stats() const override {
+    return inner_->stats();
+  }
+  std::string name() const override { return "alloc-fence"; }
+
+  std::int64_t inner_allocs = 0;
+
+ private:
+  cameo::shard::Transport* inner_;
+};
+
+TEST(ZeroAllocTest, SessionReceiveUnderDropDupSteadyState) {
+  // Two shards trade 16-row data frames both ways over a 1 ms link with 1%
+  // drops and 1% duplicates. Every drop parks the frames behind it in the
+  // receiver's reorder ring until the fast retransmit lands. Once the frame
+  // stash is warm, the session's receive path -- acks, SACK bookkeeping,
+  // fast retransmits, the ring -- allocates nothing per frame it parks (a
+  // std::map reorder buffer allocated a node for each).
+  cameo::shard::InprocTransport link(
+      {.base = cameo::Millis(1), .jitter = cameo::Micros(100)}, /*seed=*/5);
+  cameo::shard::FaultPlan plan;
+  plan.seed = 5;
+  plan.drop_rate = 0.01;
+  plan.dup_rate = 0.01;
+  cameo::shard::FaultInjectingTransport faulty(&link, plan);
+  AllocFenceTransport fence(&faulty);
+  cameo::shard::SessionConfig cfg;
+  cfg.enabled = true;
+  cameo::shard::SessionLayer session(cfg, &fence);
+  fence.Start(2);
+  session.Start(2);
+
+  cameo::Message m;
+  for (int i = 0; i < 16; ++i) m.batch.Append(i, 1.0, i);
+  SimTime now = 0;
+  std::int64_t session_allocs = 0;
+  auto drive = [&](int steps) {
+    cameo::shard::WireFrame frame;
+    int from = -1;
+    for (int i = 0; i < steps; ++i) {
+      now += cameo::Micros(100);
+      for (int s = 0; s < 2; ++s) {
+        cameo::shard::WireFrame f = cameo::shard::AcquireFrame();
+        cameo::shard::EncodeMessage(m, f);
+        session.Send(s, 1 - s, now, std::move(f));
+      }
+      for (int s = 0; s < 2; ++s) {
+        session.Service(s, now, nullptr);
+        const std::int64_t before = HeapAllocs();
+        const std::int64_t inner_before = fence.inner_allocs;
+        while (session.Receive(s, now, frame, from)) {
+          cameo::shard::ReleaseFrame(std::move(frame));
+        }
+        session_allocs += (HeapAllocs() - before) -
+                          (fence.inner_allocs - inner_before);
+      }
+    }
+  };
+  drive(20'000);  // warm: 2 s of virtual traffic
+  session_allocs = 0;
+  const cameo::shard::TransportStats warm = session.stats();
+  drive(20'000);
+  const cameo::shard::TransportStats done = session.stats();
+  const std::uint64_t parked = done.out_of_order - warm.out_of_order;
+  EXPECT_GT(parked, 1000u);  // the ring really was exercised
+  EXPECT_GT(done.fast_retransmits, warm.fast_retransmits);
+  if (kCountingReliable) {
+    EXPECT_EQ(session_allocs, 0)
+        << "allocs per out-of-order frame = "
+        << static_cast<double>(session_allocs) / static_cast<double>(parked);
+  }
+  m.batch.Recycle();
 }
 
 // ---------------------------------------------------------------------------

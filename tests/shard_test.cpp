@@ -26,6 +26,7 @@
 #include "shard/inproc_transport.h"
 #include "shard/placement.h"
 #include "shard/session.h"
+#include "shard/shard_runtime.h"
 #include "shard/socket_transport.h"
 #include "shard/wire.h"
 #include "state/slate_store.h"
@@ -404,14 +405,50 @@ TEST(WireCodec, OldVersionRejected) {
   // Relabel as version 2 and re-checksum, so the version byte is the only
   // thing wrong with the frame.
   frame.bytes[5] = 2;
-  StampSession(frame, 0, 0);
+  StampSession(frame, 0, 0, 0);
   EXPECT_FALSE(ValidateFrame(frame));
   Message out;
   EXPECT_FALSE(DecodeMessage(frame, out));
   EXPECT_TRUE(out.batch.keys.empty());
   frame.bytes[5] = kWireVersion;
-  StampSession(frame, 0, 0);
+  StampSession(frame, 0, 0, 0);
   EXPECT_TRUE(ValidateFrame(frame));
+  in.batch.Recycle();
+  ReleaseFrame(std::move(frame));
+}
+
+TEST(WireCodec, SackBitmapRoundTripsUnderTheChecksum) {
+  Rng rng(17);
+  Message in = RandomMessage(rng, 4);
+  WireFrame frame = AcquireFrame();
+  EncodeMessage(in, frame);
+  const std::size_t size = frame.bytes.size();
+  // A bare frame writes zero where the SACK bitmap goes.
+  EXPECT_EQ(frame.bytes[kWireSackOffset], 0);
+  EXPECT_EQ(frame.bytes[kWireSackOffset + 1], 0);
+
+  StampSession(frame, 41, 37, 0xA5C3);
+  EXPECT_EQ(frame.bytes.size(), size);  // the bitmap costs no bytes
+  std::uint64_t seq = 0, ack = 0;
+  std::uint16_t sack = 0;
+  ASSERT_TRUE(PeekSession(frame, seq, ack, sack));
+  EXPECT_EQ(seq, 41u);
+  EXPECT_EQ(ack, 37u);
+  EXPECT_EQ(sack, 0xA5C3);
+  EXPECT_TRUE(ValidateFrame(frame));
+
+  // Every single flipped SACK bit fails the CRC.
+  Message out;
+  for (int bit = 0; bit < 16; ++bit) {
+    std::uint8_t& b = frame.bytes[kWireSackOffset + bit / 8];
+    b ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(ValidateFrame(frame)) << "bit " << bit;
+    EXPECT_FALSE(DecodeMessage(frame, out)) << "bit " << bit;
+    b ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+  ASSERT_TRUE(DecodeMessage(frame, out));
+  ExpectBitIdentical(in, out);
+  out.batch.Recycle();
   in.batch.Recycle();
   ReleaseFrame(std::move(frame));
 }
@@ -633,14 +670,65 @@ TEST(SocketTransportTest, LargeFrameReassembles) {
 // ---------------------------------------------------------------------------
 // Session layer over injected faults (PR 10 chaos property suite).
 //
-// The harness drives SessionLayer -> FaultInjectingTransport ->
-// InprocTransport directly in virtual time: every step sends one frame per
+// The harness drives SessionLayer -> TapTransport -> FaultInjectingTransport
+// -> InprocTransport directly in virtual time: every step sends one frame per
 // channel (until the quota), services every shard's timers, and drains every
 // shard's deliverable frames. The properties asserted per trial are the
 // session contract verbatim: exactly-once (each tag delivered once), per-
-// channel send order, monotone release times, and full conservation
-// (delivered == sent_unique) no matter what the fault schedule did.
+// channel send order, monotone release times, full conservation
+// (delivered == sent_unique) no matter what the fault schedule did, and a
+// receive side that accounts for every frame it pulled off the wire.
 // ---------------------------------------------------------------------------
+
+/// A pass-through transport under the session: it counts every frame the
+/// session pulls (and the standalone acks among them), and can drop chosen
+/// transmissions of chosen data seqs on the (0, 1) channel.
+class TapTransport final : public Transport {
+ public:
+  using Transport::Receive;
+
+  explicit TapTransport(Transport* inner) : inner_(inner) {}
+
+  /// Drops the first `times` transmissions of data seq `seq` sent 0 -> 1.
+  void DropSeq(std::uint64_t seq, int times) { drops_.push_back({seq, times}); }
+
+  void Start(int num_shards) override { inner_->Start(num_shards); }
+
+  SimTime Send(int from, int to, SimTime now, WireFrame frame) override {
+    std::uint64_t seq = 0, ack = 0;
+    std::uint16_t sack = 0;
+    PeekSession(frame, seq, ack, sack);
+    for (auto& [drop_seq, times] : drops_) {
+      if (from == 0 && to == 1 && seq == drop_seq && times > 0) {
+        --times;
+        ReleaseFrame(std::move(frame));
+        return now;
+      }
+    }
+    return inner_->Send(from, to, now, std::move(frame));
+  }
+
+  bool Receive(int to, SimTime now, WireFrame& out, int& from) override {
+    if (!inner_->Receive(to, now, out, from)) return false;
+    ++received;
+    FrameKind kind;
+    if (ValidateFrame(out) && PeekFrameKind(out, kind) &&
+        kind == FrameKind::kAck) {
+      ++acks;
+    }
+    return true;
+  }
+
+  TransportStats stats() const override { return inner_->stats(); }
+  std::string name() const override { return "tap"; }
+
+  std::uint64_t received = 0;
+  std::uint64_t acks = 0;
+
+ private:
+  Transport* inner_;
+  std::vector<std::pair<std::uint64_t, int>> drops_;
+};
 
 std::int64_t ChaosTag(int from, int to, int i) {
   return (static_cast<std::int64_t>(from) * 8 + to) * 1'000'000 + i;
@@ -653,18 +741,24 @@ struct ChaosRunOutcome {
   int delivered_total = 0;
   bool order_ok = true;
   bool monotone_ok = true;
+  /// Frames the session pulled off the wire, and the standalone acks among
+  /// them.
+  std::uint64_t pulled = 0;
+  std::uint64_t pulled_acks = 0;
 };
 
 ChaosRunOutcome RunSessionChaos(int shards, int per_channel,
-                                const FaultPlan& plan) {
+                                const FaultPlan& plan, int window = 64) {
   InprocTransport inner({.base = Micros(200), .jitter = Micros(50)},
                         plan.seed);
   FaultInjectingTransport faulty(&inner, plan);
+  TapTransport tap(&faulty);
   SessionConfig cfg;
   cfg.enabled = true;
   cfg.seed = plan.seed;
-  SessionLayer session(cfg, &faulty);
-  faulty.Start(shards);
+  cfg.window = window;
+  SessionLayer session(cfg, &tap);
+  tap.Start(shards);
   session.Start(shards);
 
   const int channels = shards * shards;
@@ -715,7 +809,23 @@ ChaosRunOutcome RunSessionChaos(int shards, int per_channel,
   }
   out.session = session.stats();
   out.faults = faulty.stats();
+  out.pulled = tap.received;
+  out.pulled_acks = tap.acks;
   return out;
+}
+
+/// The session contract for one finished chaos run.
+void ExpectSessionContract(const ChaosRunOutcome& r, int total) {
+  EXPECT_EQ(r.delivered_total, total);
+  EXPECT_TRUE(r.order_ok);
+  EXPECT_TRUE(r.monotone_ok);
+  // Conservation: every distinct app frame offered was released once.
+  EXPECT_EQ(r.session.sent_unique, r.session.delivered);
+  // The receive side never drops a frame: each one it pulled was an ack, a
+  // checksum failure, a duplicate, or released in order (the run ends with
+  // the reorder ring empty).
+  EXPECT_EQ(r.pulled, r.pulled_acks + r.session.corrupt_drops +
+                          r.session.dup_drops + r.session.delivered);
 }
 
 TEST(SessionChaos, CleanChannelDeliversWithoutRetransmits) {
@@ -724,13 +834,11 @@ TEST(SessionChaos, CleanChannelDeliversWithoutRetransmits) {
   FaultPlan plan;
   plan.seed = 7;
   ChaosRunOutcome r = RunSessionChaos(3, 200, plan);
-  EXPECT_EQ(r.delivered_total, 3 * 2 * 200);
-  EXPECT_TRUE(r.order_ok);
-  EXPECT_TRUE(r.monotone_ok);
+  ExpectSessionContract(r, 3 * 2 * 200);
   EXPECT_EQ(r.session.retransmits, 0u);
+  EXPECT_EQ(r.session.out_of_order, 0u);
   EXPECT_EQ(r.session.dup_drops, 0u);
   EXPECT_EQ(r.session.corrupt_drops, 0u);
-  EXPECT_EQ(r.session.sent_unique, r.session.delivered);
 }
 
 TEST(SessionChaos, ExactlyOnceInOrderUnderRandomFaultSchedules) {
@@ -757,11 +865,7 @@ TEST(SessionChaos, ExactlyOnceInOrderUnderRandomFaultSchedules) {
                  " dup=" + std::to_string(plan.dup_rate) +
                  " corrupt=" + std::to_string(plan.corrupt_rate));
     ChaosRunOutcome r = RunSessionChaos(3, 120, plan);
-    EXPECT_EQ(r.delivered_total, 3 * 2 * 120);
-    EXPECT_TRUE(r.order_ok);
-    EXPECT_TRUE(r.monotone_ok);
-    // Conservation: every distinct app frame offered was released once.
-    EXPECT_EQ(r.session.sent_unique, r.session.delivered);
+    ExpectSessionContract(r, 3 * 2 * 120);
     // The schedule actually engaged the machinery it claims to test.
     if (plan.drop_rate > 0.02 || !plan.partitions.empty()) {
       EXPECT_GT(r.session.retransmits, 0u);
@@ -771,6 +875,25 @@ TEST(SessionChaos, ExactlyOnceInOrderUnderRandomFaultSchedules) {
     }
     if (plan.corrupt_rate > 0.02) {
       EXPECT_GT(r.session.corrupt_drops, 0u);
+    }
+  }
+  // The window bounds the reorder ring: a ring of one slot, a few, and the
+  // default all hold up under reordering plus a partition.
+  for (int window : {1, 4, 64}) {
+    FaultPlan plan;
+    plan.seed = 2000 + static_cast<std::uint64_t>(window);
+    plan.drop_rate = 0.05;
+    plan.dup_rate = 0.05;
+    plan.reorder_rate = 0.15;
+    plan.partitions.push_back({0, 1, Millis(20), Millis(120)});
+    SCOPED_TRACE("window " + std::to_string(window));
+    ChaosRunOutcome r = RunSessionChaos(3, 120, plan, window);
+    ExpectSessionContract(r, 3 * 2 * 120);
+    EXPECT_GT(r.faults.faults_reordered, 0u);
+    EXPECT_GT(r.faults.partition_dropped, 0u);
+    EXPECT_GT(r.session.retransmits, 0u);
+    if (window > 1) {
+      EXPECT_GT(r.session.out_of_order, 0u);
     }
   }
 }
@@ -790,6 +913,7 @@ TEST(SessionChaos, FixedSeedRepliesBitForBit) {
   ChaosRunOutcome b = RunSessionChaos(3, 150, plan);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.session.retransmits, b.session.retransmits);
+  EXPECT_EQ(a.session.fast_retransmits, b.session.fast_retransmits);
   EXPECT_EQ(a.session.dup_drops, b.session.dup_drops);
   EXPECT_EQ(a.session.corrupt_drops, b.session.corrupt_drops);
   EXPECT_EQ(a.session.acks_sent, b.session.acks_sent);
@@ -809,12 +933,150 @@ TEST(SessionChaos, PartitionHealsAndBacklogDrains) {
   plan.seed = 5;
   plan.partitions.push_back({0, 1, 0, Millis(400)});
   ChaosRunOutcome r = RunSessionChaos(2, 100, plan);
-  EXPECT_EQ(r.delivered_total, 2 * 1 * 100);
-  EXPECT_TRUE(r.order_ok);
-  EXPECT_TRUE(r.monotone_ok);
+  ExpectSessionContract(r, 2 * 1 * 100);
   EXPECT_GT(r.faults.partition_dropped, 0u);
   EXPECT_GT(r.session.retransmits, 0u);
-  EXPECT_EQ(r.session.sent_unique, r.session.delivered);
+}
+
+// ---------------------------------------------------------------------------
+// Loss repair: selective acks, fast retransmit, and the RTT-fitted timer.
+//
+// One-way traffic 0 -> 1 over a 1 ms link with no jitter, so every repair
+// time is exact. The tap drops chosen transmissions of chosen seqs; frame
+// tag i travels as seq i + 1.
+// ---------------------------------------------------------------------------
+
+constexpr Duration kLinkDelay = Millis(1);
+
+struct OneWayRun {
+  std::vector<SimTime> sent_at;       // by tag
+  std::vector<SimTime> delivered_at;  // by tag
+  bool order_ok = true;
+  TransportStats stats;
+  Duration rto = 0;  // CurrentRto(0, 1) once everything was delivered
+};
+
+OneWayRun RunOneWay(int frames, Duration gap,
+                    const std::vector<std::pair<std::uint64_t, int>>& drops,
+                    const SessionConfig& cfg) {
+  InprocTransport inner({.base = kLinkDelay}, /*seed=*/1);
+  TapTransport tap(&inner);
+  for (const auto& [seq, times] : drops) tap.DropSeq(seq, times);
+  SessionLayer session(cfg, &tap);
+  tap.Start(2);
+  session.Start(2);
+
+  OneWayRun run;
+  int sent = 0;
+  int delivered = 0;
+  SimTime now = 0;
+  while (delivered < frames && now < Seconds(10)) {
+    now += Micros(50);
+    while (sent < frames && (sent + 1) * gap <= now) {
+      session.Send(0, 1, now, MakeDataFrame(sent));
+      run.sent_at.push_back(now);
+      ++sent;
+    }
+    for (int s = 0; s < 2; ++s) {
+      session.Service(s, now, nullptr);
+      WireFrame frame;
+      int from = -1;
+      while (session.Receive(s, now, frame, from)) {
+        if (FrameTag(frame) != delivered) run.order_ok = false;
+        run.delivered_at.push_back(now);
+        ++delivered;
+        ReleaseFrame(std::move(frame));
+      }
+    }
+  }
+  run.stats = session.stats();
+  run.rto = session.CurrentRto(0, 1);
+  return run;
+}
+
+TEST(SessionLossRepair, SingleDropRepairedByFastRetransmitBeforeTheRto) {
+  // seq 2 is lost; seqs 3..8 follow 100 us apart. The receiver acks the
+  // first three out-of-order arrivals at once, their SACK bits show the
+  // sender a hole with three sacked frames above it, and the re-send lands
+  // about one round trip after seq 5 arrived -- long before rto_initial.
+  SessionConfig cfg;
+  cfg.enabled = true;
+  const OneWayRun run = RunOneWay(8, Micros(100), {{2, 1}}, cfg);
+  ASSERT_EQ(run.delivered_at.size(), 8u);
+  EXPECT_TRUE(run.order_ok);
+  EXPECT_EQ(run.stats.fast_retransmits, 1u);
+  EXPECT_EQ(run.stats.rto_retransmits, 0u);
+  EXPECT_EQ(run.stats.retransmits, 1u);
+  EXPECT_EQ(run.stats.dup_drops, 0u);
+  const Duration repair = run.delivered_at[1] - run.sent_at[1];
+  EXPECT_LT(repair, cfg.rto_initial);
+  // seq 5 lands at 1.5 ms, its ack reaches the sender at 2.5 ms, and the
+  // re-send lands at 3.5 ms: one link delay after the ack.
+  EXPECT_LE(run.delivered_at[1], run.sent_at[4] + 3 * kLinkDelay);
+}
+
+TEST(SessionLossRepair, RepairedRunFeedsNoRttSample) {
+  // Regression for an RTO runaway. Each of three holes loses its fast
+  // retransmit too, so only the retransmit timer repairs it, and dozens of
+  // frames wait in the reorder ring behind it. When the repair lands, one
+  // cumulative ack releases them all. Had that ack counted as their round
+  // trip, each repair would have fed the timer its own wait, and the RTO
+  // would have climbed far above the link's.
+  SessionConfig cfg;
+  cfg.enabled = true;
+  const OneWayRun run =
+      RunOneWay(400, Micros(100), {{50, 2}, {150, 2}, {250, 2}}, cfg);
+  ASSERT_EQ(run.delivered_at.size(), 400u);
+  EXPECT_TRUE(run.order_ok);
+  EXPECT_EQ(run.stats.fast_retransmits, 3u);
+  EXPECT_GE(run.stats.rto_retransmits, 3u);
+  EXPECT_GT(run.stats.out_of_order, 3u * SessionLayer::kSackBits);
+  // The fitted timer sits near the 2 ms round trip plus the receiver's
+  // delayed-ack bound, well under rto_initial.
+  EXPECT_LT(run.rto, 2 * kLinkDelay + cfg.ack_delay + Millis(2));
+  EXPECT_LT(run.rto, cfg.rto_initial);
+}
+
+// ---------------------------------------------------------------------------
+// ShardRuntime receive path: the session validates a frame's checksum and
+// the decode trusts it; without the session the decode checks it.
+// ---------------------------------------------------------------------------
+
+TEST(ShardRuntimeReceive, CorruptFrameRejectedAndCountedOnBothPaths) {
+  for (const bool session : {false, true}) {
+    SCOPED_TRACE(session ? "session on" : "session off");
+    auto link = std::make_unique<InprocTransport>(DelayModel{}, /*seed=*/1);
+    InprocTransport* wire = link.get();
+    ShardRuntimeOptions opts;
+    opts.num_shards = 2;
+    opts.transport = std::move(link);
+    opts.session.enabled = session;
+    ShardRuntime rt(std::move(opts));
+    ASSERT_EQ(rt.session_enabled(), session);
+
+    // A frame corrupted on the wire after its checksum was written.
+    WireFrame bad = MakeDataFrame(7);
+    StampSession(bad, session ? 1 : 0, 0, 0);
+    bad.bytes[kWireHeaderSize + 3] ^= 0xFF;
+    wire->Send(0, 1, 0, std::move(bad));
+    Message msg;
+    WireReply reply;
+    EXPECT_EQ(rt.ReceiveOne(1, 0, msg, reply), ReceiveKind::kNone);
+    // The session drops it before decode; without one the decode rejects it.
+    EXPECT_EQ(rt.transport_stats().corrupt_drops, session ? 1u : 0u);
+    EXPECT_EQ(rt.wire_stats().rejected, session ? 0u : 1u);
+    EXPECT_EQ(rt.wire_stats().frames_decoded, 0u);
+
+    // An intact frame on the same path decodes bit-identically.
+    Rng rng(23);
+    Message m = RandomMessage(rng, 5);
+    rt.SendMessage(0, 1, 0, m);
+    ASSERT_EQ(rt.ReceiveOne(1, 0, msg, reply), ReceiveKind::kMessage);
+    ExpectBitIdentical(m, msg);
+    EXPECT_EQ(rt.wire_stats().frames_decoded, 1u);
+    msg.batch.Recycle();
+    m.batch.Recycle();
+  }
 }
 
 // ---------------------------------------------------------------------------
