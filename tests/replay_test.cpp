@@ -59,6 +59,20 @@ constexpr ControlGroupGolden kGoldenMtLoadedOrleans{
     38736, 38736, 22, 2, 22, 16, 38540, 0, 181997};
 constexpr ControlGroupGolden kGoldenMtLoadedSlot{
     38724, 31784, 22, 0, 22, 40, 31555, 204, 491793};
+// The loaded Cameo run again with every scheduling knob the scenario forwards
+// to the engine moved off its default (quantum, drain batch, semantics,
+// profiler noise, switch cost): pins that each one still reaches the
+// simulator.
+constexpr ControlGroupGolden kGoldenMtKnobs{
+    38736, 38736, 22, 2, 22, 14, 37900, 565, 202946};
+
+// Scenario 1b: SingleTenantTimelineSeed9 (IPQ1 with the dispatch timeline on
+// and a 50 ms quantum, long enough to show in the continuation count)
+constexpr std::uint64_t kGoldenSingleOutputs = 5;
+constexpr std::uint64_t kGoldenSingleMet = 5;
+constexpr std::int64_t kGoldenSingleP99Ms = 649;
+constexpr std::size_t kGoldenSingleTimeline = 345;
+constexpr std::uint64_t kGoldenSingleContinuations = 12;
 
 // Scenario 2: TenantChurnSeed3
 constexpr int kGoldenChurnTenants = 7;
@@ -124,10 +138,8 @@ std::int64_t LatencySumUs(const RunResult& run) {
   return std::llround(sum_ms * 1000.0);
 }
 
-void ExpectControlGroupGolden(SchedulerKind kind, double ba_msgs_per_sec,
-                              const ControlGroupGolden& golden) {
-  SCOPED_TRACE(ToString(kind) + " at BA " +
-               std::to_string(ba_msgs_per_sec) + " msg/s");
+MultiTenantOptions ControlGroupOptions(SchedulerKind kind,
+                                       double ba_msgs_per_sec) {
   MultiTenantOptions opt;
   opt.ls_jobs = 2;
   opt.ba_jobs = 2;
@@ -136,6 +148,11 @@ void ExpectControlGroupGolden(SchedulerKind kind, double ba_msgs_per_sec,
   opt.duration = Seconds(12);
   opt.seed = 7;
   opt.scheduler = kind;
+  return opt;
+}
+
+void ExpectControlGroupGolden(const MultiTenantOptions& opt,
+                              const ControlGroupGolden& golden) {
   RunResult r = RunMultiTenant(opt);
 
   EXPECT_EQ(r.messages, golden.messages);
@@ -148,6 +165,13 @@ void ExpectControlGroupGolden(SchedulerKind kind, double ba_msgs_per_sec,
   EXPECT_EQ(r.sched.operator_swaps, golden.operator_swaps);
   EXPECT_EQ(r.sched.continuations, golden.continuations);
   EXPECT_EQ(LatencySumUs(r), golden.latency_sum_us);
+}
+
+void ExpectControlGroupGolden(SchedulerKind kind, double ba_msgs_per_sec,
+                              const ControlGroupGolden& golden) {
+  SCOPED_TRACE(ToString(kind) + " at BA " +
+               std::to_string(ba_msgs_per_sec) + " msg/s");
+  ExpectControlGroupGolden(ControlGroupOptions(kind, ba_msgs_per_sec), golden);
 }
 
 TEST(ReplayTest, MultiTenantControlGroupSeed7) {
@@ -171,6 +195,34 @@ TEST(ReplayTest, MultiTenantControlGroupSeed7Orleans) {
 TEST(ReplayTest, MultiTenantControlGroupSeed7Slot) {
   ExpectControlGroupGolden(SchedulerKind::kSlot, 20, kGoldenMtSlot);
   ExpectControlGroupGolden(SchedulerKind::kSlot, 100, kGoldenMtLoadedSlot);
+}
+
+TEST(ReplayTest, MultiTenantControlGroupSeed7Knobs) {
+  MultiTenantOptions opt = ControlGroupOptions(SchedulerKind::kCameo, 100);
+  opt.quantum = Millis(4);
+  opt.sched_batch = 4;
+  opt.use_query_semantics = false;
+  opt.perturbation = Micros(300);
+  opt.switch_cost = Micros(50);
+  ExpectControlGroupGolden(opt, kGoldenMtKnobs);
+}
+
+// ---- Scenario 1b: single tenant with the dispatch timeline recorded ----
+
+TEST(ReplayTest, SingleTenantTimelineSeed9) {
+  SingleTenantOptions opt;
+  opt.ipq = 1;
+  opt.duration = Seconds(6);
+  opt.quantum = Millis(50);
+  opt.enable_timeline = true;
+  opt.seed = 9;
+  SingleTenantResult r = RunSingleTenant(opt);
+
+  EXPECT_EQ(Outputs(r.run, "IPQ"), kGoldenSingleOutputs);
+  EXPECT_EQ(MetCount(r.run, "IPQ"), kGoldenSingleMet);
+  EXPECT_EQ(P99Bucket(r.run, "IPQ"), kGoldenSingleP99Ms);
+  EXPECT_EQ(r.timeline.size(), kGoldenSingleTimeline);
+  EXPECT_EQ(r.run.sched.continuations, kGoldenSingleContinuations);
 }
 
 // ---- Scenario 2: tenant churn (hot add/remove) ----
