@@ -24,9 +24,9 @@ void SeedingAblation(bench::BenchContext& ctx) {
       QuerySpec spec = MakeLatencySensitiveSpec("LS" + std::to_string(i));
       handles.push_back(BuildAggregationJob(graph, spec));
     }
-    ClusterConfig cfg;
-    cfg.num_workers = 2;
-    cfg.seed_static_estimates = seeded;
+    EngineOptions cfg;
+    cfg.workers = 2;
+    cfg.sim.seed_static_estimates = seeded;
     Cluster cluster(cfg, std::move(graph));
     for (auto& h : handles) {
       cluster.AddIngestion(h.source, [duration](int r) {
@@ -71,8 +71,8 @@ void StarvationAblation(bench::BenchContext& ctx) {
       spec.msgs_per_sec_per_source = kBaRate;
       handles.push_back(BuildAggregationJob(graph, spec));
     }
-    ClusterConfig cfg;
-    cfg.num_workers = kWorkers;
+    EngineOptions cfg;
+    cfg.workers = kWorkers;
     cfg.sched.starvation_limit = limit;
     Cluster cluster(cfg, std::move(graph));
     for (std::size_t i = 0; i < handles.size(); ++i) {
@@ -109,13 +109,13 @@ void FeedbackAblation(bench::BenchContext& ctx) {
     // Perturbation stands in for drift between priors and reality; with
     // feedback the EWMA keeps tracking ground truth regardless.
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;
     opt.ba_msgs_per_sec = 30;
-    opt.perturbation = sigma;
+    opt.engine.sim.profiler_perturbation = sigma;
     RunResult r = RunMultiTenant(opt);
     PrintRow(sigma == 0 ? "accurate estimates" : "drifted estimates (0.5s)",
              {FormatMs(r.GroupPercentile("LS", 50)),

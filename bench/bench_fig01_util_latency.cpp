@@ -19,8 +19,8 @@ namespace {
 RunResult RunAt(const bench::BenchContext& ctx, SchedulerKind kind,
                 int workers) {
   MultiTenantOptions opt;
-  opt.scheduler = kind;
-  opt.workers = workers;
+  opt.engine.scheduler = kind;
+  opt.engine.workers = workers;
   opt.duration = ctx.Dur(Seconds(40));
   opt.ls_jobs = 4;
   opt.ba_jobs = 8;

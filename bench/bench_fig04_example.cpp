@@ -17,10 +17,10 @@ namespace {
 RunResult RunConfig(const bench::BenchContext& ctx, SchedulerKind kind,
                     Duration quantum, bool semantics) {
   MultiTenantOptions opt;
-  opt.scheduler = kind;
-  opt.quantum = quantum;
-  opt.use_query_semantics = semantics;
-  opt.workers = 1;
+  opt.engine.scheduler = kind;
+  opt.engine.sched.quantum = quantum;
+  opt.engine.use_query_semantics = semantics;
+  opt.engine.workers = 1;
   opt.duration = ctx.Dur(Seconds(40));
   opt.ls_jobs = 1;  // J2: latency sensitive
   opt.ba_jobs = 1;  // J1: batch analytics

@@ -18,11 +18,11 @@ SingleTenantResult RunOne(const bench::BenchContext& ctx, int ipq,
                           SchedulerKind kind, bool timeline = false) {
   SingleTenantOptions opt;
   opt.ipq = ipq;
-  opt.scheduler = kind;
-  opt.workers = 2;
+  opt.engine.scheduler = kind;
+  opt.engine.workers = 2;
   opt.duration = ctx.Dur(Seconds(80), Seconds(8));
-  opt.enable_timeline = timeline;
-  opt.seed = 1000 + static_cast<std::uint64_t>(ipq) * 7;
+  opt.engine.sim.enable_timeline = timeline;
+  opt.engine.seed = 1000 + static_cast<std::uint64_t>(ipq) * 7;
   return RunSingleTenant(opt);
 }
 

@@ -37,11 +37,11 @@ KeyedScenarioOptions PanelOptions(bench::BenchContext& ctx, int shards) {
   opt.msgs_per_sec = 20;
   opt.tuples_per_msg = 2000;
   opt.counter_per_tuple = 400;  // ns per tuple
-  opt.workers = 4;  // per shard
-  opt.shards = shards;
+  opt.engine.workers = 4;  // per shard
+  opt.engine.shards = shards;
   opt.duration = ctx.Dur(Seconds(30), Seconds(3));
   opt.constraint = Millis(800);
-  opt.seed = 42;
+  opt.engine.seed = 42;
   return opt;
 }
 

@@ -28,8 +28,8 @@ void Run(bench::BenchContext& ctx) {
                              SchedulerKind::kFifo}) {
     for (double rate : rates) {
       MultiTenantOptions opt;
-      opt.scheduler = kind;
-      opt.workers = 4;
+      opt.engine.scheduler = kind;
+      opt.engine.workers = 4;
       opt.duration = ctx.Dur(Seconds(60));
       opt.ls_jobs = 4;
       opt.ba_jobs = 8;

@@ -84,8 +84,8 @@ void Run(bench::BenchContext& ctx) {
                              SchedulerKind::kFifo}) {
     for (int workers : worker_counts) {
       MultiTenantOptions opt;
-      opt.scheduler = kind;
-      opt.workers = workers;
+      opt.engine.scheduler = kind;
+      opt.engine.workers = workers;
       opt.duration = ctx.Dur(Seconds(60));
       opt.ls_jobs = 4;
       opt.ba_jobs = 8;

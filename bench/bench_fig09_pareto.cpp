@@ -16,8 +16,8 @@ namespace {
 RunResult RunPareto(const bench::BenchContext& ctx, SchedulerKind kind,
                     std::vector<std::pair<SimTime, Duration>>* series) {
   MultiTenantOptions opt;
-  opt.scheduler = kind;
-  opt.workers = 4;
+  opt.engine.scheduler = kind;
+  opt.engine.workers = 4;
   opt.duration = ctx.Dur(Seconds(120), Seconds(8));
   opt.ls_jobs = 4;
   opt.ba_jobs = 8;

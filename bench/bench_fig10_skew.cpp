@@ -21,7 +21,7 @@ void Run(bench::BenchContext& ctx) {
   for (SchedulerKind kind : {SchedulerKind::kOrleans, SchedulerKind::kFifo,
                              SchedulerKind::kCameo}) {
     SkewScenarioOptions opt;
-    opt.scheduler = kind;
+    opt.engine.scheduler = kind;
     opt.duration = ctx.Dur(Seconds(60));
     RunResult r = RunSkewedScenario(opt);
     PrintRow(ToString(kind),

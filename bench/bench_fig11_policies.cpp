@@ -40,11 +40,11 @@ void SingleQuery(bench::BenchContext& ctx) {
     for (const std::string& policy : ValidPolicyNames()) {
       SingleTenantOptions opt;
       opt.ipq = ipq;
-      opt.scheduler = SchedulerKind::kCameo;
-      opt.policy = policy;
-      opt.workers = 2;
+      opt.engine.scheduler = SchedulerKind::kCameo;
+      opt.engine.policy = policy;
+      opt.engine.workers = 2;
       opt.duration = ctx.Dur(Seconds(40));
-      opt.seed = 500 + static_cast<std::uint64_t>(ipq) * 13;
+      opt.engine.seed = 500 + static_cast<std::uint64_t>(ipq) * 13;
       SingleTenantResult r = RunSingleTenant(opt);
       const JobResult& j = r.run.jobs[0];
       PrintRow("IPQ" + std::to_string(ipq),
@@ -61,9 +61,9 @@ void MultiQuery(bench::BenchContext& ctx) {
   PrintHeaderRow("policy", {"LS_med", "LS_p99", "BA_med", "BA_p99"});
   for (const std::string& policy : ValidPolicyNames()) {
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.policy = policy;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.policy = policy;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;
@@ -89,9 +89,9 @@ struct CellResult {
 
 CellResult SteadyCell(bench::BenchContext& ctx, const std::string& policy) {
   MultiTenantOptions opt;
-  opt.scheduler = SchedulerKind::kCameo;
-  opt.policy = policy;
-  opt.workers = 4;
+  opt.engine.scheduler = SchedulerKind::kCameo;
+  opt.engine.policy = policy;
+  opt.engine.workers = 4;
   opt.duration = ctx.Dur(Seconds(30), Seconds(3));
   opt.ls_jobs = 4;
   opt.ba_jobs = 8;
@@ -103,8 +103,8 @@ CellResult SteadyCell(bench::BenchContext& ctx, const std::string& policy) {
 
 CellResult SkewCell(bench::BenchContext& ctx, const std::string& policy) {
   SkewScenarioOptions opt;
-  opt.scheduler = SchedulerKind::kCameo;
-  opt.policy = policy;
+  opt.engine.scheduler = SchedulerKind::kCameo;
+  opt.engine.policy = policy;
   opt.duration = ctx.Dur(Seconds(30), Seconds(3));
   RunResult r = RunSkewedScenario(opt);
   // Score across both tenant types: "" prefixes every job name.
@@ -114,9 +114,9 @@ CellResult SkewCell(bench::BenchContext& ctx, const std::string& policy) {
 
 CellResult ChurnCell(bench::BenchContext& ctx, const std::string& policy) {
   ChurnScenarioOptions opt;
-  opt.scheduler = SchedulerKind::kCameo;
-  opt.policy = policy;
-  opt.workers = 4;
+  opt.engine.scheduler = SchedulerKind::kCameo;
+  opt.engine.policy = policy;
+  opt.engine.workers = 4;
   opt.ba_msgs_per_sec = 9;
   opt.ba_tuples_per_msg = 20000;
   opt.aggs_per_job = 6;
@@ -135,8 +135,8 @@ CellResult ChurnCell(bench::BenchContext& ctx, const std::string& policy) {
 
 CellResult KeyedCell(bench::BenchContext& ctx, const std::string& policy) {
   KeyedScenarioOptions opt;
-  opt.scheduler = SchedulerKind::kCameo;
-  opt.policy = policy;
+  opt.engine.scheduler = SchedulerKind::kCameo;
+  opt.engine.policy = policy;
   opt.dist = KeyDistribution::kZipf;  // hot keys: the fig_slates stressor
   opt.num_keys = 50'000;
   opt.zipf_s = 1.1;

@@ -30,8 +30,8 @@ void Run(bench::BenchContext& ctx) {
                                             80000};
   for (std::int64_t batch : batches) {
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;
@@ -53,24 +53,23 @@ void Run(bench::BenchContext& ctx) {
     ctx.Metric(key + ".LS_success", r.GroupSuccessRate("LS"));
   }
 
-  // Right panel: drain batch size at fixed message size. Swept through the
-  // unified EngineOptions/QueryDef pipeline -- MultiTenantOptions.sched_batch
-  // lands in EngineOptions::sched.batch_size for whichever backend runs.
+  // Right panel: drain batch size at fixed message size, swept through the
+  // scenario's embedded EngineOptions::sched.batch_size.
   std::printf("\n--- claim-and-drain batch (messages per activation) ---\n");
   PrintHeaderRow("drain", {"LS_med", "LS_p99", "LS_met"});
   const std::vector<int> drains =
       ctx.smoke ? std::vector<int>{1, 16} : std::vector<int>{1, 4, 16, 64};
   for (int drain : drains) {
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;
     opt.ba_tuples_per_msg = 1000;
     opt.ba_msgs_per_sec = kTuplesPerSec / 1000.0;
     opt.ls_constraint = Millis(100);
-    opt.sched_batch = drain;
+    opt.engine.sched.batch_size = drain;
     RunResult r = RunMultiTenant(opt);
     PrintRow(std::to_string(drain),
              {FormatMs(r.GroupPercentile("LS", 50)),

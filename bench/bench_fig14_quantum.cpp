@@ -19,9 +19,9 @@ void RunSide(bench::BenchContext& ctx, const char* side, const char* title,
   PrintHeaderRow("quantum", {"LS_med", "LS_p99", "LS_met", "swaps"});
   for (Duration quantum : {Duration{0}, Millis(1), Millis(10), Millis(100)}) {
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.quantum = quantum;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.sched.quantum = quantum;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 6;
     opt.ba_jobs = 6;
@@ -31,7 +31,7 @@ void RunSide(bench::BenchContext& ctx, const char* side, const char* title,
     // work behind a draining operator.
     opt.ba_msgs_per_sec = 110;
     opt.ba_tuples_per_msg = 200;
-    opt.switch_cost = Micros(200);
+    opt.engine.sim.switch_cost = Micros(200);
     opt.interleave_step = interleave;
     RunResult r = RunMultiTenant(opt);
     std::string label = quantum == 0 ? "finest" : FormatMs(ToMillis(quantum));

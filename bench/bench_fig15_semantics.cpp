@@ -31,9 +31,9 @@ void Run(bench::BenchContext& ctx) {
   PrintHeaderRow("config", {"LS_med", "LS_p99", "BA_med", "BA_p99"});
   for (const Config& c : configs) {
     MultiTenantOptions opt;
-    opt.scheduler = c.kind;
-    opt.use_query_semantics = c.semantics;
-    opt.workers = 4;
+    opt.engine.scheduler = c.kind;
+    opt.engine.use_query_semantics = c.semantics;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;

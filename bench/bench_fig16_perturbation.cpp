@@ -20,9 +20,9 @@ void Run(bench::BenchContext& ctx) {
   PrintHeaderRow("sigma", {"grp", "median", "p90", "p99", "met"});
   for (Duration sigma : {Duration{0}, Millis(1), Millis(100), Millis(1000)}) {
     MultiTenantOptions opt;
-    opt.scheduler = SchedulerKind::kCameo;
-    opt.perturbation = sigma;
-    opt.workers = 4;
+    opt.engine.scheduler = SchedulerKind::kCameo;
+    opt.engine.sim.profiler_perturbation = sigma;
+    opt.engine.workers = 4;
     opt.duration = ctx.Dur(Seconds(60));
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;

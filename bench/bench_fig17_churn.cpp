@@ -26,8 +26,8 @@ void Run(bench::BenchContext& ctx) {
        {SchedulerKind::kCameo, SchedulerKind::kFifo, SchedulerKind::kOrleans,
         SchedulerKind::kSlot}) {
     ChurnScenarioOptions opt;
-    opt.scheduler = kind;
-    opt.workers = 4;
+    opt.engine.scheduler = kind;
+    opt.engine.workers = 4;
     opt.background_ba_jobs = 2;
     // Heavy batches (~30 ms non-preemptible invocations) just past saturation:
     // the backlog stands on 12 agg operators, so FIFO's fair rotation alone

@@ -44,13 +44,13 @@ KeyedScenarioOptions BaseOptions(bench::BenchContext& ctx) {
   opt.msgs_per_sec = 20;
   opt.tuples_per_msg = 2000;
   opt.counter_per_tuple = 400;  // ns per tuple
-  opt.workers = 4;              // per shard
-  opt.shards = kShards;
+  opt.engine.workers = 4;              // per shard
+  opt.engine.shards = kShards;
   opt.duration = ctx.Dur(Seconds(30), Seconds(4));
   opt.ingest_end = opt.duration - Seconds(2);
   opt.constraint = Millis(800);
-  opt.seed = 42;
-  opt.session.enabled = true;
+  opt.engine.seed = 42;
+  opt.engine.sim.shard_session.enabled = true;
   return opt;
 }
 
@@ -107,7 +107,7 @@ struct ChaosRun {
 ChaosRun RunOne(const KeyedScenarioOptions& base,
                 const shard::FaultPlan& faults) {
   KeyedScenarioOptions opt = base;
-  opt.faults = faults;
+  opt.engine.sim.shard_faults = faults;
   ChaosRun out;
   out.r = RunKeyedScenario(opt);
   out.met = out.r.run.GroupSuccessRate("KEYED");

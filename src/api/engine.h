@@ -15,93 +15,18 @@
 //    ingestion specs become external producer threads, queries hot-add and
 //    remove against live traffic.
 //
-// EngineOptions unifies the old ClusterConfig/RuntimeConfig front doors:
-// the shared knobs (workers, scheduler, policy, semantics, seed) live at
-// the top level; knobs only one backend can honour live in the `sim` and
-// `wallclock` sub-structs, so it is explicit which settings survive a
-// backend swap. Policy names are validated at engine construction
-// (CheckPolicyName) -- an unknown string aborts with the roster instead of
-// failing deep inside the backend.
+// Both backends are configured through EngineOptions
+// (api/engine_options.h), validated once at construction.
 #pragma once
 
-#include <cstdint>
 #include <string>
+#include <utility>
 
+#include "api/engine_options.h"
 #include "api/query_def.h"
 #include "common/histogram.h"
-#include "sched/scheduler.h"
-#include "shard/fault_transport.h"
-#include "shard/session.h"
 
 namespace cameo {
-
-struct EngineOptions {
-  // ---- shared by both backends ----
-  int workers = 4;
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  /// Scheduling knobs shared by every backend: re-scheduling quantum,
-  /// starvation guard, and the claim-and-drain `batch_size` (how many
-  /// messages one worker activation drains from a claimed operator; the
-  /// Fig. 13 drain knob).
-  SchedulerConfig sched;
-  /// Cameo scheduling policy; any name in ValidPolicyNames() (core/policies.h
-  /// registry). Unknown names fail fast at engine construction, printing the
-  /// live roster.
-  std::string policy = "LLF";
-  /// Fig. 15 ablation: topology-aware but not query-semantics-aware.
-  bool use_query_semantics = true;
-  std::uint64_t seed = 1;
-  /// Simulated machines (src/shard/): operators spread across shards by
-  /// consistent-hash placement, each shard runs its own scheduler + policy
-  /// instance, and cross-shard edges are serialized through the wire codec.
-  /// `workers` is per shard. 1 (default) reproduces the single-machine
-  /// engine bit-identically. Only the sim backend can honour > 1; the
-  /// wall-clock backend rejects it at construction.
-  int shards = 1;
-
-  /// Knobs only the simulated backend can honour.
-  struct SimOptions {
-    Duration network_delay = kMillisecond;  // VM-to-VM hop
-    /// Cross-shard link delay model (only meaningful with shards > 1):
-    /// delay = base + jitter * U[0,1), per-channel monotone, seeded from the
-    /// run seed (deterministic replays).
-    Duration shard_link_delay = kMillisecond;
-    Duration shard_link_jitter = Micros(100);
-    /// Charged when a worker switches operators (cache refill, activation
-    /// swap); drives the Fig. 14 quantum trade-off.
-    Duration switch_cost = Micros(20);
-    /// Fig. 16: N(0, sigma) noise on profiled cost estimates.
-    Duration profiler_perturbation = 0;
-    /// Rare execution stragglers (GC pauses, page faults, JIT).
-    double straggler_prob = 0.003;
-    double straggler_factor = 15.0;
-    /// Seed profiler and Reply Contexts from static critical-path analysis.
-    bool seed_static_estimates = true;
-    std::int64_t seed_nominal_tuples = 1000;
-    bool enable_timeline = false;
-    /// > 0: total token issuance (tokens/s) re-shared across live
-    /// token-enabled queries on every membership change.
-    double token_total_rate = 0;
-    /// Reliable-delivery session layer over the shard transport
-    /// (shard/session.h). Auto-enabled when `shard_faults` injects
-    /// anything; off by default so clean runs stay bit-identical.
-    shard::SessionConfig shard_session;
-    /// Deterministic chaos schedule for the shard transport
-    /// (shard/fault_transport.h).
-    shard::FaultPlan shard_faults;
-    /// Per-shard admission-control backlog limit (0 = no shedding).
-    std::size_t admission_limit = 0;
-  } sim;
-
-  /// Knobs only the wall-clock backend can honour.
-  struct WallClockOptions {
-    /// Spin/sleep each invocation's CostModel duration to emulate compute.
-    bool emulate_cost = true;
-    /// Wall-clock seconds per virtual second when replaying ingestion specs
-    /// (< 1 compresses a scenario's timeline into a faster real-time run).
-    double time_scale = 1.0;
-  } wallclock;
-};
 
 /// A submitted query. Cheap value type: the stage/job handles plus the
 /// submission ticket (scripted sim queries only compile at their virtual
@@ -150,8 +75,9 @@ class Engine {
   const EngineOptions& options() const { return options_; }
 
  protected:
-  /// Validates the shared options (worker bounds, policy roster).
-  explicit Engine(EngineOptions options);
+  explicit Engine(EngineOptions options) : options_(std::move(options)) {
+    ValidateEngineOptions(options_);
+  }
 
   EngineOptions options_;
 };

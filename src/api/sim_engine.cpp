@@ -20,32 +20,6 @@ Duration IngestDelay(const QueryDef& def) {
   return def.has_ingest() ? def.ingest().event_time_delay : 0;
 }
 
-ClusterConfig ToClusterConfig(const EngineOptions& o) {
-  ClusterConfig cfg;
-  cfg.num_workers = o.workers;
-  cfg.scheduler = o.scheduler;
-  cfg.sched = o.sched;
-  cfg.policy = o.policy;
-  cfg.use_query_semantics = o.use_query_semantics;
-  cfg.seed_static_estimates = o.sim.seed_static_estimates;
-  cfg.seed_nominal_tuples = o.sim.seed_nominal_tuples;
-  cfg.network_delay = o.sim.network_delay;
-  cfg.switch_cost = o.sim.switch_cost;
-  cfg.profiler_perturbation = o.sim.profiler_perturbation;
-  cfg.straggler_prob = o.sim.straggler_prob;
-  cfg.straggler_factor = o.sim.straggler_factor;
-  cfg.seed = o.seed;
-  cfg.enable_timeline = o.sim.enable_timeline;
-  cfg.token_total_rate = o.sim.token_total_rate;
-  cfg.num_shards = o.shards;
-  cfg.shard_link_delay = o.sim.shard_link_delay;
-  cfg.shard_link_jitter = o.sim.shard_link_jitter;
-  cfg.shard_session = o.sim.shard_session;
-  cfg.shard_faults = o.sim.shard_faults;
-  cfg.admission_limit = o.sim.admission_limit;
-  return cfg;
-}
-
 }  // namespace
 
 SimEngine::SimEngine(EngineOptions options) : Engine(std::move(options)) {}
@@ -89,8 +63,7 @@ QueryHandle SimEngine::Submit(SimTime at, SimTime until, const QueryDef& def) {
 
 void SimEngine::Materialize() {
   if (cluster_ != nullptr) return;
-  cluster_ =
-      std::make_unique<Cluster>(ToClusterConfig(options_), std::move(staging_));
+  cluster_ = std::make_unique<Cluster>(options_, std::move(staging_));
   // Replay the staged actions in submission order: ingestion attachments
   // first-come-first-attached, scripted queries scheduled with their
   // original relative order (event-queue ties break by insertion).

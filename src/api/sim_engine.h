@@ -24,7 +24,7 @@
 
 namespace cameo {
 
-class SimEngine : public Engine {  // base of ShardEngine (api/shard_engine.h)
+class SimEngine final : public Engine {
  public:
   explicit SimEngine(EngineOptions options);
 
@@ -65,7 +65,10 @@ class SimEngine : public Engine {  // base of ShardEngine (api/shard_engine.h)
   bool materialized() const { return cluster_ != nullptr; }
 
   /// Backend escape hatch for sim-only instruments (timeline, utilization,
-  /// purge accounting, At() scripting). Materializes if needed.
+  /// purge accounting, At() scripting) and, through
+  /// `cluster().shard_runtime()`, the per-shard read side (placement,
+  /// per-shard scheduler stats, transport and wire counters). Materializes
+  /// if needed.
   Cluster& cluster();
 
   SimTime now() const { return horizon_; }

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "api/shard_engine.h"
 #include "api/sim_engine.h"
 #include "common/check.h"
 #include "state/keyed_counter.h"
@@ -34,17 +33,7 @@ IngestSpec::Kind ToIngestKind(ArrivalKind kind) {
 }  // namespace
 
 RunResult RunMultiTenant(const MultiTenantOptions& opt) {
-  EngineOptions eo;
-  eo.workers = opt.workers;
-  eo.scheduler = opt.scheduler;
-  eo.sched.quantum = opt.quantum;
-  eo.sched.batch_size = opt.sched_batch;
-  eo.policy = opt.policy;
-  eo.use_query_semantics = opt.use_query_semantics;
-  eo.seed = opt.seed;
-  eo.sim.profiler_perturbation = opt.perturbation;
-  eo.sim.switch_cost = opt.switch_cost;
-  SimEngine engine(eo);
+  SimEngine engine(opt.engine);
 
   const int total = opt.ls_jobs + opt.ba_jobs;
   for (int i = 0; i < total; ++i) {
@@ -87,14 +76,7 @@ SingleTenantResult RunSingleTenant(const SingleTenantOptions& opt) {
   QuerySpec spec = MakeIpqSpec(opt.ipq);
   spec.msgs_per_sec_per_source *= opt.load_factor;
 
-  EngineOptions eo;
-  eo.workers = opt.workers;
-  eo.scheduler = opt.scheduler;
-  eo.sched.quantum = opt.quantum;
-  eo.policy = opt.policy;
-  eo.seed = opt.seed;
-  eo.sim.enable_timeline = opt.enable_timeline;
-  SimEngine engine(eo);
+  SimEngine engine(opt.engine);
 
   IngestSpec ingest;
   ingest.msgs_per_sec = spec.msgs_per_sec_per_source;
@@ -103,7 +85,9 @@ SingleTenantResult RunSingleTenant(const SingleTenantOptions& opt) {
   ingest.event_time_delay = Millis(50);
   QueryDef def = opt.ipq == 4 ? JoinQueryDef(spec) : AggregationQueryDef(spec);
   QueryHandle q = engine.Submit(def.Ingest(ingest));
-  if (opt.enable_timeline) engine.cluster().timeline().SetJobFilter(q.job());
+  if (opt.engine.sim.enable_timeline) {
+    engine.cluster().timeline().SetJobFilter(q.job());
+  }
 
   engine.RunFor(opt.duration);
   SingleTenantResult out;
@@ -114,15 +98,9 @@ SingleTenantResult RunSingleTenant(const SingleTenantOptions& opt) {
 }
 
 RunResult RunSkewedScenario(const SkewScenarioOptions& opt) {
-  EngineOptions eo;
-  eo.workers = opt.workers;
-  eo.scheduler = opt.scheduler;
-  eo.sched.quantum = opt.quantum;
-  eo.policy = opt.policy;
-  eo.seed = opt.seed;
-  SimEngine engine(eo);
+  SimEngine engine(opt.engine);
 
-  Rng trace_rng(opt.seed * 77 + 13);
+  Rng trace_rng(opt.engine.seed * 77 + 13);
   auto submit_jobs = [&](int count, const std::string& prefix,
                          double tuples_per_sec, double skew) {
     for (int i = 0; i < count; ++i) {
@@ -196,14 +174,7 @@ TokenScenarioResult RunTokenScenario(const TokenScenarioOptions& opt) {
 }
 
 ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
-  EngineOptions eo;
-  eo.workers = opt.workers;
-  eo.scheduler = opt.scheduler;
-  eo.sched.quantum = opt.quantum;
-  eo.policy = opt.policy;
-  eo.seed = opt.seed;
-  eo.sim.token_total_rate = opt.token_total_rate;
-  SimEngine engine(eo);
+  SimEngine engine(opt.engine);
 
   for (int i = 0; i < opt.background_ba_jobs; ++i) {
     QuerySpec spec = MakeBulkAnalyticsSpec("BA" + std::to_string(i));
@@ -225,7 +196,7 @@ ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
 
   // The churn script itself draws from its own RNG stream so adding a
   // tenant never perturbs the background workload's randomness.
-  Rng churn_rng(opt.seed * 9176 + 11);
+  Rng churn_rng(opt.engine.seed * 9176 + 11);
   ChurnScenarioResult out;
   out.script = GenerateTenantChurn(opt.churn, churn_rng);
   for (const TenantInterval& ti : out.script.tenants) {
@@ -235,7 +206,9 @@ ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
     spec.latency_constraint = opt.tenant_constraint;
     spec.msgs_per_sec_per_source = opt.tenant_msgs_per_sec;
     spec.tuples_per_msg = opt.tenant_tuples_per_msg;
-    if (opt.token_total_rate > 0) spec.token_rate_per_sec = 1;  // equal weight
+    if (opt.engine.sim.token_total_rate > 0) {
+      spec.token_rate_per_sec = 1;  // equal weight
+    }
     SimTime depart = std::min<SimTime>(ti.depart, opt.duration);
     // Batching clients close intervals at window boundaries regardless of
     // when the query registered, so the ingestion clock starts at the first
@@ -263,20 +236,7 @@ ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
 }
 
 KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
-  EngineOptions eo;
-  eo.workers = opt.workers;
-  eo.scheduler = opt.scheduler;
-  eo.policy = opt.policy;
-  eo.seed = opt.seed;
-  eo.shards = opt.shards;
-  eo.sim.shard_link_delay = opt.shard_link_delay;
-  eo.sim.shard_link_jitter = opt.shard_link_jitter;
-  eo.sim.shard_session = opt.session;
-  eo.sim.shard_faults = opt.faults;
-  eo.sim.admission_limit = opt.admission_limit;
-  // ShardEngine is a SimEngine; at shards == 1 the construction path is
-  // identical, which keeps the keyed replay goldens bit-stable.
-  ShardEngine engine(eo);
+  SimEngine engine(opt.engine);
 
   KeySamplerFactory sampler;
   switch (opt.dist) {
@@ -333,14 +293,15 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
   engine.RunFor(opt.duration);
   KeyedScenarioResult out;
   out.run = engine.Summarize(opt.duration);
-  const shard::TransportStats ts = engine.transport_stats();
+  const shard::ShardRuntime& runtime = engine.cluster().shard_runtime();
+  const shard::TransportStats ts = runtime.transport_stats();
   out.frames_sent = static_cast<std::int64_t>(ts.frames_sent);
   out.frames_received = static_cast<std::int64_t>(ts.frames_received);
   out.wire_bytes = static_cast<std::int64_t>(ts.bytes_sent);
   out.transport = ts;
   out.shed_messages = static_cast<std::int64_t>(ts.shed_messages);
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    out.shard_sched.push_back(engine.shard_stats(s));
+  for (int s = 0; s < runtime.num_shards(); ++s) {
+    out.shard_sched.push_back(runtime.scheduler(s).stats());
   }
   DataflowGraph& g = engine.graph();
   for (StageId sid : q.handles.stages) {

@@ -4,14 +4,17 @@
 //
 // Internally every scenario is expressed through the frontend API: tenants
 // are fluent QueryDefs with IngestSpecs attached, submitted to a SimEngine
-// (api/sim_engine.h). The option structs below stay as the benches'
-// parameter blocks.
+// (api/sim_engine.h). Each option struct below holds the workload shape plus
+// an embedded `EngineOptions engine` that the scenario hands to its engine
+// unchanged; only the token scenario, which pins scheduler and policy,
+// keeps its own `workers` and `seed`.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "api/engine_options.h"
 #include "sim/cluster.h"
 #include "sim/driver.h"
 #include "workload/churn.h"
@@ -31,22 +34,12 @@ struct MultiTenantOptions {
   std::int64_t ba_tuples_per_msg = 1000;
   ArrivalKind ba_arrivals = ArrivalKind::kConstant;
   double pareto_alpha = 1.5;  // burstiness of Pareto BA traffic
-  int workers = 8;
+  EngineOptions engine{.workers = 8};
   SimTime duration = Seconds(60);
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  std::string policy = "LLF";
-  Duration quantum = kMillisecond;
-  /// Claim-and-drain batch size (SchedulerConfig::batch_size): how many
-  /// messages one worker activation drains from a claimed operator. 1 =
-  /// classic per-message dispatch; Fig. 13 sweeps this knob.
-  int sched_batch = 1;
-  bool use_query_semantics = true;
-  Duration perturbation = 0;
   Duration event_time_delay = Millis(50);
   /// Per-job extra event-time delay step; > 0 interleaves jobs' window
   /// trigger times (Fig. 14 right).
   Duration interleave_step = 0;
-  std::uint64_t seed = 1;
   int sources_per_job = 8;
   int aggs_per_job = 4;
   /// Override for the LS jobs' latency constraint; 0 keeps the paper's
@@ -55,9 +48,6 @@ struct MultiTenantOptions {
   /// Override for the BA jobs' latency constraint; 0 keeps the paper's
   /// 7200 s default.
   Duration ba_constraint = 0;
-  /// Worker context-switch cost between operators (cache refill, activation
-  /// swap); drives the Fig. 14 finest-quantum penalty.
-  Duration switch_cost = Micros(20);
 };
 
 /// Builds and runs the §6.2 control-group workload; job names are
@@ -66,13 +56,9 @@ RunResult RunMultiTenant(const MultiTenantOptions& opt);
 
 struct SingleTenantOptions {
   int ipq = 1;  // 1..4
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  std::string policy = "LLF";
-  int workers = 2;
+  /// `engine.sim.enable_timeline` also returns the job's dispatch timeline.
+  EngineOptions engine{.workers = 2};
   SimTime duration = Seconds(30);
-  Duration quantum = kMillisecond;
-  std::uint64_t seed = 1;
-  bool enable_timeline = false;
   /// Oversubscription factor on the ingest rate (1.0 = spec default).
   double load_factor = 1.0;
 };
@@ -98,15 +84,11 @@ struct SkewScenarioOptions {
   /// floor below the constraint).
   int msgs_per_interval = 20;
   double burst_alpha = 1.5;  // heavy-tailed per-second volume
-  int workers = 4;
+  EngineOptions engine;
   SimTime duration = Seconds(60);
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  std::string policy = "LLF";
-  Duration quantum = kMillisecond;
   /// Tight target: bursts make most outputs miss it unless the scheduler
   /// prioritizes the critical messages (paper: success rates 0.2%-45%).
   Duration constraint = Millis(150);
-  std::uint64_t seed = 1;
 };
 
 /// Jobs are named "T1-<i>" and "T2-<i>".
@@ -159,15 +141,11 @@ struct ChurnScenarioOptions {
   double tenant_msgs_per_sec = 1.0;
   std::int64_t tenant_tuples_per_msg = 1000;
 
-  int workers = 4;
+  /// `engine.sim.token_total_rate` > 0 gives every tenant an equal token
+  /// weight and re-shares the total on each membership change (§5.4 under
+  /// churn).
+  EngineOptions engine;
   SimTime duration = Seconds(60);
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  std::string policy = "LLF";
-  Duration quantum = kMillisecond;
-  std::uint64_t seed = 1;
-  /// > 0: total token rate re-shared across live tenants on every
-  /// membership change (exercises §5.4 under churn).
-  double token_total_rate = 0;
 };
 
 struct ChurnScenarioResult {
@@ -214,28 +192,12 @@ struct KeyedScenarioOptions {
   /// into shard overload.
   Duration counter_per_tuple = 500;
 
-  int workers = 4;
+  /// `engine.workers` is per shard, so raising `engine.shards` is weak
+  /// scaling -- the fig08 panel's axis. The chaos knobs are
+  /// `engine.sim.shard_faults`, `shard_session` and `admission_limit`.
+  EngineOptions engine;
   SimTime duration = Seconds(30);
   Duration constraint = Millis(800);
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  std::string policy = "LLF";
-  std::uint64_t seed = 1;
-
-  /// Simulated machines (EngineOptions::shards): operators spread across
-  /// `shards` independent scheduler instances with cross-shard edges going
-  /// through the wire codec + transport (src/shard/). `workers` is per
-  /// shard, so raising `shards` is weak scaling -- the fig08 panel's axis.
-  int shards = 1;
-  Duration shard_link_delay = kMillisecond;
-  Duration shard_link_jitter = Micros(100);
-
-  // ---- chaos / robustness (PR 10) ----
-  /// Reliable-delivery session layer (auto-enabled when `faults` is armed).
-  shard::SessionConfig session;
-  /// Deterministic transport fault schedule (drop/dup/corrupt/...).
-  shard::FaultPlan faults;
-  /// Per-shard admission-control backlog limit (0 = no shedding).
-  std::size_t admission_limit = 0;
   /// When > 0, ingestion stops at this time instead of `duration`, leaving a
   /// grace window for retransmit chains to converge before the horizon --
   /// the chaos bench's delivery-conservation gate depends on it.
@@ -252,7 +214,7 @@ struct KeyedScenarioResult {
   shard::TransportStats transport;
   /// Admission-control sheds merged across shards.
   std::int64_t shed_messages = 0;
-  /// Per-shard scheduler stats (size == shards), for balance reporting.
+  /// Per-shard scheduler stats (size == engine.shards), for balance reporting.
   std::vector<SchedulerStats> shard_sched;
   // Aggregated over the counter stage's replicas (deterministic per seed).
   std::int64_t rows_seen = 0;       // rows observed by the counters

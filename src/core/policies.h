@@ -252,10 +252,10 @@ class MultiLevelFeedback final : public SchedulingPolicy {
 
 /// The policy roster, in registration order — derived from the registry
 /// table in policies.cpp, the single source of truth MakePolicy() shares.
-/// Config structs (`ClusterConfig`, `RuntimeConfig`, `EngineOptions`)
-/// validate their `policy` strings against this list as soon as they are
-/// consumed, and every policy sweep must iterate it (never a hand-written
-/// name list) so a roster addition cannot silently vanish from an ablation.
+/// `EngineOptions` (ValidateEngineOptions) and `RuntimeConfig` validate
+/// their `policy` strings against this list as soon as they are consumed,
+/// and every policy sweep must iterate it (never a hand-written name list)
+/// so a roster addition cannot silently vanish from an ablation.
 const std::vector<std::string>& ValidPolicyNames();
 
 bool IsValidPolicyName(const std::string& name);

@@ -32,52 +32,55 @@ class CollectingEmitter final : public Emitter {
   std::vector<Out> outs_;
 };
 
+/// Chaos-mode timer pump cadence: how often each shard services its session
+/// timers (retransmits, delayed acks) and drains parked frames when no
+/// receive event is otherwise scheduled.
+constexpr Duration kChaosPumpTick = Millis(2);
+
 }  // namespace
 
-Cluster::Cluster(ClusterConfig config, DataflowGraph graph)
-    : config_(config),
+Cluster::Cluster(EngineOptions options, DataflowGraph graph)
+    : options_(std::move(options)),
       graph_(std::move(graph)),
-      rng_(config.seed),
-      profiler_(/*smoothing=*/0.25, /*noise_seed=*/config.seed ^ 0x9e3779b9),
-      workers_(static_cast<std::size_t>(config.num_workers) *
-               static_cast<std::size_t>(config.num_shards)) {
-  CAMEO_EXPECTS(config.num_workers >= 1 &&
-                config.num_workers <= Scheduler::kMaxWorkers);
-  CAMEO_EXPECTS(config.num_shards >= 1);
+      rng_(options_.seed),
+      profiler_(/*smoothing=*/0.25, /*noise_seed=*/options_.seed ^ 0x9e3779b9) {
+  ValidateEngineOptions(options_);
+  workers_.resize(static_cast<std::size_t>(options_.workers) *
+                  static_cast<std::size_t>(options_.shards));
   shard::ShardRuntimeOptions ro;
-  ro.num_shards = config_.num_shards;
-  ro.workers_per_shard = config_.num_workers;
-  ro.scheduler = config_.scheduler;
-  ro.sched = config_.sched;
-  ro.policy = config_.policy;
-  ro.seed = config_.seed;
-  ro.link = {config_.shard_link_delay, config_.shard_link_jitter};
-  ro.session = config_.shard_session;
-  ro.faults = config_.shard_faults;
-  ro.admission_limit = config_.admission_limit;
+  ro.num_shards = options_.shards;
+  ro.workers_per_shard = options_.workers;
+  ro.scheduler = options_.scheduler;
+  ro.sched = options_.sched;
+  ro.policy = options_.policy;
+  ro.seed = options_.seed;
+  ro.link = {options_.sim.shard_link_delay, options_.sim.shard_link_jitter};
+  ro.session = options_.sim.shard_session;
+  ro.faults = options_.sim.shard_faults;
+  ro.admission_limit = options_.sim.admission_limit;
   runtime_ = std::make_unique<shard::ShardRuntime>(std::move(ro));
   chaos_mode_ = runtime_->session_enabled();
-  pump_active_.assign(static_cast<std::size_t>(config_.num_shards), false);
-  profiler_.SetPerturbation(config_.profiler_perturbation);
+  pump_active_.assign(static_cast<std::size_t>(options_.shards), false);
+  profiler_.SetPerturbation(options_.sim.profiler_perturbation);
   // Every shard's policy reads the shared profiler. Profiler entries are
   // per-operator and an operator executes only on its owning shard, so the
   // shared map is semantically per-shard state.
   runtime_->BindCostReader(&profiler_);
-  timeline_.SetEnabled(config_.enable_timeline);
+  timeline_.SetEnabled(options_.sim.enable_timeline);
   SetupConverters();
   for (JobId job : graph_.job_ids()) {
     const JobSpec& spec = graph_.job(job);
     latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
                          spec.output_slide);
   }
-  if (config_.seed_static_estimates) SeedEstimates();
+  if (options_.sim.seed_static_estimates) SeedEstimates();
 }
 
 void Cluster::SetupConverters() {
   for (JobId job : graph_.job_ids()) {
     const JobSpec& spec = graph_.job(job);
     ConverterOptions options;
-    options.use_query_semantics = config_.use_query_semantics;
+    options.use_query_semantics = options_.use_query_semantics;
     options.time_domain = spec.time_domain;
     for (OperatorId op : graph_.OperatorsOf(job)) {
       // Bound to the *owning shard's* policy instance: an operator's send
@@ -95,7 +98,7 @@ void Cluster::SeedEstimates() {
 
 void Cluster::SeedEstimatesFor(JobId job) {
   CriticalPathResult cp =
-      ComputeCriticalPath(graph_, job, config_.seed_nominal_tuples);
+      ComputeCriticalPath(graph_, job, options_.sim.seed_nominal_tuples);
   for (const auto& [op, cost] : cp.cost) profiler_.Seed(op, cost);
   for (StageId sid : graph_.stages_of(job)) {
     const StageInfo& stage = graph_.stage(sid);
@@ -116,7 +119,7 @@ void Cluster::SeedEstimatesFor(JobId job) {
 void Cluster::RegisterLateJob(JobId job) {
   const JobSpec& spec = graph_.job(job);
   ConverterOptions options;
-  options.use_query_semantics = config_.use_query_semantics;
+  options.use_query_semantics = options_.use_query_semantics;
   options.time_domain = spec.time_domain;
   for (OperatorId op : graph_.OperatorsOf(job)) {
     converters_.emplace(op, std::make_unique<ContextConverter>(
@@ -124,7 +127,7 @@ void Cluster::RegisterLateJob(JobId job) {
   }
   latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
                        spec.output_slide);
-  if (config_.seed_static_estimates) SeedEstimatesFor(job);
+  if (options_.sim.seed_static_estimates) SeedEstimatesFor(job);
 }
 
 ContextConverter& Cluster::converter(OperatorId op) {
@@ -150,7 +153,7 @@ void Cluster::AddIngestion(StageId source_stage,
       CAMEO_CHECK(s.sampler != nullptr);
       // Distinct deterministic stream per source; decoupled from rng_ so
       // keyed ingestion cannot shift any existing scenario's replay.
-      s.key_rng = Rng(config_.seed * 0x9E3779B97F4A7C15ULL +
+      s.key_rng = Rng(options_.seed * 0x9E3779B97F4A7C15ULL +
                       (sources_.size() + 1) * 0xD1B54A32D192ED03ULL);
     }
     if (spec.token_rate_per_sec > 0) {
@@ -191,7 +194,7 @@ int Cluster::ScheduleQuery(SimTime at, SimTime until, QueryBuilder builder,
     if (q.until > q.at) {
       events_.Schedule(q.until, [this, job = h.job] { RemoveQueryNow(job); });
     }
-    if (config_.token_total_rate > 0) RebalanceTokens();
+    if (options_.sim.token_total_rate > 0) RebalanceTokens();
   });
   return ticket;
 }
@@ -210,7 +213,7 @@ void Cluster::RemoveQueryNow(JobId job) {
   // purged at quiescence; messages_purged() reads the stats so purges an
   // active mailbox defers to its owner's release are counted too).
   runtime_->RetireOperators(ops);
-  if (config_.token_total_rate > 0) RebalanceTokens();
+  if (options_.sim.token_total_rate > 0) RebalanceTokens();
 }
 
 void Cluster::At(SimTime t, std::function<void()> fn) {
@@ -229,7 +232,7 @@ void Cluster::SetJobTokenRate(JobId job, double per_source_rate) {
 
 void Cluster::RebalanceTokens() {
   // Weights are the specs' configured token rates; the live tenants split
-  // config_.token_total_rate proportionally (SplitTokenShares, shared with
+  // options_.sim.token_total_rate proportionally (SplitTokenShares, shared with
   // the churn scripts), spread over each job's sources.
   struct Member {
     JobId job;
@@ -251,7 +254,7 @@ void Cluster::RebalanceTokens() {
     }
   }
   std::vector<double> shares =
-      SplitTokenShares(config_.token_total_rate, weights);
+      SplitTokenShares(options_.sim.token_total_rate, weights);
   for (std::size_t i = 0; i < members.size(); ++i) {
     if (shares[i] <= 0) continue;
     SetJobTokenRate(members[i].job, shares[i] / std::max(1, members[i].sources));
@@ -370,7 +373,7 @@ void Cluster::SessionPump(int shard) {
   // that became deliverable while no receive event was scheduled (e.g. the
   // end of a stall window).
   DrainShardFrames(shard);
-  SimTime next = events_.now() + config_.chaos_pump_tick;
+  SimTime next = events_.now() + kChaosPumpTick;
   if (deadline < next) next = std::max(deadline, events_.now() + 1);
   if (next <= pump_until_) {
     events_.Schedule(next, [this, shard] { SessionPump(shard); });
@@ -392,9 +395,9 @@ void Cluster::KickIdleWorkers(int shard) {
   // only the workers kicked here; a worker whose `kicked` flag an earlier
   // call set is served by that call's (earlier) sweep.
   const std::size_t begin =
-      static_cast<std::size_t>(shard) * config_.num_workers;
+      static_cast<std::size_t>(shard) * options_.workers;
   std::bitset<Scheduler::kMaxWorkers> kicked;
-  for (int i = 0; i < config_.num_workers; ++i) {
+  for (int i = 0; i < options_.workers; ++i) {
     WorkerState& ws = workers_[begin + static_cast<std::size_t>(i)];
     if (ws.busy || ws.kicked) continue;
     ws.kicked = true;
@@ -402,7 +405,7 @@ void Cluster::KickIdleWorkers(int shard) {
   }
   if (kicked.none()) return;
   events_.Schedule(events_.now(), [this, begin, kicked] {
-    for (int i = 0; i < config_.num_workers; ++i) {
+    for (int i = 0; i < options_.workers; ++i) {
       if (!kicked.test(static_cast<std::size_t>(i))) continue;
       TryDispatch(WorkerId{static_cast<std::int64_t>(begin) + i});
     }
@@ -433,14 +436,15 @@ void Cluster::TryDispatch(WorkerId w) {
   Duration total = 0;
   for (Message& m : batch_scratch_) {
     Duration exec = op.cost_model().Sample(m.batch.size(), rng_);
-    if (config_.straggler_prob > 0 && rng_.Chance(config_.straggler_prob)) {
+    if (options_.sim.straggler_prob > 0 &&
+        rng_.Chance(options_.sim.straggler_prob)) {
       exec = static_cast<Duration>(static_cast<double>(exec) *
-                                   config_.straggler_factor);
+                                   options_.sim.straggler_factor);
     }
     exec_scratch_.push_back(exec);
     total += exec;
   }
-  if (!(ws.last_op == target)) total += config_.switch_cost;
+  if (!(ws.last_op == target)) total += options_.sim.switch_cost;
   ws.busy = true;
   ws.last_op = target;
   utilization_.AddBusy(w, total);
@@ -523,7 +527,7 @@ void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
         static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
                       "delivery closure outgrew the inline event buffer; the "
                       "common sim path would heap-allocate every delivery");
-        events_.Schedule(events_.now() + config_.network_delay,
+        events_.Schedule(events_.now() + options_.sim.network_delay,
                          std::move(deliver));
       } else {
         // Cross-shard hop: serialize through the wire codec and ship on the
@@ -544,7 +548,7 @@ void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
         op.is_sink());
     const int sender_shard = runtime_->ShardOf(m.sender);
     if (sender_shard == src_shard) {
-      events_.Schedule(events_.now() + config_.network_delay,
+      events_.Schedule(events_.now() + options_.sim.network_delay,
                        [this, sender = m.sender, from = m.target, rc] {
                          converter(sender).ProcessCtxFromReply(from, rc);
                        });
@@ -584,16 +588,16 @@ void Cluster::Run(SimTime until) {
   pumped_sources_ = sources_.size();
   if (chaos_mode_) {
     pump_until_ = until;
-    for (int s = 0; s < config_.num_shards; ++s) {
+    for (int s = 0; s < options_.shards; ++s) {
       if (pump_active_[static_cast<std::size_t>(s)]) continue;
       pump_active_[static_cast<std::size_t>(s)] = true;
-      events_.Schedule(events_.now() + config_.chaos_pump_tick,
+      events_.Schedule(events_.now() + kChaosPumpTick,
                        [this, s] { SessionPump(s); });
     }
   }
   events_.RunUntil(until);
   utilization_.SetSpan(until);
-  utilization_.SetWorkerCount(config_.num_workers * config_.num_shards);
+  utilization_.SetWorkerCount(options_.workers * options_.shards);
 }
 
 }  // namespace cameo

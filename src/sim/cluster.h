@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "api/engine_options.h"
 #include "common/rng.h"
 #include "core/context_converter.h"
 #include "core/profiler.h"
@@ -47,76 +48,11 @@
 
 namespace cameo {
 
-// SchedulerKind and ToString(SchedulerKind) live in sched/scheduler.h (the
-// enum is shared with RuntimeConfig; both backends build through the same
-// MakeScheduler factory).
-
-struct ClusterConfig {
-  /// Workers *per shard* (the pre-shard meaning is unchanged at the default
-  /// num_shards = 1).
-  int num_workers = 4;
-  /// Simulated machines. Operators spread across shards by consistent-hash
-  /// placement; each shard runs its own scheduler + policy instance and
-  /// cross-shard edges go through the serialized transport (src/shard/).
-  /// 1 reproduces the pre-shard cluster bit-identically.
-  int num_shards = 1;
-  /// Cross-shard link delay model (InprocTransport): delay = base +
-  /// jitter * U[0,1), per-channel monotone. Defaults match the intra-shard
-  /// `network_delay` hop so turning on sharding does not change the mean
-  /// path latency.
-  Duration shard_link_delay = kMillisecond;
-  Duration shard_link_jitter = Micros(100);
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  SchedulerConfig sched;
-  /// Cameo scheduling policy; any name in ValidPolicyNames() (core/policies.h
-  /// registry — the roster there is the single source of truth).
-  std::string policy = "LLF";
-  /// Fig. 15 ablation: topology-aware but not query-semantics-aware.
-  bool use_query_semantics = true;
-  /// Seed profiler and Reply Contexts from static critical-path analysis so
-  /// the first windows are scheduled sensibly (cold-start prior).
-  bool seed_static_estimates = true;
-  /// Batch size assumed by the static seeding.
-  std::int64_t seed_nominal_tuples = 1000;
-  Duration network_delay = kMillisecond;  // VM-to-VM hop
-  /// Charged when a worker switches to a different operator (cache refill,
-  /// activation swap). Drives the Fig. 14 quantum trade-off.
-  Duration switch_cost = Micros(20);
-  /// Fig. 16: N(0, sigma) noise on profiled cost estimates.
-  Duration profiler_perturbation = 0;
-  /// Rare execution stragglers (GC pauses, page faults, JIT): with this
-  /// probability an invocation runs `straggler_factor` times longer. The
-  /// recovery from such hiccups is where deadline-aware ordering separates
-  /// from FIFO/LIFO baselines in the tail.
-  double straggler_prob = 0.003;
-  double straggler_factor = 15.0;
-  std::uint64_t seed = 1;
-  bool enable_timeline = false;
-  /// > 0: total token issuance (tokens/s) shared by all token-enabled jobs,
-  /// re-split proportionally to their specs' token rates on every scheduled
-  /// query arrival/departure.
-  double token_total_rate = 0;
-
-  // ---- chaos / robustness (PR 10) ----
-  /// Reliable-delivery session layer over the shard transport (session.h).
-  /// Auto-enabled when `shard_faults` injects anything. Off by default:
-  /// the clean path stays bit-identical to the pre-chaos goldens.
-  shard::SessionConfig shard_session;
-  /// Deterministic fault schedule for the shard transport
-  /// (fault_transport.h): drop/dup/corrupt/delay/reorder rates plus
-  /// partition and stall windows.
-  shard::FaultPlan shard_faults;
-  /// Per-shard admission-control backlog limit (0 = no shedding).
-  std::size_t admission_limit = 0;
-  /// Chaos-mode timer pump cadence: how often each shard services its
-  /// session timers (retransmits, delayed acks) and drains parked frames
-  /// when no receive event is otherwise scheduled.
-  Duration chaos_pump_tick = Millis(2);
-};
-
 class Cluster {
  public:
-  Cluster(ClusterConfig config, DataflowGraph graph);
+  /// Reads the top-level options and `options.sim`; `workers` is per shard.
+  /// `wallclock` is ignored.
+  Cluster(EngineOptions options, DataflowGraph graph);
 
   /// Attaches one ArrivalProcess per replica of `source_stage`. For
   /// event-time jobs, each event's logical time is its arrival time minus
@@ -183,7 +119,6 @@ class Cluster {
   CostProfiler& profiler() { return profiler_; }
   SchedulingPolicy& policy() { return runtime_->policy(0); }
   ContextConverter& converter(OperatorId op);
-  const ClusterConfig& config() const { return config_; }
 
   /// Scheduler stats summed across every shard's stat shards (exact at
   /// quiescence, same contract as the single-scheduler stats()).
@@ -237,7 +172,7 @@ class Cluster {
   /// Registers converters/latency/static seeds for a job added mid-run.
   void RegisterLateJob(JobId job);
   void SeedEstimatesFor(JobId job);
-  /// Re-splits config_.token_total_rate across live token-enabled jobs.
+  /// Re-splits options_.sim.token_total_rate across live token-enabled jobs.
   void RebalanceTokens();
   void PumpSource(std::size_t idx);
   void Deliver(Message m, WorkerId producer);
@@ -265,12 +200,12 @@ class Cluster {
   void FinishActivation(WorkerId w, OperatorId op);
   MessageId NextMessageId() { return MessageId{next_message_id_++}; }
 
-  ClusterConfig config_;
+  EngineOptions options_;
   DataflowGraph graph_;
   EventQueue events_;
   Rng rng_;
   /// Placement, per-shard scheduler+policy instances, transport, wire codec.
-  /// Workers are addressed globally (shard * num_workers + local); the
+  /// Workers are addressed globally (shard * workers + local); the
   /// runtime maps them onto each shard's scheduler.
   std::unique_ptr<shard::ShardRuntime> runtime_;
   std::unordered_map<OperatorId, std::unique_ptr<ContextConverter>> converters_;

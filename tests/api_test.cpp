@@ -2,8 +2,8 @@
 // facade's submit/remove parity across both backends, and the equivalence
 // proof that the fluent path is a pure API layer -- a scenario expressed
 // through QueryDef/SimEngine produces the exact same RunResult as the
-// pre-API hand-wired graph + ClusterConfig + AddIngestion sequence for a
-// fixed seed.
+// pre-API hand-wired graph + Cluster + AddIngestion sequence for a fixed
+// seed. Also the options-validation death tests.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -197,7 +197,7 @@ TEST(QueryDefTest, SpecBuildersProduceIdenticalTopology) {
   EXPECT_EQ(g.job(h.job).output_slide, spec.slide);
 }
 
-// ---------------- policy validation at the front door ----------------
+// ---------------- option validation at the front door ----------------
 
 TEST(ApiDeathTest, UnknownPolicyFailsFastAtEngineConstruction) {
   EngineOptions opt;
@@ -207,6 +207,40 @@ TEST(ApiDeathTest, UnknownPolicyFailsFastAtEngineConstruction) {
   std::string expected = "valid policies:";
   for (const std::string& name : ValidPolicyNames()) expected += " " + name;
   EXPECT_DEATH(SimEngine{opt}, expected);
+}
+
+// Both constructors that consume EngineOptions validate them up front, so a
+// bad value dies naming its field instead of deep inside the event queue.
+TEST(ApiDeathTest, InvalidOptionsDieNamingTheField) {
+  struct Case {
+    const char* field;
+    void (*set)(EngineOptions&);
+  };
+  const Case cases[] = {
+      {"workers", [](EngineOptions& o) { o.workers = 0; }},
+      {"shards", [](EngineOptions& o) { o.shards = 0; }},
+      {"network_delay", [](EngineOptions& o) { o.sim.network_delay = -1; }},
+      {"shard_link_delay",
+       [](EngineOptions& o) { o.sim.shard_link_delay = -1; }},
+      {"shard_link_jitter",
+       [](EngineOptions& o) { o.sim.shard_link_jitter = -1; }},
+      {"switch_cost", [](EngineOptions& o) { o.sim.switch_cost = -1; }},
+      {"straggler_prob", [](EngineOptions& o) { o.sim.straggler_prob = -0.1; }},
+      {"straggler_prob", [](EngineOptions& o) { o.sim.straggler_prob = 1.5; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    EngineOptions o;
+    c.set(o);
+    EXPECT_DEATH(SimEngine{o}, c.field);
+    EXPECT_DEATH(Cluster(o, DataflowGraph{}), c.field);
+  }
+}
+
+TEST(ApiDeathTest, ThreadEngineRejectsShards) {
+  EngineOptions opt;
+  opt.shards = 2;
+  EXPECT_DEATH(ThreadEngine{opt}, "cannot honour EngineOptions::shards > 1");
 }
 
 // ---------------- SimEngine vs ThreadEngine parity ----------------
@@ -348,10 +382,10 @@ TEST(EquivalenceTest, FluentScenarioMatchesHandWiredClusterRun) {
   MultiTenantOptions opt;
   opt.ls_jobs = 1;
   opt.ba_jobs = 1;
-  opt.workers = 2;
+  opt.engine.workers = 2;
   opt.duration = Seconds(8);
   opt.ba_msgs_per_sec = 10;
-  opt.seed = 5;
+  opt.engine.seed = 5;
   RunResult fluent = RunMultiTenant(opt);
 
   // The exact pre-API sequence: build graph, construct cluster, attach
@@ -375,14 +409,7 @@ TEST(EquivalenceTest, FluentScenarioMatchesHandWiredClusterRun) {
     handles.push_back(HandWiredAggregation(graph, ba));
   }
 
-  ClusterConfig cfg;
-  cfg.num_workers = opt.workers;
-  cfg.scheduler = opt.scheduler;
-  cfg.sched.quantum = opt.quantum;
-  cfg.policy = opt.policy;
-  cfg.use_query_semantics = opt.use_query_semantics;
-  cfg.seed = opt.seed;
-  Cluster cluster(cfg, std::move(graph));
+  Cluster cluster(opt.engine, std::move(graph));
 
   for (std::size_t i = 0; i < handles.size(); ++i) {
     double rate = i == 0 ? opt.ls_msgs_per_sec : opt.ba_msgs_per_sec;

@@ -21,7 +21,7 @@ namespace {
 MultiTenantOptions ContendedOptions() {
   // Past the Fig. 8(a) knee: 8 BA jobs at 40 msgs/s/source on 4 workers.
   MultiTenantOptions opt;
-  opt.workers = 4;
+  opt.engine.workers = 4;
   opt.duration = Seconds(60);
   opt.ls_jobs = 4;
   opt.ba_jobs = 8;
@@ -31,11 +31,11 @@ MultiTenantOptions ContendedOptions() {
 
 TEST(IntegrationTest, CameoProtectsLatencySensitiveJobsUnderOverload) {
   MultiTenantOptions opt = ContendedOptions();
-  opt.scheduler = SchedulerKind::kCameo;
+  opt.engine.scheduler = SchedulerKind::kCameo;
   RunResult cameo = RunMultiTenant(opt);
-  opt.scheduler = SchedulerKind::kOrleans;
+  opt.engine.scheduler = SchedulerKind::kOrleans;
   RunResult orleans = RunMultiTenant(opt);
-  opt.scheduler = SchedulerKind::kFifo;
+  opt.engine.scheduler = SchedulerKind::kFifo;
   RunResult fifo = RunMultiTenant(opt);
 
   double cameo_p99 = cameo.GroupPercentile("LS", 99);
@@ -53,9 +53,9 @@ TEST(IntegrationTest, CameoDoesNotStarveBulkAnalytics) {
   // similar or lower than Orleans and FIFO, throughput only 2.5% lower."
   MultiTenantOptions opt = ContendedOptions();
   opt.ba_msgs_per_sec = 20;  // below saturation so BA can keep up
-  opt.scheduler = SchedulerKind::kCameo;
+  opt.engine.scheduler = SchedulerKind::kCameo;
   RunResult cameo = RunMultiTenant(opt);
-  opt.scheduler = SchedulerKind::kFifo;
+  opt.engine.scheduler = SchedulerKind::kFifo;
   RunResult fifo = RunMultiTenant(opt);
   double cameo_tp = cameo.GroupThroughput("BA");
   double fifo_tp = fifo.GroupThroughput("BA");
@@ -69,14 +69,14 @@ TEST(IntegrationTest, StrictJobProtectedFromLaxJobOnOneWorker) {
   // huge) whenever J2 has pending work; FIFO interleaves arrival order.
   auto run = [&](SchedulerKind kind) {
     MultiTenantOptions opt;
-    opt.workers = 1;
+    opt.engine.workers = 1;
     opt.duration = Seconds(40);
     opt.ls_jobs = 1;
     opt.ba_jobs = 1;
     opt.sources_per_job = 4;
     opt.aggs_per_job = 2;
     opt.ba_msgs_per_sec = 90;  // ~80% of the single worker
-    opt.scheduler = kind;
+    opt.engine.scheduler = kind;
     return RunMultiTenant(opt);
   };
   RunResult cameo = run(SchedulerKind::kCameo);
@@ -125,12 +125,12 @@ TEST(IntegrationTest, SemanticsAwarenessImprovesButIsNotRequired) {
   // Fig. 15: Cameo without query semantics is slightly worse than full
   // Cameo, but still clearly better than FIFO.
   MultiTenantOptions opt = ContendedOptions();
-  opt.scheduler = SchedulerKind::kCameo;
+  opt.engine.scheduler = SchedulerKind::kCameo;
   RunResult full = RunMultiTenant(opt);
-  opt.use_query_semantics = false;
+  opt.engine.use_query_semantics = false;
   RunResult topo_only = RunMultiTenant(opt);
-  opt.use_query_semantics = true;
-  opt.scheduler = SchedulerKind::kFifo;
+  opt.engine.use_query_semantics = true;
+  opt.engine.scheduler = SchedulerKind::kFifo;
   RunResult fifo = RunMultiTenant(opt);
 
   EXPECT_LE(full.GroupPercentile("LS", 50),
@@ -144,7 +144,7 @@ TEST(IntegrationTest, RobustToModerateProfilingNoise) {
   MultiTenantOptions opt = ContendedOptions();
   opt.ba_msgs_per_sec = 30;
   RunResult clean = RunMultiTenant(opt);
-  opt.perturbation = Millis(100);
+  opt.engine.sim.profiler_perturbation = Millis(100);
   RunResult noisy = RunMultiTenant(opt);
   EXPECT_LT(noisy.GroupPercentile("LS", 50),
             clean.GroupPercentile("LS", 50) * 1.5);
@@ -159,7 +159,7 @@ TEST(IntegrationTest, SkewedWorkloadSuccessRatesOrdering) {
   // fair-share that structurally favors the light type; see EXPERIMENTS.md.)
   auto run = [&](SchedulerKind kind) {
     SkewScenarioOptions opt;
-    opt.scheduler = kind;
+    opt.engine.scheduler = kind;
     return RunSkewedScenario(opt);
   };
   RunResult cameo = run(SchedulerKind::kCameo);
@@ -182,8 +182,8 @@ TEST(IntegrationTest, ParetoBurstsKeepCameoStable) {
   // baselines'.
   auto run = [&](SchedulerKind kind) {
     MultiTenantOptions opt;
-    opt.scheduler = kind;
-    opt.workers = 4;
+    opt.engine.scheduler = kind;
+    opt.engine.workers = 4;
     opt.duration = Seconds(60);
     opt.ls_jobs = 4;
     opt.ba_jobs = 8;

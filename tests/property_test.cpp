@@ -119,10 +119,10 @@ TEST_P(SchedulerSweep, WindowSumsIndependentOfScheduler) {
     spec.sources = 4;
     spec.aggs = 2;
     JobHandles h = BuildAggregationJob(graph, spec);
-    ClusterConfig cfg;
-    cfg.num_workers = 2;
+    EngineOptions cfg;
+    cfg.workers = 2;
     cfg.scheduler = kind;
-    cfg.straggler_prob = 0;  // keep every run comfortably inside the horizon
+    cfg.sim.straggler_prob = 0;  // keep every run well inside the horizon
     Cluster cluster(cfg, std::move(graph));
     cluster.AddIngestion(h.source, [&](int r) {
       return std::make_unique<ConstantRate>(1.0, 500, 0, Seconds(15),
@@ -147,8 +147,8 @@ TEST_P(SchedulerSweep, NoMessageLostUnderBurstOverload) {
   spec.sources = 2;
   spec.aggs = 2;
   JobHandles h = BuildAggregationJob(graph, spec);
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   cfg.scheduler = GetParam();
   Cluster cluster(cfg, std::move(graph));
 
@@ -251,9 +251,9 @@ TEST(FailureInjection, ExtremePerturbationStillDeliversAllWindows) {
   spec.sources = 4;
   spec.aggs = 2;
   JobHandles h = BuildAggregationJob(graph, spec);
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.profiler_perturbation = Seconds(10);
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.profiler_perturbation = Seconds(10);
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(h.source, [](int r) {
     return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(20),
@@ -269,9 +269,9 @@ TEST(FailureInjection, FrequentStragglersDegradeButDoNotWedge) {
   spec.sources = 4;
   spec.aggs = 2;
   JobHandles h = BuildAggregationJob(graph, spec);
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.straggler_prob = 0.2;  // 1 in 5 invocations runs 15x long
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.straggler_prob = 0.2;  // 1 in 5 invocations runs 15x long
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(h.source, [](int r) {
     return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(20),
@@ -294,9 +294,9 @@ TEST(FailureInjection, ColdStartWithoutSeedsConverges) {
     spec.sources = 4;
     spec.aggs = 2;
     JobHandles h = BuildAggregationJob(graph, spec);
-    ClusterConfig cfg;
-    cfg.num_workers = 2;
-    cfg.seed_static_estimates = seeded;
+    EngineOptions cfg;
+    cfg.workers = 2;
+    cfg.sim.seed_static_estimates = seeded;
     Cluster cluster(cfg, std::move(graph));
     cluster.AddIngestion(h.source, [](int r) {
       return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(60),

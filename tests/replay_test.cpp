@@ -144,10 +144,10 @@ MultiTenantOptions ControlGroupOptions(SchedulerKind kind,
   opt.ls_jobs = 2;
   opt.ba_jobs = 2;
   opt.ba_msgs_per_sec = ba_msgs_per_sec;
-  opt.workers = 4;
+  opt.engine.workers = 4;
   opt.duration = Seconds(12);
-  opt.seed = 7;
-  opt.scheduler = kind;
+  opt.engine.seed = 7;
+  opt.engine.scheduler = kind;
   return opt;
 }
 
@@ -199,11 +199,11 @@ TEST(ReplayTest, MultiTenantControlGroupSeed7Slot) {
 
 TEST(ReplayTest, MultiTenantControlGroupSeed7Knobs) {
   MultiTenantOptions opt = ControlGroupOptions(SchedulerKind::kCameo, 100);
-  opt.quantum = Millis(4);
-  opt.sched_batch = 4;
-  opt.use_query_semantics = false;
-  opt.perturbation = Micros(300);
-  opt.switch_cost = Micros(50);
+  opt.engine.sched.quantum = Millis(4);
+  opt.engine.sched.batch_size = 4;
+  opt.engine.use_query_semantics = false;
+  opt.engine.sim.profiler_perturbation = Micros(300);
+  opt.engine.sim.switch_cost = Micros(50);
   ExpectControlGroupGolden(opt, kGoldenMtKnobs);
 }
 
@@ -213,9 +213,9 @@ TEST(ReplayTest, SingleTenantTimelineSeed9) {
   SingleTenantOptions opt;
   opt.ipq = 1;
   opt.duration = Seconds(6);
-  opt.quantum = Millis(50);
-  opt.enable_timeline = true;
-  opt.seed = 9;
+  opt.engine.sched.quantum = Millis(50);
+  opt.engine.sim.enable_timeline = true;
+  opt.engine.seed = 9;
   SingleTenantResult r = RunSingleTenant(opt);
 
   EXPECT_EQ(Outputs(r.run, "IPQ"), kGoldenSingleOutputs);
@@ -229,15 +229,15 @@ TEST(ReplayTest, SingleTenantTimelineSeed9) {
 
 TEST(ReplayTest, TenantChurnSeed3) {
   ChurnScenarioOptions opt;
-  opt.scheduler = SchedulerKind::kCameo;
-  opt.workers = 4;
+  opt.engine.scheduler = SchedulerKind::kCameo;
+  opt.engine.workers = 4;
   opt.duration = Seconds(20);
   opt.churn.end = opt.duration;
   opt.churn.arrivals_per_sec = 0.5;
   opt.churn.mean_lifetime = Seconds(6);
   opt.churn.min_lifetime = Seconds(3);
   opt.churn.max_concurrent = 6;
-  opt.seed = 3;
+  opt.engine.seed = 3;
   ChurnScenarioResult r = RunChurnScenario(opt);
 
   EXPECT_EQ(r.tenants_added, kGoldenChurnTenants);
@@ -260,9 +260,9 @@ TEST(ReplayTest, SkewedWorkloadSeed11) {
   opt.type1_tuples_per_sec = 200000;
   opt.type2_tuples_per_sec = 100000;
   opt.sources_per_job = 4;
-  opt.workers = 2;
+  opt.engine.workers = 2;
   opt.duration = Seconds(10);
-  opt.seed = 11;
+  opt.engine.seed = 11;
   RunResult r = RunSkewedScenario(opt);
 
   EXPECT_EQ(r.messages, kGoldenSkewMessages);
@@ -282,7 +282,7 @@ TEST(ReplayTest, KeyedZipfSlatesSeed5) {
   opt.mini_batch = true;
   opt.ttl = Seconds(3);
   opt.duration = Seconds(8);
-  opt.seed = 5;
+  opt.engine.seed = 5;
   KeyedScenarioResult r = RunKeyedScenario(opt);
 
   EXPECT_EQ(r.run.messages, kGoldenKeyedMessages);
@@ -315,10 +315,10 @@ TEST(ReplayTest, ShardedKeyedSeed13) {
   opt.sources = 2;
   opt.counters = 4;
   opt.splits = 2;
-  opt.shards = 2;
-  opt.workers = 2;  // per shard
+  opt.engine.shards = 2;
+  opt.engine.workers = 2;  // per shard
   opt.duration = Seconds(8);
-  opt.seed = 13;
+  opt.engine.seed = 13;
   KeyedScenarioResult r = RunKeyedScenario(opt);
 
   EXPECT_EQ(r.run.messages, kGoldenShardMessages);

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "api/shard_engine.h"
+#include "api/sim_engine.h"
 #include "bench_util/scenarios.h"
 #include "common/rng.h"
 #include "dataflow/graph.h"
@@ -1188,10 +1188,10 @@ KeyedScenarioOptions SmallKeyedRun(int shards) {
   opt.counters = 4;
   opt.msgs_per_sec = 10;
   opt.tuples_per_msg = 200;
-  opt.workers = 2;
+  opt.engine.workers = 2;
   opt.duration = Seconds(4);
-  opt.shards = shards;
-  opt.seed = 21;
+  opt.engine.shards = shards;
+  opt.engine.seed = 21;
   return opt;
 }
 
@@ -1226,7 +1226,7 @@ TEST(ShardedCluster, SingleShardBitIdenticalToUnsharded) {
   // goldens gate this globally; this is the targeted fast check).
   KeyedScenarioResult one = RunKeyedScenario(SmallKeyedRun(1));
   KeyedScenarioOptions unsharded = SmallKeyedRun(1);
-  unsharded.shards = 1;
+  unsharded.engine.shards = 1;
   KeyedScenarioResult two = RunKeyedScenario(unsharded);
   ASSERT_FALSE(one.run.jobs.empty());
   EXPECT_EQ(one.run.jobs[0].outputs, two.run.jobs[0].outputs);
@@ -1264,9 +1264,9 @@ TEST(ChaosCluster, DeliveryConservedUnderDropDupCorrupt) {
   KeyedScenarioResult clean = RunKeyedScenario(ChaosKeyedRun());
 
   KeyedScenarioOptions opt = ChaosKeyedRun();
-  opt.faults.drop_rate = 0.05;
-  opt.faults.dup_rate = 0.05;
-  opt.faults.corrupt_rate = 0.02;
+  opt.engine.sim.shard_faults.drop_rate = 0.05;
+  opt.engine.sim.shard_faults.dup_rate = 0.05;
+  opt.engine.sim.shard_faults.corrupt_rate = 0.02;
   KeyedScenarioResult chaos = RunKeyedScenario(opt);
 
   // The schedule engaged: frames really were lost/duplicated in flight.
@@ -1284,10 +1284,10 @@ TEST(ChaosCluster, DeliveryConservedUnderDropDupCorrupt) {
 
 TEST(ChaosCluster, ChaosRunsAreBitDeterministic) {
   KeyedScenarioOptions opt = ChaosKeyedRun();
-  opt.faults.drop_rate = 0.08;
-  opt.faults.dup_rate = 0.05;
-  opt.faults.delay_rate = 0.10;
-  opt.faults.reorder_rate = 0.05;
+  opt.engine.sim.shard_faults.drop_rate = 0.08;
+  opt.engine.sim.shard_faults.dup_rate = 0.05;
+  opt.engine.sim.shard_faults.delay_rate = 0.10;
+  opt.engine.sim.shard_faults.reorder_rate = 0.05;
   KeyedScenarioResult a = RunKeyedScenario(opt);
   KeyedScenarioResult b = RunKeyedScenario(opt);
   ASSERT_FALSE(a.run.jobs.empty());
@@ -1307,7 +1307,7 @@ TEST(ChaosCluster, SessionWithoutFaultsStaysTransparent) {
   // dataflow computes -- only wire timing can shift (acks share channels).
   KeyedScenarioResult plain = RunKeyedScenario(ChaosKeyedRun());
   KeyedScenarioOptions opt = ChaosKeyedRun();
-  opt.session.enabled = true;
+  opt.engine.sim.shard_session.enabled = true;
   KeyedScenarioResult sess = RunKeyedScenario(opt);
   EXPECT_EQ(sess.rows_seen, plain.rows_seen);
   EXPECT_EQ(sess.transport.sent_unique, sess.transport.delivered);
@@ -1324,7 +1324,7 @@ TEST(ChaosCluster, AdmissionSheddingEngagesAndLedgerBalances) {
   opt.msgs_per_sec = 100;
   opt.tuples_per_msg = 500;
   opt.counter_per_tuple = Micros(20);  // 10 ms/message: arrivals outrun CPU
-  opt.admission_limit = 8;
+  opt.engine.sim.admission_limit = 8;
   KeyedScenarioResult r = RunKeyedScenario(opt);
   EXPECT_GT(r.shed_messages, 0);
   EXPECT_EQ(r.transport.shed_messages,
@@ -1335,18 +1335,16 @@ TEST(ChaosCluster, AdmissionSheddingEngagesAndLedgerBalances) {
             r.run.sched.dispatched + r.run.sched.purged);
   EXPECT_LE(r.run.sched.enqueued -
                 (r.run.sched.dispatched + r.run.sched.purged),
-            static_cast<std::uint64_t>(2 * 2 * opt.admission_limit));
+            static_cast<std::uint64_t>(2 * 2 * opt.engine.sim.admission_limit));
   EXPECT_GT(r.rows_seen, 0);  // shedding degrades, it does not wedge
 }
 
-TEST(ShardEngineTest, FacadeExposesShardReadSide) {
+TEST(ShardedSimEngineTest, FacadeExposesShardReadSide) {
   EngineOptions eo;
   eo.workers = 2;
   eo.shards = 3;
   eo.seed = 4;
-  ShardEngine engine(eo);
-  EXPECT_EQ(engine.backend(), "shard");
-  EXPECT_EQ(engine.num_shards(), 3);
+  SimEngine engine(eo);
 
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   IngestSpec ingest;
@@ -1355,17 +1353,20 @@ TEST(ShardEngineTest, FacadeExposesShardReadSide) {
   ingest.end = Seconds(2);
   QueryHandle q = engine.Submit(AggregationQueryDef(spec).Ingest(ingest));
   engine.RunFor(Seconds(1));
+  ShardRuntime& runtime = engine.cluster().shard_runtime();
+  EXPECT_EQ(runtime.num_shards(), 3);
 
-  // Mid-run reads (satellite: snapshot accessors usable before Summarize).
-  const std::vector<PolicyCounter> counters = engine.policy_counters();
+  // Mid-run reads: the snapshot accessors are usable before Summarize.
+  const std::vector<PolicyCounter> counters =
+      engine.cluster().PolicyCountersSnapshot();
   (void)counters;  // roster may be empty for LLF; the call must be safe
   std::uint64_t dispatched = 0;
-  for (int s = 0; s < engine.num_shards(); ++s) {
-    dispatched += engine.shard_stats(s).dispatched;
+  for (int s = 0; s < runtime.num_shards(); ++s) {
+    dispatched += runtime.scheduler(s).stats().dispatched;
   }
   EXPECT_EQ(dispatched, engine.sched_stats().dispatched);
   for (OperatorId op : engine.graph().OperatorsOf(q.job())) {
-    const int shard = engine.ShardOf(op);
+    const int shard = runtime.ShardOf(op);
     EXPECT_GE(shard, 0);
     EXPECT_LT(shard, 3);
   }
@@ -1373,14 +1374,8 @@ TEST(ShardEngineTest, FacadeExposesShardReadSide) {
   engine.RunFor(Seconds(1));
   RunResult result = engine.Summarize(Seconds(2));
   EXPECT_GT(result.sched.dispatched, 0u);
-  EXPECT_EQ(engine.wire_stats().frames_encoded,
-            engine.wire_stats().frames_decoded);
-}
-
-TEST(ShardEngineTest, ThreadBackendRejectsShards) {
-  EngineOptions eo;
-  eo.shards = 0;
-  EXPECT_DEATH(ShardEngine{eo}, "shards");
+  EXPECT_EQ(runtime.wire_stats().frames_encoded,
+            runtime.wire_stats().frames_decoded);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ class ClusterTest : public ::testing::Test {
     JobHandles handles;
   };
 
-  Built MakeSingleJob(ClusterConfig cfg, QuerySpec spec,
+  Built MakeSingleJob(EngineOptions cfg, QuerySpec spec,
                       double msgs_per_sec = 1.0, SimTime end = Seconds(20)) {
     DataflowGraph graph;
     JobHandles h = BuildAggregationJob(graph, spec);
@@ -169,8 +169,8 @@ class ClusterTest : public ::testing::Test {
 
 TEST_F(ClusterTest, DeterministicForFixedSeed) {
   auto run = [&] {
-    ClusterConfig cfg;
-    cfg.num_workers = 2;
+    EngineOptions cfg;
+    cfg.workers = 2;
     cfg.seed = 1234;
     QuerySpec spec = MakeLatencySensitiveSpec("LS0");
     spec.sources = 4;
@@ -188,8 +188,8 @@ TEST_F(ClusterTest, DeterministicForFixedSeed) {
 
 TEST_F(ClusterTest, DifferentSeedsDifferentNoise) {
   auto run = [&](std::uint64_t seed) {
-    ClusterConfig cfg;
-    cfg.num_workers = 2;
+    EngineOptions cfg;
+    cfg.workers = 2;
     cfg.seed = seed;
     QuerySpec spec = MakeLatencySensitiveSpec("LS0");
     spec.sources = 4;
@@ -202,9 +202,9 @@ TEST_F(ClusterTest, DifferentSeedsDifferentNoise) {
 }
 
 TEST_F(ClusterTest, ProfilerLearnsActualCosts) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.seed_static_estimates = false;  // force learning from scratch
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.seed_static_estimates = false;  // force learning from scratch
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 4;
   spec.aggs = 2;
@@ -219,9 +219,9 @@ TEST_F(ClusterTest, ProfilerLearnsActualCosts) {
 }
 
 TEST_F(ClusterTest, ReplyContextsPropagateCriticalPath) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.seed_static_estimates = false;
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.seed_static_estimates = false;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 2;
   spec.aggs = 1;
@@ -243,9 +243,9 @@ TEST_F(ClusterTest, ReplyContextsPropagateCriticalPath) {
 }
 
 TEST_F(ClusterTest, UtilizationMatchesOfferedLoad) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.switch_cost = 0;
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.switch_cost = 0;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 4;
   spec.aggs = 2;
@@ -267,8 +267,8 @@ TEST_F(ClusterTest, UtilizationMatchesOfferedLoad) {
 TEST_F(ClusterTest, SinkReceivesCorrectWindowSums) {
   // End-to-end correctness: total tuples reaching the sink equals windows *
   // 1 partial per agg; the final agg's sum equals ingested tuple count.
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 4;
   spec.aggs = 2;
@@ -280,8 +280,8 @@ TEST_F(ClusterTest, SinkReceivesCorrectWindowSums) {
 }
 
 TEST_F(ClusterTest, LatencyWithinSaneBoundsAtLowLoad) {
-  ClusterConfig cfg;
-  cfg.num_workers = 4;
+  EngineOptions cfg;
+  cfg.workers = 4;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   Built b = MakeSingleJob(cfg, spec, 1.0, Seconds(30));
   b.cluster->Run(Seconds(30));
@@ -297,9 +297,9 @@ TEST_F(ClusterTest, LatencyWithinSaneBoundsAtLowLoad) {
 TEST_F(ClusterTest, PerturbationDegradesGracefully) {
   // Fig. 16 behaviour: moderate profiling noise must not break the pipeline
   // (outputs still produced, latency finite).
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.profiler_perturbation = Millis(100);
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.profiler_perturbation = Millis(100);
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 4;
   spec.aggs = 2;
@@ -314,8 +314,8 @@ TEST_F(ClusterTest, PerturbationDegradesGracefully) {
 // takes 3.5 events per delivered message; one event per idle worker would
 // take 10.4. The count is deterministic, so the bound cannot flake.
 TEST_F(ClusterTest, OneWakeUpEventPerDelivery) {
-  ClusterConfig cfg;
-  cfg.num_workers = 8;
+  EngineOptions cfg;
+  cfg.workers = 8;
   cfg.seed = 9001;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   Built b = MakeSingleJob(cfg, spec, 20.0);
@@ -332,7 +332,7 @@ TEST_F(ClusterTest, ZeroLoadClusterIdles) {
   DataflowGraph graph;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   JobHandles h = BuildAggregationJob(graph, spec);
-  ClusterConfig cfg;
+  EngineOptions cfg;
   Cluster cluster(cfg, std::move(graph));
   cluster.Run(Seconds(5));  // no ingestion attached
   EXPECT_EQ(cluster.messages_delivered(), 0u);
@@ -341,9 +341,9 @@ TEST_F(ClusterTest, ZeroLoadClusterIdles) {
 }
 
 TEST_F(ClusterTest, TimelineCapturesPipelineStages) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
-  cfg.enable_timeline = true;
+  EngineOptions cfg;
+  cfg.workers = 2;
+  cfg.sim.enable_timeline = true;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 2;
   spec.aggs = 2;
@@ -360,8 +360,8 @@ TEST_F(ClusterTest, TimelineCapturesPipelineStages) {
 }
 
 TEST_F(ClusterTest, SummarizeRunReportsAllJobs) {
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");
   spec.sources = 2;
   spec.aggs = 2;
@@ -385,8 +385,8 @@ TEST_F(ClusterTest, ScheduledQueryJoinsServesAndRetires) {
   stat.sources = 2;
   stat.aggs = 1;
   JobHandles sh = BuildAggregationJob(graph, stat);
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(sh.source, [&](int r) {
     return std::make_unique<ConstantRate>(1.0, 500, 0, Seconds(14),
@@ -435,8 +435,8 @@ TEST_F(ClusterTest, DepartedTenantStopsConsumingResources) {
   stat.sources = 1;
   stat.aggs = 1;
   JobHandles sh = BuildAggregationJob(graph, stat);
-  ClusterConfig cfg;
-  cfg.num_workers = 1;
+  EngineOptions cfg;
+  cfg.workers = 1;
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(sh.source, [&](int) {
     return std::make_unique<ConstantRate>(1.0, 100, 0, Seconds(20), Millis(2),

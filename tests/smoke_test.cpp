@@ -17,8 +17,8 @@ TEST(SmokeTest, SingleJobProducesWindows) {
   spec.aggs = 2;
   JobHandles h = BuildAggregationJob(graph, spec);
 
-  ClusterConfig cfg;
-  cfg.num_workers = 2;
+  EngineOptions cfg;
+  cfg.workers = 2;
   Cluster cluster(cfg, std::move(graph));
   cluster.AddIngestion(h.source, [](int) {
     return std::make_unique<ConstantRate>(1.0, 1000, 0, Seconds(20));
@@ -41,11 +41,11 @@ TEST(SmokeTest, AllSchedulersRun) {
     MultiTenantOptions opt;
     opt.ls_jobs = 1;
     opt.ba_jobs = 1;
-    opt.workers = 2;
+    opt.engine.workers = 2;
     opt.duration = Seconds(15);
     opt.sources_per_job = 2;
     opt.aggs_per_job = 2;
-    opt.scheduler = kind;
+    opt.engine.scheduler = kind;
     RunResult r = RunMultiTenant(opt);
     EXPECT_EQ(r.jobs.size(), 2u) << ToString(kind);
     EXPECT_GT(r.jobs[0].outputs, 0u) << ToString(kind);
