@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -23,6 +24,8 @@
 #include "common/rng.h"
 #include "sched/cameo_scheduler.h"
 #include "sched/fifo_scheduler.h"
+#include "sched/orleans_scheduler.h"
+#include "sched/slot_scheduler.h"
 #include "shard/fault_transport.h"
 #include "shard/inproc_transport.h"
 #include "shard/session.h"
@@ -99,12 +102,12 @@ Message MakeMsg(std::int64_t id, std::int64_t op) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero heap allocations per steady-state message, both scheduler backends.
+// Zero heap allocations per steady-state message, every scheduler kind.
 // ---------------------------------------------------------------------------
 
-template <typename Sched>
-void ExpectZeroAllocSteadyState(std::size_t drain) {
-  Sched sched;
+template <typename Sched, typename... Args>
+void ExpectZeroAllocSteadyState(std::size_t drain, Args&&... args) {
+  Sched sched(std::forward<Args>(args)...);
   constexpr std::int64_t kOps = 13;
   const WorkerId w{0};
   std::int64_t id = 0;
@@ -160,6 +163,23 @@ TEST(ZeroAllocTest, FifoSchedulerSteadyStateBatchOne) {
 
 TEST(ZeroAllocTest, FifoSchedulerSteadyStateBatchEight) {
   ExpectZeroAllocSteadyState<FifoScheduler>(8);
+}
+
+TEST(ZeroAllocTest, OrleansSchedulerSteadyStateBatchOne) {
+  ExpectZeroAllocSteadyState<OrleansScheduler>(1);
+}
+
+TEST(ZeroAllocTest, OrleansSchedulerSteadyStateBatchEight) {
+  ExpectZeroAllocSteadyState<OrleansScheduler>(8);
+}
+
+// One slot, so worker 0 owns every operator.
+TEST(ZeroAllocTest, SlotSchedulerSteadyStateBatchOne) {
+  ExpectZeroAllocSteadyState<SlotScheduler>(1, 1);
+}
+
+TEST(ZeroAllocTest, SlotSchedulerSteadyStateBatchEight) {
+  ExpectZeroAllocSteadyState<SlotScheduler>(8, 1);
 }
 
 TEST(ZeroAllocTest, EventQueueSteadyState) {

@@ -65,6 +65,15 @@ constexpr ControlGroupGolden kGoldenMtLoadedSlot{
 // simulator.
 constexpr ControlGroupGolden kGoldenMtKnobs{
     38736, 38736, 22, 2, 22, 14, 37900, 565, 202946};
+// The loaded baselines again with a 4-message drain batch: pins the batched
+// dispatch path of FIFO, Orleans and Slot (Cameo's is pinned by the knobs
+// run above). Batching reorders all three against their batch-1 goldens.
+constexpr ControlGroupGolden kGoldenMtBatchedFifo{
+    38736, 38736, 22, 2, 22, 12, 38409, 0, 177482};
+constexpr ControlGroupGolden kGoldenMtBatchedOrleans{
+    38736, 38736, 22, 2, 22, 13, 38262, 1, 210796};
+constexpr ControlGroupGolden kGoldenMtBatchedSlot{
+    38720, 31883, 22, 0, 22, 119, 19430, 83, 2109092};
 
 // Scenario 1b: SingleTenantTimelineSeed9 (IPQ1 with the dispatch timeline on
 // and a 50 ms quantum, long enough to show in the continuation count)
@@ -205,6 +214,21 @@ TEST(ReplayTest, MultiTenantControlGroupSeed7Knobs) {
   opt.engine.sim.profiler_perturbation = Micros(300);
   opt.engine.sim.switch_cost = Micros(50);
   ExpectControlGroupGolden(opt, kGoldenMtKnobs);
+}
+
+void ExpectBatchedControlGroupGolden(SchedulerKind kind,
+                                     const ControlGroupGolden& golden) {
+  SCOPED_TRACE(ToString(kind) + " at BA 100 msg/s, batch 4");
+  MultiTenantOptions opt = ControlGroupOptions(kind, 100);
+  opt.engine.sched.batch_size = 4;
+  ExpectControlGroupGolden(opt, golden);
+}
+
+TEST(ReplayTest, MultiTenantControlGroupSeed7Batched) {
+  ExpectBatchedControlGroupGolden(SchedulerKind::kFifo, kGoldenMtBatchedFifo);
+  ExpectBatchedControlGroupGolden(SchedulerKind::kOrleans,
+                                  kGoldenMtBatchedOrleans);
+  ExpectBatchedControlGroupGolden(SchedulerKind::kSlot, kGoldenMtBatchedSlot);
 }
 
 // ---- Scenario 1b: single tenant with the dispatch timeline recorded ----

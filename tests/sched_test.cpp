@@ -363,6 +363,30 @@ TEST(SlotSchedulerTest, FifoWithinSlot) {
   EXPECT_EQ(m->target, OperatorId{1});
 }
 
+TEST(CameoSchedulerTest, BatchStopsAtMoreUrgentOperator) {
+  SchedulerConfig cfg;
+  cfg.quantum = 0;
+  CameoScheduler s(cfg);
+  for (int i = 0; i < 4; ++i) {
+    const Priority pri = 10 * (i + 1);
+    s.Enqueue(Msg(i, /*op=*/1, pri, /*local=*/pri), kExternal, 0);
+  }
+  s.Enqueue(Msg(4, /*op=*/2, 25, /*local=*/25), kExternal, 0);
+  auto next_batch = [&s] {
+    std::vector<Message> out;
+    s.DequeueBatch(kW0, 0, 8, out);
+    std::vector<std::int64_t> ids;
+    for (const Message& m : out) ids.push_back(m.id.value);
+    if (!out.empty()) s.OnComplete(out.front().target, kW0, 0);
+    return ids;
+  };
+  // Op 2 (25) outranks op 1's third message (30), so the drain stops there.
+  EXPECT_EQ(next_batch(), (std::vector<std::int64_t>{0, 1}));
+  EXPECT_EQ(next_batch(), (std::vector<std::int64_t>{4}));
+  EXPECT_EQ(next_batch(), (std::vector<std::int64_t>{2, 3}));
+  EXPECT_TRUE(next_batch().empty());
+}
+
 // ---------------- Cross-scheduler invariants ----------------
 
 class AnySchedulerTest : public ::testing::TestWithParam<int> {
@@ -419,6 +443,21 @@ TEST_P(AnySchedulerTest, NeverDispatchesActiveOperatorTwice) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_FALSE(s->Dequeue(kW1, i)) << "op 1 is active on worker 0";
   }
+}
+
+TEST_P(AnySchedulerTest, BatchedDrainIsCappedAndInMailboxOrder) {
+  auto s = Make();
+  // Local priority follows the id, so every mailbox order is id order.
+  for (int i = 0; i < 5; ++i) s->Enqueue(Msg(i, /*op=*/1, 0, i), kExternal, 0);
+  std::vector<Message> out;
+  ASSERT_EQ(s->DequeueBatch(kW0, 0, 3, out), 3u);
+  s->OnComplete(OperatorId{1}, kW0, 0);
+  ASSERT_EQ(s->DequeueBatch(kW0, 0, 3, out), 2u);
+  s->OnComplete(OperatorId{1}, kW0, 0);
+  ASSERT_EQ(out.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i].id, MessageId{i});
+  EXPECT_EQ(s->pending(), 0u);
+  EXPECT_EQ(s->stats().dispatched, 5u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, AnySchedulerTest,
