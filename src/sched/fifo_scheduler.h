@@ -2,11 +2,12 @@
 // the global run queue and extract them in FIFO order; an operator processes
 // its messages in FIFO order"). Quantum semantics match the other schedulers:
 // a worker drains its current operator within the re-scheduling grain, then
-// moves the operator to the tail and takes the head (round-robin).
+// moves the operator to the tail and takes the head (round-robin), unless
+// nothing else waits.
 //
-// Built on the sharded control plane: lock-free per-operator mailboxes plus
-// a FifoReadyQueue of operator ids behind its own small lock, with lazy
-// deletion validated by mailbox state CASes.
+// The policy half of a DispatchScheduler: a FifoReadyQueue of operator ids
+// behind its own small lock, with lazy deletion validated by mailbox state
+// CASes.
 #pragma once
 
 #include "sched/mailbox.h"
@@ -15,27 +16,21 @@
 
 namespace cameo {
 
-class FifoScheduler final : public Scheduler {
+class FifoScheduler final
+    : public DispatchScheduler<FifoScheduler, FifoReadyQueue> {
  public:
-  explicit FifoScheduler(SchedulerConfig config = {});
-
-  void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
+  explicit FifoScheduler(SchedulerConfig config = {})
+      : DispatchScheduler(config, MailboxOrder::kFifo) {}
 
   std::string name() const override { return "FIFO"; }
 
- protected:
-  void PurgeReady(const std::vector<OperatorId>& ops) override;
-
  private:
-  void Release(OperatorId op, Mailbox& mb, WorkerId w);
-  std::size_t Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
-                       std::vector<Message>& out);
+  friend DispatchScheduler;
 
-  FifoReadyQueue ready_;
+  void Requeue(OperatorId op, NoToken, std::uint64_t epoch, WorkerId, bool) {
+    ready_.Push(op, epoch);  // a yield rotates to the tail
+  }
+  bool KeepPastQuantum(WorkerId, Mailbox&) { return ready_.empty(); }
 };
 
 }  // namespace cameo

@@ -16,7 +16,7 @@
 // inbox drains into. Messages therefore move: producer push -> inbox ->
 // (owner drain) -> ordered buffer -> PopBest.
 //
-// The release protocol (scheduler-side, see Scheduler implementations) closes
+// The release protocol (scheduler-side, see DispatchScheduler) closes
 // the classic missed-wakeup race: the owner publishes kIdle *before*
 // re-checking `size()`, and a producer increments `size()` *before* reading
 // the state word, so with sequentially consistent operations at least one of

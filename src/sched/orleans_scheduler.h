@@ -8,13 +8,13 @@
 //  - external arrivals land in the global FIFO queue;
 //  - a worker takes local work first, then global, then steals the oldest
 //    entry from another worker's bag;
-//  - at quantum expiry the current operator yields to the *global* tail.
+//  - at quantum expiry the current operator yields to the *global* tail;
+//    with nothing else runnable the worker resumes it.
 //
 // This reproduces the depth-first, locality-chasing behaviour that gives
 // Orleans good single-query cache locality (paper: IPQ4) but deadline-blind
-// tail latency under multi-tenancy. Built on the sharded control plane:
-// lock-free mailboxes + OrleansReadyState (bags/global/steal) under its own
-// small lock.
+// tail latency under multi-tenancy. The policy half of a DispatchScheduler:
+// OrleansReadyState (bags/global/steal) under its own small lock.
 #pragma once
 
 #include "sched/mailbox.h"
@@ -23,17 +23,15 @@
 
 namespace cameo {
 
-class OrleansScheduler final : public Scheduler {
+class OrleansScheduler final
+    : public DispatchScheduler<OrleansScheduler, OrleansReadyState> {
  public:
   /// Workers 0..num_workers-1 join the steal order up front, in index
   /// order; any other worker joins on its first DequeueBatch.
-  explicit OrleansScheduler(SchedulerConfig config = {}, int num_workers = 0);
-
-  void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
+  explicit OrleansScheduler(SchedulerConfig config = {}, int num_workers = 0)
+      : DispatchScheduler(config, MailboxOrder::kFifo) {
+    for (int w = 0; w < num_workers; ++w) ready_.RegisterWorker(WorkerId{w});
+  }
 
   std::string name() const override { return "Orleans"; }
 
@@ -43,17 +41,35 @@ class OrleansScheduler final : public Scheduler {
     ready_.FlushBagsBeyond(num_workers);
   }
 
- protected:
-  void PurgeReady(const std::vector<OperatorId>& ops) override;
-
  private:
-  /// Releases a claimed mailbox; remaining work goes to worker `w`'s bag
-  /// (bag locality) or, when `to_global` is set, to the global tail.
-  void Release(OperatorId op, Mailbox& mb, WorkerId w, bool to_global);
-  std::size_t Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
-                       std::vector<Message>& out);
+  friend DispatchScheduler;
 
-  OrleansReadyState ready_;
+  static constexpr bool kResumeWhenIdle = true;
+
+  /// Producer-made work and released backlogs stay in their worker's bag; a
+  /// quantum yield and external arrivals go to the global tail.
+  void Requeue(OperatorId op, NoToken, std::uint64_t epoch, WorkerId w,
+               bool yield) {
+    if (yield || !w.valid()) {
+      ready_.PushGlobal(op, epoch);
+    } else {
+      ready_.PushLocal(w, op, epoch);
+    }
+  }
+  bool KeepPastQuantum(WorkerId, Mailbox&) { return false; }
+  std::optional<Claim> PopClaim(WorkerId w) {
+    ready_.RegisterWorker(w);
+    Mailbox* claimed = nullptr;
+    auto op = ready_.Take(w, [this, &claimed](OperatorId id,
+                                              std::uint64_t epoch) {
+      Mailbox* mb = table_.Find(id);
+      if (mb == nullptr || !mb->TryClaimQueued(epoch)) return false;
+      claimed = mb;
+      return true;
+    });
+    if (!op.has_value()) return std::nullopt;
+    return Claim{*op, claimed};
+  }
 };
 
 }  // namespace cameo

@@ -1,13 +1,12 @@
 #include "sched/slot_scheduler.h"
 
-#include <unordered_set>
-
 #include "common/check.h"
 
 namespace cameo {
 
 SlotScheduler::SlotScheduler(int num_workers, SchedulerConfig config)
-    : Scheduler(config, MailboxOrder::kFifo), num_workers_(num_workers) {
+    : DispatchScheduler(config, MailboxOrder::kFifo),
+      num_workers_(num_workers) {
   CAMEO_EXPECTS(num_workers >= 1);
 }
 
@@ -46,116 +45,6 @@ void SlotScheduler::SetWorkerTarget(int num_workers) {
   for (const ReadyEntry& e : ready_.DrainSlotsBeyond(num_workers)) {
     ready_.Push(SlotOf(e.op), e.op, e.epoch);
   }
-}
-
-void SlotScheduler::PurgeReady(const std::vector<OperatorId>& ops) {
-  ready_.EraseOps(std::unordered_set<OperatorId>(ops.begin(), ops.end()));
-}
-
-void SlotScheduler::Release(OperatorId op, Mailbox& mb, WorkerId w) {
-  if (mb.retiring()) {
-    FinishRetire(mb, w);
-    return;
-  }
-  ReleaseMailbox(
-      mb, [](Mailbox&) { return 0; },
-      [this, op](int, std::uint64_t epoch) {
-        ready_.Push(SlotOf(op), op, epoch);
-      });
-  if (mb.retiring() && mb.TryClaim()) FinishRetire(mb, w);
-}
-
-std::size_t SlotScheduler::Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
-                                    std::vector<Message>& out) {
-  // Within a slot operators run FIFO; the batch is simply the claimed
-  // operator's next `max` messages.
-  return DrainClaimed(mb, w, max, out, [](Mailbox&) { return true; });
-}
-
-void SlotScheduler::Enqueue(Message m, WorkerId producer, SimTime now) {
-  m.enqueue_time = now;
-  const OperatorId op = m.target;
-  Mailbox& mb = table_.Get(op);
-  pending_.fetch_add(1, std::memory_order_relaxed);
-  if (!mb.Push(std::move(m))) {  // operator retired: reject, with accounting
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    shards_.rejected.Inc(shard_of(producer));
-    return;
-  }
-  shards_.enqueued.Inc(shard_of(producer));
-  for (;;) {
-    Mailbox::State s = mb.state();
-    if (s == Mailbox::State::kRetired) {
-      DiscardIntoRetired(mb, producer);
-      return;
-    }
-    if (s != Mailbox::State::kIdle) return;
-    std::uint64_t epoch = 0;
-    if (mb.TryMarkQueued(epoch)) {
-      ready_.Push(SlotOf(op), op, epoch);
-      return;
-    }
-  }
-}
-
-std::size_t SlotScheduler::DequeueBatch(WorkerId w, SimTime now,
-                                        std::size_t max_messages,
-                                        std::vector<Message>& out) {
-  WorkerSlot& sl = slot(w);
-
-  if (sl.has_current) {
-    Mailbox* mb = table_.Find(sl.current);
-    if (mb != nullptr && mb->size() > 0 && mb->TryClaim()) {
-      if (mb->retiring()) {  // current operator's query was removed
-        FinishRetire(*mb, w);
-        sl.has_current = false;
-      } else {
-        mb->DrainInbox();
-        if (mb->buffer_empty()) {
-          Release(sl.current, *mb, w);
-        } else {
-          bool cont = now - sl.quantum_start < config_.quantum;
-          if (!cont && ready_.empty(w)) {
-            cont = true;  // the slot has nothing else: keep going
-            sl.quantum_start = now;
-          }
-          if (cont) {
-            shards_.continuations.Inc(shard_of(w));
-            return Dispatch(*mb, w, max_messages, out);
-          }
-          Release(sl.current, *mb, w);  // rotate within the slot
-        }
-      }
-    }
-  }
-
-  while (auto e = ready_.Pop(w)) {
-    Mailbox* mb = table_.Find(e->op);
-    if (mb == nullptr || !mb->TryClaimQueued(e->epoch)) continue;  // stale
-    if (mb->retiring()) {  // removed id: discard its backlog, never dispatch
-      FinishRetire(*mb, w);
-      continue;
-    }
-    mb->DrainInbox();
-    if (mb->buffer_empty()) {  // defensive: kQueued implies pending work
-      Release(e->op, *mb, w);
-      continue;
-    }
-    if (sl.has_current && sl.current != e->op) {
-      shards_.operator_swaps.Inc(shard_of(w));
-    }
-    sl.current = e->op;
-    sl.has_current = true;
-    sl.quantum_start = now;
-    return Dispatch(*mb, w, max_messages, out);
-  }
-  return 0;
-}
-
-void SlotScheduler::OnComplete(OperatorId op, WorkerId w, SimTime /*now*/) {
-  Mailbox* mb = table_.Find(op);
-  CAMEO_EXPECTS(mb != nullptr && mb->state() == Mailbox::State::kActive);
-  Release(op, *mb, w);
 }
 
 }  // namespace cameo

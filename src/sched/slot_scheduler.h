@@ -4,8 +4,8 @@
 // but idle slots cannot help overloaded ones, which is the low-utilization /
 // over-provisioning pathology Cameo targets.
 //
-// Built on the sharded control plane: lock-free mailboxes plus one
-// SlotReadyQueues run queue per pinned worker.
+// The policy half of a DispatchScheduler: one SlotReadyQueues run queue per
+// pinned worker.
 #pragma once
 
 #include <mutex>
@@ -17,7 +17,8 @@
 
 namespace cameo {
 
-class SlotScheduler final : public Scheduler {
+class SlotScheduler final
+    : public DispatchScheduler<SlotScheduler, SlotReadyQueues> {
  public:
   /// Operators are assigned to `num_workers` slots round-robin at first
   /// sight, unless pinned beforehand with Assign().
@@ -25,12 +26,6 @@ class SlotScheduler final : public Scheduler {
 
   /// Pins `op` to `worker` (call before the first message for `op`).
   void Assign(OperatorId op, WorkerId worker);
-
-  void Enqueue(Message m, WorkerId producer, SimTime now) override;
-  std::size_t DequeueBatch(WorkerId w, SimTime now, std::size_t max_messages,
-                           std::vector<Message>& out) override;
-  using Scheduler::DequeueBatch;
-  void OnComplete(OperatorId op, WorkerId w, SimTime now) override;
 
   std::string name() const override { return "Slot"; }
 
@@ -43,19 +38,19 @@ class SlotScheduler final : public Scheduler {
   /// growth only needs the first call.
   void SetWorkerTarget(int num_workers) override;
 
- protected:
-  void PurgeReady(const std::vector<OperatorId>& ops) override;
-
  private:
-  void Release(OperatorId op, Mailbox& mb, WorkerId w);
-  std::size_t Dispatch(Mailbox& mb, WorkerId w, std::size_t max,
-                       std::vector<Message>& out);
+  friend DispatchScheduler;
+
+  void Requeue(OperatorId op, NoToken, std::uint64_t epoch, WorkerId, bool) {
+    ready_.Push(SlotOf(op), op, epoch);  // a yield rotates within the slot
+  }
+  bool KeepPastQuantum(WorkerId w, Mailbox&) { return ready_.empty(w); }
+  std::optional<ReadyEntry> PopReady(WorkerId w) { return ready_.Pop(w); }
 
   std::mutex assign_mu_;
   int num_workers_;
   std::int64_t next_slot_ = 0;
   std::unordered_map<OperatorId, WorkerId> assignment_;
-  SlotReadyQueues ready_;
 };
 
 }  // namespace cameo

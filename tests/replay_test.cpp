@@ -193,8 +193,9 @@ TEST(ReplayTest, MultiTenantControlGroupSeed7Fifo) {
   ExpectControlGroupGolden(SchedulerKind::kFifo, 100, kGoldenMtLoadedFifo);
 }
 
-// Orleans's steal order follows worker registration order, which depends on
-// when each worker first reaches the scheduler; these goldens pin it.
+// Orleans's steal order follows worker registration order. MakeScheduler
+// registers workers 0..n-1 at construction, so it does not depend on when
+// each worker first reaches the scheduler; these goldens pin the steals.
 TEST(ReplayTest, MultiTenantControlGroupSeed7Orleans) {
   ExpectControlGroupGolden(SchedulerKind::kOrleans, 20, kGoldenMtOrleans);
   ExpectControlGroupGolden(SchedulerKind::kOrleans, 100,
