@@ -252,7 +252,8 @@ struct NoToken {};
 /// call and no allocation per message). It must define Requeue and
 /// KeepPastQuantum and may hide any default in the "default hooks" block:
 ///   ReadyToken(m)                  ordering key of an arrival
-///   ReleaseToken(mb)               ordering key of a released backlog
+///   ReleaseToken(mb)               ordering key of a released backlog,
+///                                  taken while the caller still owns it
 ///   Register(op, mb, t, epoch, p)  idle -> queued, by producer `p`
 ///   OnQueuedArrival(op, mb, t)     arrival at a queued operator; false
 ///                                  re-reads the state
