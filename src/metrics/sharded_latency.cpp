@@ -32,31 +32,17 @@ void ShardedLatencyRecorder::OnSourceEvent(JobId job, LogicalTime p,
   ingest_.OnSourceEvent(job, p, arrival);
 }
 
-void ShardedLatencyRecorder::OnProcessed(JobId job, std::int64_t tuples,
-                                         SimTime now) {
-  std::lock_guard lock(ingest_mu_);
-  ingest_.OnProcessed(job, tuples, now);
-}
-
-void ShardedLatencyRecorder::OnSinkOutput(int shard, JobId job,
-                                          LogicalTime window_end,
-                                          SimTime emit) {
+void ShardedLatencyRecorder::Writer::OnSinkOutput(JobId job,
+                                                  LogicalTime window_end,
+                                                  SimTime emit) {
   std::optional<SimTime> last;
   {
-    std::lock_guard lock(ingest_mu_);
-    last = ingest_.LastArrivalFor(job, window_end);
+    std::lock_guard lock(rec_.ingest_mu_);
+    last = rec_.ingest_.LastArrivalFor(job, window_end);
   }
   if (!last.has_value()) return;  // empty window: no latency defined
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard lock(s.mu);
-  s.rec.RecordOutput(job, emit, emit - *last);
-}
-
-void ShardedLatencyRecorder::OnSinkTuples(int shard, JobId job,
-                                          std::int64_t tuples, SimTime now) {
-  Shard& s = *shards_[static_cast<std::size_t>(shard)];
-  std::lock_guard lock(s.mu);
-  s.rec.OnSinkTuples(job, tuples, now);
+  std::lock_guard lock(shard_.mu);
+  shard_.rec.RecordOutput(job, emit, emit - *last);
 }
 
 LatencyRecorder ShardedLatencyRecorder::Merged() const {
@@ -72,45 +58,9 @@ LatencyRecorder ShardedLatencyRecorder::Merged() const {
   return merged;
 }
 
-SampleStats ShardedLatencyRecorder::Latency(JobId job) const {
-  return Merged().Latency(job);
-}
-
-double ShardedLatencyRecorder::SuccessRate(JobId job) const {
-  return Merged().SuccessRate(job);
-}
-
-std::uint64_t ShardedLatencyRecorder::outputs(JobId job) const {
-  return Merged().outputs(job);
-}
-
-std::int64_t ShardedLatencyRecorder::sink_tuples(JobId job) const {
-  return Merged().sink_tuples(job);
-}
-
-std::int64_t ShardedLatencyRecorder::processed(JobId job) const {
-  std::lock_guard lock(ingest_mu_);
-  return ingest_.processed(job);
-}
-
 Duration ShardedLatencyRecorder::constraint(JobId job) const {
   std::lock_guard lock(ingest_mu_);
   return ingest_.constraint(job);
-}
-
-std::vector<std::pair<SimTime, Duration>> ShardedLatencyRecorder::Series(
-    JobId job) const {
-  return Merged().Series(job);
-}
-
-std::vector<std::int64_t> ShardedLatencyRecorder::ThroughputBuckets(
-    JobId job, Duration bucket, SimTime span) const {
-  return Merged().ThroughputBuckets(job, bucket, span);
-}
-
-std::vector<std::int64_t> ShardedLatencyRecorder::ProcessedBuckets(
-    JobId job, Duration bucket, SimTime span) const {
-  return Merged().ProcessedBuckets(job, bucket, span);
 }
 
 std::vector<JobId> ShardedLatencyRecorder::jobs() const {

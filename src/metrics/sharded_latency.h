@@ -4,11 +4,12 @@
 // bookkeeping (which slide bucket last saw an event) must be globally visible
 // to whichever worker emits the window, so it lives in one ingest-side
 // recorder behind a small mutex touched at ingest/output rate -- not per
-// message. Sink-side accumulation (samples, counters, series) goes into the
-// emitting worker's shard under a per-shard mutex that only that worker
-// normally touches, so it is uncontended at steady state; the lock exists
-// because dynamic multi-tenancy registers hot-added queries into every shard
-// while workers are live, and elastic worker pools merge shards mid-run.
+// message. Worker-side accumulation (source processed volume, sink samples,
+// counters, series) goes into the invoking worker's shard under a per-shard
+// mutex that only that worker normally touches, so it is uncontended at
+// steady state; the lock exists because dynamic multi-tenancy registers
+// hot-added queries into every shard while workers are live, and elastic
+// worker pools merge shards mid-run.
 // Shard slots are pre-allocated for the scheduler's whole worker-id range,
 // so growing the pool needs no publication protocol at all. Readers merge
 // ingest + shards into a plain LatencyRecorder; reads are exact once workers
@@ -24,6 +25,11 @@
 namespace cameo {
 
 class ShardedLatencyRecorder {
+  struct Shard {
+    std::mutex mu;
+    LatencyRecorder rec;
+  };
+
  public:
   /// Matches Scheduler::kMaxWorkers: one shard per possible worker id.
   static constexpr int kMaxShards = 256;
@@ -40,12 +46,33 @@ class ShardedLatencyRecorder {
 
   // ---- ingest side (any thread; serialized on the ingest mutex) ----
   void OnSourceEvent(JobId job, LogicalTime p, SimTime arrival);
-  void OnProcessed(JobId job, std::int64_t tuples, SimTime now);
 
-  // ---- worker side (`shard` = worker index; per-shard mutex, uncontended
-  // ---- unless a hot-add registration or a merge read races it) ----
-  void OnSinkOutput(int shard, JobId job, LogicalTime window_end, SimTime emit);
-  void OnSinkTuples(int shard, JobId job, std::int64_t tuples, SimTime now);
+  /// Worker side: one Writer per worker index, recording into that worker's
+  /// shard under a per-shard mutex (uncontended unless a hot-add
+  /// registration or a merge read races it). It has LatencyRecorder's
+  /// per-message signatures, which the shared message step records through.
+  class Writer {
+   public:
+    void OnProcessed(JobId job, std::int64_t tuples, SimTime now) {
+      std::lock_guard lock(shard_.mu);
+      shard_.rec.OnProcessed(job, tuples, now);
+    }
+    void OnSinkOutput(JobId job, LogicalTime window_end, SimTime emit);
+    void OnSinkTuples(JobId job, std::int64_t tuples, SimTime now) {
+      std::lock_guard lock(shard_.mu);
+      shard_.rec.OnSinkTuples(job, tuples, now);
+    }
+
+   private:
+    friend class ShardedLatencyRecorder;
+    Writer(ShardedLatencyRecorder& rec, Shard& shard)
+        : rec_(rec), shard_(shard) {}
+    ShardedLatencyRecorder& rec_;
+    Shard& shard_;
+  };
+  Writer writer(int shard) {
+    return {*this, *shards_[static_cast<std::size_t>(shard)]};
+  }
 
   // ---- merged read view ----
   // Accessors return by value: every call re-merges the shards, so returned
@@ -53,28 +80,31 @@ class ShardedLatencyRecorder {
   // `const SampleStats&` get lifetime extension. Intended for quiescent reads
   // (after Drain()); concurrent use merely yields a slightly stale snapshot.
   LatencyRecorder Merged() const;
-  SampleStats Latency(JobId job) const;
-  double SuccessRate(JobId job) const;
-  std::uint64_t outputs(JobId job) const;
-  std::int64_t sink_tuples(JobId job) const;
-  std::int64_t processed(JobId job) const;
+  SampleStats Latency(JobId job) const { return Merged().Latency(job); }
+  double SuccessRate(JobId job) const { return Merged().SuccessRate(job); }
+  std::uint64_t outputs(JobId job) const { return Merged().outputs(job); }
+  std::int64_t sink_tuples(JobId job) const {
+    return Merged().sink_tuples(job);
+  }
+  std::int64_t processed(JobId job) const { return Merged().processed(job); }
   Duration constraint(JobId job) const;
-  std::vector<std::pair<SimTime, Duration>> Series(JobId job) const;
+  std::vector<std::pair<SimTime, Duration>> Series(JobId job) const {
+    return Merged().Series(job);
+  }
   std::vector<std::int64_t> ThroughputBuckets(JobId job, Duration bucket,
-                                              SimTime span) const;
+                                              SimTime span) const {
+    return Merged().ThroughputBuckets(job, bucket, span);
+  }
   std::vector<std::int64_t> ProcessedBuckets(JobId job, Duration bucket,
-                                             SimTime span) const;
+                                             SimTime span) const {
+    return Merged().ProcessedBuckets(job, bucket, span);
+  }
   std::vector<JobId> jobs() const;
 
  private:
-  struct Shard {
-    std::mutex mu;
-    LatencyRecorder rec;
-  };
-
   mutable std::mutex ingest_mu_;
-  LatencyRecorder ingest_;  // arrivals + processed-volume accounting
-  std::vector<std::unique_ptr<Shard>> shards_;  // sink-side samples
+  LatencyRecorder ingest_;  // arrivals
+  std::vector<std::unique_ptr<Shard>> shards_;  // processed + sink samples
 };
 
 }  // namespace cameo

@@ -1,26 +1,11 @@
 #include "runtime/thread_runtime.h"
 
-#include <algorithm>
-
 #include "common/check.h"
+#include "core/message_step.h"
 
 namespace cameo {
 
 namespace {
-
-class CollectingEmitter final : public Emitter {
- public:
-  explicit CollectingEmitter(
-      std::vector<std::tuple<int, EventBatch, SimTime>>& outs)
-      : outs_(outs) {}
-
-  void Emit(int port, EventBatch batch, SimTime event_time) override {
-    outs_.emplace_back(port, std::move(batch), event_time);
-  }
-
- private:
-  std::vector<std::tuple<int, EventBatch, SimTime>>& outs_;
-};
 
 void SpinFor(Duration d) {
   auto deadline =
@@ -36,6 +21,32 @@ void SpinFor(Duration d) {
 }
 
 }  // namespace
+
+/// ThreadRuntime's hooks into the shared message step (core/message_step.h):
+/// wall-clock timing around Invoke, atomic message ids, tracked enqueue,
+/// replies applied directly, and the worker's latency shard.
+struct ThreadRuntime::StepHooks {
+  ThreadRuntime& rt;
+  WorkerId w;
+  JobState& js;
+  Rng& rng;
+  ShardedLatencyRecorder::Writer rec;
+
+  SimTime InvokeStart() { return rt.Now(); }
+  StepClock InvokeEnd(const Operator& op, const Message& m, SimTime start) {
+    if (rt.config_.emulate_cost) {
+      SpinFor(op.cost_model().Sample(m.batch.size(), rng));
+    }
+    const SimTime end = rt.Now();
+    return {.cost = end - start, .now = end, .dequeued = start};
+  }
+  MessageId NextId() { return rt.NextMessageId(); }
+  void Deliver(Message md) { rt.EnqueueTracked(std::move(md), w, js); }
+  void Reply(OperatorId sender, OperatorId from, const ReplyContext& rc) {
+    rt.converter(sender).ProcessCtxFromReply(from, rc);
+  }
+  ShardedLatencyRecorder::Writer& latency() { return rec; }
+};
 
 ThreadRuntime::ThreadRuntime(RuntimeConfig config, DataflowGraph graph)
     : config_(config),
@@ -206,12 +217,7 @@ void ThreadRuntime::FinishOne(JobState& js) {
 
 bool ThreadRuntime::Ingest(OperatorId source, std::int64_t tuples,
                            std::optional<LogicalTime> p) {
-  const Operator& op = graph_.Get(source);
-  CAMEO_EXPECTS(op.is_source());
-  SimTime t = Now();
-  LogicalTime logical = p.value_or(t);
-  EventBatch batch = EventBatch::Synthetic(tuples, logical);
-  return IngestBatch(source, std::move(batch));
+  return IngestBatch(source, EventBatch::Synthetic(tuples, p.value_or(Now())));
 }
 
 bool ThreadRuntime::IngestBatch(OperatorId source, EventBatch batch) {
@@ -242,18 +248,9 @@ bool ThreadRuntime::IngestBatch(OperatorId source, EventBatch batch) {
     batch.progress = src->last_progress + 1;
   }
   src->last_progress = batch.progress;
-  latency_.OnSourceEvent(op.job(), batch.progress, t);
-  SourceEvent e;
-  e.p = batch.progress;
-  e.t = t;
-  Message m;
-  m.pc = converter(source).BuildCxtAtSource(
-      e, op, spec.latency_constraint,
-      MessageId{next_message_id_.fetch_add(1, std::memory_order_relaxed)});
-  m.id = m.pc.id;
-  m.target = source;
-  m.event_time = t;
-  m.batch = std::move(batch);
+  const SourceEvent e{.p = batch.progress, .t = t};
+  Message m = SourceMessage(latency_, converter(source), op, spec, e,
+                            NextMessageId(), std::move(batch));
   // The guard increment above already counted this message for the job;
   // only the global counter still needs its increment.
   inflight_.fetch_add(1, std::memory_order_seq_cst);
@@ -262,37 +259,15 @@ bool ThreadRuntime::IngestBatch(OperatorId source, EventBatch batch) {
   return true;
 }
 
-void ThreadRuntime::RouteOutputs(
-    const Message& m, Operator& op,
-    std::vector<std::tuple<int, EventBatch, SimTime>>& outs, WorkerId w) {
-  // Edges never cross jobs (Connect checks), so every downstream message
-  // belongs to the sender's job state.
-  JobState* js = job_states_.Find(op.job());
-  CAMEO_EXPECTS(js != nullptr);
-  for (auto& [port, batch, event_time] : outs) {
-    for (auto& d : graph_.Route(m.target, port, std::move(batch))) {
-      Message md;
-      md.pc = converter(m.target).BuildCxtAtOperator(
-          m.pc, op, graph_.Get(d.target), d.batch.progress, event_time,
-          MessageId{next_message_id_.fetch_add(1, std::memory_order_relaxed)});
-      md.id = md.pc.id;
-      md.target = d.target;
-      md.sender = m.target;
-      md.event_time = event_time;
-      md.batch = std::move(d.batch);
-      EnqueueTracked(std::move(md), w, *js);
-    }
-  }
-}
-
 void ThreadRuntime::WorkerLoop(int index) {
   WorkerId w{index};
   Rng rng(config_.seed + static_cast<std::uint64_t>(index) * 7919);
-  std::vector<std::tuple<int, EventBatch, SimTime>> outs;
   // Activation batch (claim-and-drain contract): all messages target the
-  // same operator and the claim is held until the OnComplete below. Both
+  // same operator and the claim is held until the OnComplete below. The
   // scratch vectors retain capacity, keeping the loop allocation-free.
   std::vector<Message> batch;
+  std::vector<EmittedBatch> outs;
+  const StepTables tables{graph_, profiler_, outs, rng};
 
   while (true) {
     if (stop_.load(std::memory_order_seq_cst) ||
@@ -313,47 +288,17 @@ void ThreadRuntime::WorkerLoop(int index) {
     // Invocations run with no locks held: the scheduler's operator
     // exclusivity guarantees this worker is the sole owner of the operator's
     // state, profiler entry and send-path converter use, for the whole
-    // activation.
+    // activation. Edges never cross jobs (Connect checks), so every
+    // downstream message belongs to the activation's job state.
     const OperatorId target = batch.front().target;
-    Operator& op = graph_.Get(target);
-    for (Message& msg : batch) {
-      outs.clear();
-      CollectingEmitter emitter(outs);
-      SimTime exec_start = Now();
-      InvokeContext ctx{exec_start, &emitter, &rng};
-      op.Invoke(msg, ctx);
-      if (config_.emulate_cost) {
-        SpinFor(op.cost_model().Sample(msg.batch.size(), rng));
-      }
-      SimTime exec_end = Now();
-
-      profiler_.Record(target, exec_end - exec_start);
-      policy_->OnInvoked(target, op.job(), exec_end - exec_start, exec_end);
-      RouteOutputs(msg, op, outs, w);
-      if (msg.sender.valid()) {
-        ReplyContext rc =
-            converter(target).PrepareReply(profiler_.Estimate(target),
-                                           exec_start - msg.enqueue_time,
-                                           op.is_sink());
-        converter(msg.sender).ProcessCtxFromReply(target, rc);
-      }
-      if (op.is_sink()) {
-        const JobSpec& spec = graph_.job(op.job());
-        if (spec.output_slide > 0) {
-          latency_.OnSinkOutput(index, op.job(), msg.progress(), exec_end);
-        } else {
-          latency_.OnSinkOutput(index, op.job(), msg.event_time, exec_end);
-        }
-        latency_.OnSinkTuples(index, op.job(), msg.batch.size(), exec_end);
-      }
-      // Last reader of this message's columns: park them for reuse.
-      msg.batch.Recycle();
-    }
+    JobState* js = job_states_.Find(graph_.Get(target).job());
+    CAMEO_EXPECTS(js != nullptr);
+    StepHooks hooks{*this, w, *js, rng, latency_.writer(index)};
+    ContextConverter& conv = converter(target);
+    for (Message& m : batch) RunMessageStep(tables, hooks, m, conv, *policy_);
     scheduler_->OnComplete(target, w, Now());
     // Only after OnComplete and output routing: the counters hit zero iff
     // the dataflow (respectively the job) is quiescent.
-    JobState* js = job_states_.Find(op.job());
-    CAMEO_EXPECTS(js != nullptr);
     for (std::size_t i = 0; i < batch.size(); ++i) FinishOne(*js);
   }
 }

@@ -4,6 +4,11 @@
 // overhead microbenchmarks (Fig. 12); the large parameter-sweep experiments
 // use sim::Cluster (see DESIGN.md).
 //
+// Per message, workers run the protocol step shared with the simulator
+// (core/message_step.h), hooked to the wall clock (cost measured around
+// Invoke), atomic message ids, tracked enqueue, replies applied directly to
+// the sender's converter, and the worker's latency shard.
+//
 // Concurrency model (DESIGN.md §1): there is no global control-plane lock.
 //  - Scheduling state is sharded into lock-free per-operator mailboxes plus
 //    per-policy ready queues inside the Scheduler itself.
@@ -11,7 +16,8 @@
 //    state all live behind copy-on-write snapshots (common/cow_index.h), so
 //    the per-message path is lock-free while AddQuery/RemoveQuery splice
 //    tenants in and out of the running system.
-//  - Latency metrics are per-worker shards merged on read.
+//  - Latency metrics (processed volume included) are per-worker shards
+//    merged on read.
 //  - Drain() waits on an atomic in-flight message counter: every Enqueue
 //    increments it and each completed invocation decrements it after routing
 //    its outputs, so the counter can only hit zero when the dataflow is
@@ -30,7 +36,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -142,16 +147,19 @@ class ThreadRuntime {
     std::atomic<bool> live{true};
   };
 
+  /// Hooks into the shared per-message step (core/message_step.h).
+  struct StepHooks;
+
   void WorkerLoop(int index);
-  void RouteOutputs(const Message& m, Operator& op,
-                    std::vector<std::tuple<int, EventBatch, SimTime>>& outs,
-                    WorkerId w);
   ContextConverter& converter(OperatorId op);
   /// Registers all runtime tables for `job` (converters, profiler seeds,
   /// source states, latency, job state). Caller holds control_mu_.
   void RegisterJobTables(JobId job);
   void EnqueueTracked(Message m, WorkerId producer, JobState& js);
   void FinishOne(JobState& js);
+  MessageId NextMessageId() {
+    return MessageId{next_message_id_.fetch_add(1, std::memory_order_relaxed)};
+  }
 
   RuntimeConfig config_;
   DataflowGraph graph_;

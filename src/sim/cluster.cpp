@@ -12,32 +12,68 @@ namespace cameo {
 
 namespace {
 
-/// Buffers the batches one invocation emits so the cluster can route them
-/// after the invocation returns.
-class CollectingEmitter final : public Emitter {
- public:
-  struct Out {
-    int port;
-    EventBatch batch;
-    SimTime event_time;
-  };
-
-  void Emit(int port, EventBatch batch, SimTime event_time) override {
-    outs_.push_back({port, std::move(batch), event_time});
-  }
-
-  std::vector<Out>& outs() { return outs_; }
-
- private:
-  std::vector<Out> outs_;
-};
-
 /// Chaos-mode timer pump cadence: how often each shard services its session
 /// timers (retransmits, delayed acks) and drains parked frames when no
 /// receive event is otherwise scheduled.
 constexpr Duration kChaosPumpTick = Millis(2);
 
 }  // namespace
+
+/// The simulator's hooks into the shared message step (core/message_step.h):
+/// the invocation runs at its completion time with a sampled cost and queued
+/// until its batch was dispatched; ids come from a plain counter; outputs and
+/// replies are scheduled on the event queue, or shipped on the transport
+/// when they cross shards.
+struct Cluster::StepHooks {
+  Cluster& c;
+  WorkerId w;
+  int shard;  // the invoked operator's
+  SimTime dispatch_time;
+  Duration cost;
+
+  SimTime InvokeStart() { return c.events_.now(); }
+  StepClock InvokeEnd(const Operator&, const Message&, SimTime now) {
+    return {.cost = cost, .now = now, .dequeued = dispatch_time};
+  }
+  MessageId NextId() { return c.NextMessageId(); }
+  LatencyRecorder& latency() { return c.latency_; }
+
+  void Deliver(Message md) {
+    const int dst = c.runtime_->ShardOf(md.target);
+    if (dst == shard) {
+      // Intra-shard hop: same path (and same virtual-time schedule) as the
+      // pre-shard cluster.
+      auto deliver = [cl = &c, md = std::move(md), w = w]() mutable {
+        cl->Deliver(std::move(md), w);
+      };
+      static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
+                    "delivery closure outgrew the inline event buffer; the "
+                    "common sim path would heap-allocate every delivery");
+      c.events_.Schedule(c.events_.now() + c.options_.sim.network_delay,
+                         std::move(deliver));
+      return;
+    }
+    // Cross-shard hop: serialize through the wire codec and ship on the
+    // transport; the receive event fires at the modeled delivery time.
+    const SimTime at = c.runtime_->SendMessage(shard, dst, c.events_.now(), md);
+    md.batch.Recycle();  // columns are on the wire now; park the buffers
+    c.events_.Schedule(at, [cl = &c, dst] { cl->ReceiveShardFrame(dst); });
+  }
+
+  void Reply(OperatorId sender, OperatorId from, const ReplyContext& rc) {
+    const int dst = c.runtime_->ShardOf(sender);
+    if (dst == shard) {
+      c.events_.Schedule(c.events_.now() + c.options_.sim.network_delay,
+                         [cl = &c, sender, from, rc] {
+                           cl->converter(sender).ProcessCtxFromReply(from, rc);
+                         });
+      return;
+    }
+    const SimTime at =
+        c.runtime_->SendReply(shard, dst, c.events_.now(), sender, from, rc);
+    c.events_.Schedule(at, [cl = &c, dst] { cl->ReceiveShardFrame(dst); });
+  }
+};
 
 Cluster::Cluster(EngineOptions options, DataflowGraph graph)
     : options_(std::move(options)),
@@ -67,36 +103,25 @@ Cluster::Cluster(EngineOptions options, DataflowGraph graph)
   // shared map is semantically per-shard state.
   runtime_->BindCostReader(&profiler_);
   timeline_.SetEnabled(options_.sim.enable_timeline);
-  SetupConverters();
-  for (JobId job : graph_.job_ids()) {
-    const JobSpec& spec = graph_.job(job);
-    latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
-                         spec.output_slide);
+  for (JobId job : graph_.job_ids()) RegisterJob(job);
+}
+
+void Cluster::RegisterJob(JobId job) {
+  const JobSpec& spec = graph_.job(job);
+  ConverterOptions options;
+  options.use_query_semantics = options_.use_query_semantics;
+  options.time_domain = spec.time_domain;
+  for (OperatorId op : graph_.OperatorsOf(job)) {
+    // Bound to the *owning shard's* policy instance: an operator's send path
+    // consults only its own machine's policy state (paper §5.3 -- contexts
+    // are built at the sender, no global scheduler state).
+    converters_.emplace(op, std::make_unique<ContextConverter>(
+                                runtime_->policy_of(op), options));
   }
-  if (options_.sim.seed_static_estimates) SeedEstimates();
-}
-
-void Cluster::SetupConverters() {
-  for (JobId job : graph_.job_ids()) {
-    const JobSpec& spec = graph_.job(job);
-    ConverterOptions options;
-    options.use_query_semantics = options_.use_query_semantics;
-    options.time_domain = spec.time_domain;
-    for (OperatorId op : graph_.OperatorsOf(job)) {
-      // Bound to the *owning shard's* policy instance: an operator's send
-      // path consults only its own machine's policy state (paper §5.3 --
-      // contexts are built at the sender, no global scheduler state).
-      converters_.emplace(op, std::make_unique<ContextConverter>(
-                                  runtime_->policy_of(op), options));
-    }
-  }
-}
-
-void Cluster::SeedEstimates() {
-  for (JobId job : graph_.job_ids()) SeedEstimatesFor(job);
-}
-
-void Cluster::SeedEstimatesFor(JobId job) {
+  latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
+                       spec.output_slide);
+  if (!options_.sim.seed_static_estimates) return;
+  // Cold-start seeds from static critical-path analysis.
   CriticalPathResult cp =
       ComputeCriticalPath(graph_, job, options_.sim.seed_nominal_tuples);
   for (const auto& [op, cost] : cp.cost) profiler_.Seed(op, cost);
@@ -114,20 +139,6 @@ void Cluster::SeedEstimatesFor(JobId job) {
       }
     }
   }
-}
-
-void Cluster::RegisterLateJob(JobId job) {
-  const JobSpec& spec = graph_.job(job);
-  ConverterOptions options;
-  options.use_query_semantics = options_.use_query_semantics;
-  options.time_domain = spec.time_domain;
-  for (OperatorId op : graph_.OperatorsOf(job)) {
-    converters_.emplace(op, std::make_unique<ContextConverter>(
-                                runtime_->policy_of(op), options));
-  }
-  latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
-                       spec.output_slide);
-  if (options_.sim.seed_static_estimates) SeedEstimatesFor(job);
 }
 
 ContextConverter& Cluster::converter(OperatorId op) {
@@ -182,7 +193,7 @@ int Cluster::ScheduleQuery(SimTime at, SimTime until, QueryBuilder builder,
     std::size_t first_source = sources_.size();
     JobHandles h = q.build(graph_);
     q.job = h.job;
-    RegisterLateJob(h.job);
+    RegisterJob(h.job);
     AddIngestion(h.source, q.ingestion, q.event_time_delay);
     if (h.source_right.valid()) {
       AddIngestion(h.source_right, q.ingestion, q.event_time_delay);
@@ -282,11 +293,7 @@ void Cluster::PumpSource(std::size_t idx) {
     }
     if (p <= src.last_logical) p = src.last_logical + 1;  // in-order channel
     src.last_logical = p;
-    latency_.OnSourceEvent(op.job(), p, t);
-
-    SourceEvent e;
-    e.p = p;
-    e.t = t;
+    SourceEvent e{.p = p, .t = t};
     auto tb = token_buckets_.find(src.op);
     if (tb != token_buckets_.end()) {
       TokenBucket::Token token = tb->second.TryAcquire(t);
@@ -294,21 +301,16 @@ void Cluster::PumpSource(std::size_t idx) {
       e.token_tag = token.tag;
       e.token_interval = token.interval_id;
     }
-
-    Message m;
-    m.pc = converter(src.op).BuildCxtAtSource(e, op, spec.latency_constraint,
-                                              NextMessageId());
-    m.id = m.pc.id;
-    m.target = src.op;
+    EventBatch batch;
     if (src.sampler) {
-      m.batch = EventBatch{};
-      m.batch.progress = p;
-      src.sampler->Fill(m.batch, a.tuples, p, src.key_rng);
+      batch.progress = p;
+      src.sampler->Fill(batch, a.tuples, p, src.key_rng);
     } else {
-      m.batch = EventBatch::Synthetic(a.tuples, p);
+      batch = EventBatch::Synthetic(a.tuples, p);
     }
-    m.event_time = t;
-    Deliver(std::move(m), WorkerId{});
+    Deliver(SourceMessage(latency_, converter(src.op), op, spec, e,
+                          NextMessageId(), std::move(batch)),
+            WorkerId{});
     PumpSource(idx);
   });
 }
@@ -317,6 +319,19 @@ void Cluster::Deliver(Message m, WorkerId producer) {
   ++messages_delivered_;
   const int shard = runtime_->Enqueue(std::move(m), producer, events_.now());
   KickIdleWorkers(shard);
+}
+
+shard::ReceiveKind Cluster::HandleFrame(int shard) {
+  Message msg;
+  shard::WireReply reply;
+  const shard::ReceiveKind kind =
+      runtime_->ReceiveOne(shard, events_.now(), msg, reply);
+  if (kind == shard::ReceiveKind::kMessage) {
+    Deliver(std::move(msg), WorkerId{});
+  } else if (kind == shard::ReceiveKind::kReply) {
+    converter(reply.sender).ProcessCtxFromReply(reply.from, reply.rc);
+  }
+  return kind;
 }
 
 void Cluster::ReceiveShardFrame(int shard) {
@@ -330,34 +345,12 @@ void Cluster::ReceiveShardFrame(int shard) {
   // frame's modeled delivery time -- so by the time the last same-timestamp
   // event fires, every due frame has been popped; a dry poll would be a
   // conservation bug.
-  Message msg;
-  shard::WireReply reply;
-  switch (runtime_->ReceiveOne(shard, events_.now(), msg, reply)) {
-    case shard::ReceiveKind::kMessage:
-      Deliver(std::move(msg), WorkerId{});
-      break;
-    case shard::ReceiveKind::kReply:
-      converter(reply.sender).ProcessCtxFromReply(reply.from, reply.rc);
-      break;
-    case shard::ReceiveKind::kNone:
-      CAMEO_CHECK(false && "scheduled receive found no due frame");
-  }
+  const bool handled = HandleFrame(shard) != shard::ReceiveKind::kNone;
+  CAMEO_CHECK(handled && "scheduled receive found no due frame");
 }
 
 void Cluster::DrainShardFrames(int shard) {
-  for (;;) {
-    Message msg;
-    shard::WireReply reply;
-    switch (runtime_->ReceiveOne(shard, events_.now(), msg, reply)) {
-      case shard::ReceiveKind::kMessage:
-        Deliver(std::move(msg), WorkerId{});
-        continue;
-      case shard::ReceiveKind::kReply:
-        converter(reply.sender).ProcessCtxFromReply(reply.from, reply.rc);
-        continue;
-      case shard::ReceiveKind::kNone:
-        return;
-    }
+  while (HandleFrame(shard) != shard::ReceiveKind::kNone) {
   }
 }
 
@@ -493,84 +486,10 @@ void Cluster::TryDispatch(WorkerId w) {
 
 void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                               Duration exec_cost) {
-  Operator& op = graph_.Get(m.target);
-  profiler_.Record(m.target, exec_cost);
-  runtime_->policy_of(m.target)->OnInvoked(m.target, op.job(), exec_cost,
-                                           events_.now());
-  if (op.is_source()) {
-    latency_.OnProcessed(op.job(), m.batch.size(), events_.now());
-  }
-
-  CollectingEmitter emitter;
-  InvokeContext ctx{events_.now(), &emitter, &rng_};
-  op.Invoke(m, ctx);
-
-  const int src_shard = runtime_->ShardOf(m.target);
-  for (auto& out : emitter.outs()) {
-    for (auto& d : graph_.Route(m.target, out.port, std::move(out.batch))) {
-      Message md;
-      md.pc = converter(m.target).BuildCxtAtOperator(
-          m.pc, op, graph_.Get(d.target), d.batch.progress, out.event_time,
-          NextMessageId());
-      md.id = md.pc.id;
-      md.target = d.target;
-      md.sender = m.target;
-      md.event_time = out.event_time;
-      md.batch = std::move(d.batch);
-      const int dst_shard = runtime_->ShardOf(d.target);
-      if (dst_shard == src_shard) {
-        // Intra-shard hop: same path (and same virtual-time schedule) as the
-        // pre-shard cluster.
-        auto deliver = [this, md = std::move(md), w]() mutable {
-          Deliver(std::move(md), w);
-        };
-        static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
-                      "delivery closure outgrew the inline event buffer; the "
-                      "common sim path would heap-allocate every delivery");
-        events_.Schedule(events_.now() + options_.sim.network_delay,
-                         std::move(deliver));
-      } else {
-        // Cross-shard hop: serialize through the wire codec and ship on the
-        // transport; the receive event fires at the modeled delivery time.
-        const SimTime at =
-            runtime_->SendMessage(src_shard, dst_shard, events_.now(), md);
-        md.batch.Recycle();  // columns are on the wire now; park the buffers
-        events_.Schedule(
-            at, [this, dst_shard] { ReceiveShardFrame(dst_shard); });
-      }
-    }
-  }
-
-  // Acknowledge upstream with a Reply Context (paper Fig. 5(a), steps 5-6).
-  if (m.sender.valid()) {
-    ReplyContext rc = converter(m.target).PrepareReply(
-        profiler_.Estimate(m.target), dispatch_time - m.enqueue_time,
-        op.is_sink());
-    const int sender_shard = runtime_->ShardOf(m.sender);
-    if (sender_shard == src_shard) {
-      events_.Schedule(events_.now() + options_.sim.network_delay,
-                       [this, sender = m.sender, from = m.target, rc] {
-                         converter(sender).ProcessCtxFromReply(from, rc);
-                       });
-    } else {
-      const SimTime at = runtime_->SendReply(
-          src_shard, sender_shard, events_.now(), m.sender, m.target, rc);
-      events_.Schedule(
-          at, [this, sender_shard] { ReceiveShardFrame(sender_shard); });
-    }
-  }
-
-  if (op.is_sink()) {
-    const JobSpec& spec = graph_.job(op.job());
-    if (spec.output_slide > 0) {
-      latency_.OnSinkOutput(op.job(), m.progress(), events_.now());
-    } else {
-      latency_.OnSinkOutput(op.job(), m.event_time, events_.now());
-    }
-    latency_.OnSinkTuples(op.job(), m.batch.size(), events_.now());
-  }
-  // Last reader of this message's columns: park them for reuse.
-  m.batch.Recycle();
+  StepHooks hooks{*this, w, runtime_->ShardOf(m.target), dispatch_time,
+                  exec_cost};
+  RunMessageStep(StepTables{graph_, profiler_, emitted_, rng_}, hooks, m,
+                 converter(m.target), *runtime_->policy_of(m.target));
 }
 
 void Cluster::FinishActivation(WorkerId w, OperatorId op) {

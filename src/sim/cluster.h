@@ -5,14 +5,18 @@
 // per-message execution costs come from the operators' cost models, messages
 // between operators incur a configurable network delay, and switching a
 // worker between operators incurs a context-switch cost. Everything above
-// the clock — schedulers, contexts, policies, operators, metrics — is the
-// same code the wall-clock runtime uses.
+// the clock — schedulers, contexts, policies, operators, metrics, and the
+// per-message protocol itself (core/message_step.h) — is the same code the
+// wall-clock runtime uses.
 //
 // Per message lifecycle (paper Fig. 5(a)):
-//   ingestion -> BuildCxtAtSource -> Enqueue -> Dequeue (worker free)
-//   -> execute for cost -> Invoke (emits) -> per delivery:
-//        BuildCxtAtOperator -> network delay -> Enqueue
-//   -> ack: PrepareReply -> network delay -> ProcessCtxFromReply (sender)
+//   ingestion -> SourceMessage (BuildCxtAtSource) -> Enqueue -> Dequeue
+//   (worker free) -> busy for the sampled cost -> at completion,
+//   RunMessageStep: Invoke -> profiler + policy -> per delivery:
+//        BuildCxtAtOperator -> network delay (or wire + transport) -> Enqueue
+//   -> ack: PrepareReply -> network delay (or wire) -> ProcessCtxFromReply
+// The sim's hooks (StepHooks in cluster.cpp) supply the virtual clock, a
+// plain message-id counter, and the event-queue and transport hops.
 //
 // Dynamic multi-tenancy: queries can join and leave the simulated cluster in
 // virtual time. `ScheduleQuery` splices a tenant's dataflow in at its arrival
@@ -33,6 +37,7 @@
 #include "api/engine_options.h"
 #include "common/rng.h"
 #include "core/context_converter.h"
+#include "core/message_step.h"
 #include "core/profiler.h"
 #include "core/token_bucket.h"
 #include "dataflow/graph.h"
@@ -167,18 +172,21 @@ class Cluster {
     std::vector<Duration> execs;
   };
 
-  void SetupConverters();
-  void SeedEstimates();
-  /// Registers converters/latency/static seeds for a job added mid-run.
-  void RegisterLateJob(JobId job);
-  void SeedEstimatesFor(JobId job);
+  /// Hooks into the shared per-message step (core/message_step.h).
+  struct StepHooks;
+
+  /// Registers a job's converters, latency accounting and (optionally)
+  /// static cost seeds: at construction and at a scripted arrival.
+  void RegisterJob(JobId job);
   /// Re-splits options_.sim.token_total_rate across live token-enabled jobs.
   void RebalanceTokens();
   void PumpSource(std::size_t idx);
   void Deliver(Message m, WorkerId producer);
   void KickIdleWorkers(int shard);
-  /// Receive event for one due transport frame addressed to `shard`: decodes
-  /// and either delivers the message locally or applies the reply ack. In
+  /// Pops one due frame addressed to `shard` and either delivers the
+  /// message locally or applies the reply ack; kNone on a dry poll.
+  shard::ReceiveKind HandleFrame(int shard);
+  /// Receive event for one due transport frame addressed to `shard`. In
   /// chaos mode this drains *all* due frames and tolerates a dry poll
   /// (faults decouple send events from delivery).
   void ReceiveShardFrame(int shard);
@@ -192,8 +200,8 @@ class Cluster {
   /// Claims an operator via the batched dispatch contract and schedules one
   /// busy period covering the whole drained batch.
   void TryDispatch(WorkerId w);
-  /// The per-message half of a completed activation: invoke, route outputs,
-  /// ack upstream, record metrics, recycle the batch's columns.
+  /// The per-message half of a completed activation: the shared message
+  /// step (invoke, route outputs, ack upstream, record metrics, recycle).
   void CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                        Duration cost);
   /// The per-activation half: releases the operator claim and redispatches.
@@ -234,6 +242,8 @@ class Cluster {
   // their capacity is reused by every dispatch.
   std::vector<Message> batch_scratch_;
   std::vector<Duration> exec_scratch_;
+  /// Outputs of the invocation in progress (message-step scratch).
+  std::vector<EmittedBatch> emitted_;
 };
 
 }  // namespace cameo

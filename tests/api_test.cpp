@@ -275,6 +275,40 @@ TEST(EngineParityTest, SubmitAndRemoveBehaveIdentically) {
   thread.Stop();
 }
 
+TEST(EngineParityTest, FiniteInputYieldsIdenticalBooks) {
+  // Both backends run the same per-message step, so a finite input must
+  // leave identical books: windows emitted at the sink, tuples reaching it,
+  // and tuples the source stage processed.
+  EngineOptions opt;
+  opt.workers = 2;
+  opt.wallclock.emulate_cost = false;
+  opt.wallclock.time_scale = 0.05;
+
+  QuerySpec spec = SmallSpec("books");
+  spec.sources = 2;
+  IngestSpec in;
+  in.msgs_per_sec = 4.0;
+  in.tuples_per_msg = 100;
+  in.end = Seconds(3);
+  in.event_time_delay = Millis(50);
+  const QueryDef def = AggregationQueryDef(spec).Ingest(in);
+
+  SimEngine sim(opt);
+  const JobId sim_job = sim.Submit(def).job();
+  sim.RunFor(Seconds(4));
+  ThreadEngine thread(opt);
+  const JobId thread_job = thread.Submit(def).job();
+  thread.RunFor(Seconds(4));
+  thread.Stop();
+
+  const LatencyRecorder& s = sim.cluster().latency();
+  const ShardedLatencyRecorder& t = thread.runtime().latency();
+  EXPECT_GT(s.processed(sim_job), 0);
+  EXPECT_EQ(s.outputs(sim_job), t.outputs(thread_job));
+  EXPECT_EQ(s.sink_tuples(sim_job), t.sink_tuples(thread_job));
+  EXPECT_EQ(s.processed(sim_job), t.processed(thread_job));
+}
+
 TEST(SimEngineTest, LiveSubmitJoinsAtCurrentVirtualTime) {
   EngineOptions opt;
   opt.workers = 1;
