@@ -1,6 +1,8 @@
 // Unit tests for src/common: time helpers, ids, RNG distributions,
 // percentile statistics, the updatable heap, and the CSV writer.
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -144,6 +146,63 @@ TEST(ZipfTest, SamplesFollowPmf) {
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, zipf.Pmf(k), 0.01);
   }
+}
+
+// The sampler's original inverse-CDF search: the same CDF build, then a
+// lower_bound per draw. Kept verbatim as the reference that any faster
+// search must reproduce draw for draw.
+class BinarySearchZipf {
+ public:
+  BinarySearchZipf(std::size_t n, double s) : cdf_(n) {
+    double sum = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
+      cdf_[k] = sum;
+    }
+    for (double& v : cdf_) v /= sum;
+  }
+
+  std::size_t Sample(Rng& rng) const {
+    double u = rng.Uniform01();
+    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    if (it == cdf_.end()) return cdf_.size() - 1;
+    return static_cast<std::size_t>(it - cdf_.begin());
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
+
+TEST(ZipfTest, DrawsMatchBinarySearchReference) {
+  for (std::size_t n : {1, 2, 3, 1000, 1024, 1025, 65536}) {
+    for (double s : {0.0, 0.5, 0.9, 1.5, 4.0}) {
+      const ZipfSampler zipf(n, s);
+      const BinarySearchZipf ref(n, s);
+      Rng a(n * 31 + static_cast<std::uint64_t>(s * 10));
+      Rng b(n * 31 + static_cast<std::uint64_t>(s * 10));
+      for (int i = 0; i < 100'000; ++i) {
+        ASSERT_EQ(zipf.Sample(a), ref.Sample(b))
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+    }
+  }
+
+  // Values recorded from the binary-search sampler: the benchmark's key
+  // distribution, Zipf(1M, 0.9), under seed 9001.
+  const ZipfSampler zipf(1'000'000, 0.9);
+  Rng rng(9001);
+  const std::vector<std::size_t> first8 = {72,     123238, 39882, 5615,
+                                           146363, 671568, 1850,  4093};
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::size_t rank = zipf.Sample(rng);
+    if (i < 8) {
+      EXPECT_EQ(rank, first8[static_cast<std::size_t>(i)]) << "draw " << i;
+    }
+    h ^= rank;
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 109902518205306590ull);
 }
 
 TEST(SampleStatsTest, BasicOrderStatistics) {
