@@ -1,5 +1,5 @@
-// Unit tests for src/common: time helpers, ids, RNG distributions,
-// percentile statistics, the updatable heap, and the CSV writer.
+// Unit tests for src/common: time helpers, ids, RNG distributions, and
+// percentile statistics.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/csv.h"
 #include "common/histogram.h"
 #include "common/ids.h"
 #include "common/rng.h"
