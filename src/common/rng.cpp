@@ -1,7 +1,9 @@
 #include "common/rng.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <mutex>
 
 #include "common/check.h"
 
@@ -35,27 +37,45 @@ double Rng::Pareto(double alpha, double x_min) {
   return x_min / std::pow(1.0 - u, 1.0 / alpha);
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) {
-  CAMEO_EXPECTS(n > 0);
-  cdf_.resize(n);
+ZipfSampler::Table::Table(std::size_t n_in, double s_in)
+    : n(n_in), s(s_in), cdf(n_in) {
   double sum = 0;
   for (std::size_t k = 0; k < n; ++k) {
     sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
-    cdf_[k] = sum;
+    cdf[k] = sum;
   }
-  for (double& v : cdf_) v /= sum;
+  for (double& v : cdf) v /= sum;
+
+  const std::size_t m = std::bit_ceil(n);
+  buckets = static_cast<double>(m);
+  guide.resize(m + 1);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j <= m; ++j) {
+    const double lo = static_cast<double>(j) / buckets;  // exact
+    while (k < n && cdf[k] < lo) ++k;
+    guide[j] = static_cast<std::uint32_t>(k);
+  }
 }
 
-std::size_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.Uniform01();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  if (it == cdf_.end()) return cdf_.size() - 1;
-  return static_cast<std::size_t>(it - cdf_.begin());
+ZipfSampler::ZipfSampler(std::size_t n, double s) {
+  CAMEO_EXPECTS(n > 0);
+  CAMEO_EXPECTS(n <= std::numeric_limits<std::uint32_t>::max());
+  // Reuse the last table built when (n, s) matches. Keeping only the last
+  // one bounds the memo to one table beyond those live samplers hold, while
+  // every replica of one keyed source still shares a single build.
+  static std::mutex mu;
+  static std::shared_ptr<const Table> last;
+  std::lock_guard<std::mutex> lock(mu);
+  if (last == nullptr || last->n != n || last->s != s) {
+    last = std::make_shared<const Table>(n, s);
+  }
+  table_ = last;
 }
 
 double ZipfSampler::Pmf(std::size_t k) const {
-  CAMEO_EXPECTS(k < cdf_.size());
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  const std::vector<double>& cdf = table_->cdf;
+  CAMEO_EXPECTS(k < cdf.size());
+  return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
 }  // namespace cameo

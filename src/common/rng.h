@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <vector>
 
@@ -46,18 +47,55 @@ class Rng {
 };
 
 /// Zipf sampler over ranks {0, ..., n-1} with exponent s: P(k) ~ 1/(k+1)^s.
-/// Used to synthesize the long-tailed per-stream volume split of Fig. 2(a).
+/// Used to synthesize the long-tailed per-stream volume split of Fig. 2(a)
+/// and the skewed key streams of the keyed workloads.
+///
+/// A draw inverts the CDF at u ~ U[0, 1) in O(1) expected time with a guide
+/// table (Chen & Asau's indexed search): for m = bit_ceil(n) buckets,
+/// guide[j] is the first rank whose CDF is >= j/m. Since m is a power of two,
+/// j = floor(u * m) is exact and j/m <= u < (j+1)/m, so the answer lies in
+/// [guide[j], guide[j+1]] and a short forward scan finds it. The result is
+/// exactly the rank a binary search (lower_bound) over the same CDF returns,
+/// clamped to n-1, so every draw is reproducible from the seed.
+///
+/// The CDF and guide form one immutable table shared by every sampler with
+/// the same (n, s): the most recently built table is memoized process-wide,
+/// so per-replica samplers of one key universe do the O(n) build once.
+/// Construction is thread-safe; Sample/Pmf are const and lock-free.
 class ZipfSampler {
  public:
+  /// Requires 1 <= n <= UINT32_MAX.
   ZipfSampler(std::size_t n, double s);
 
-  std::size_t Sample(Rng& rng) const;
+  std::size_t Sample(Rng& rng) const {
+    const Table& t = *table_;
+    const double u = rng.Uniform01();
+    // u < 1 and m is a power of two, so u * m is exact and j <= m - 1.
+    const auto j = static_cast<std::size_t>(u * t.buckets);
+    std::size_t k = t.guide[j];
+    const std::size_t hi = t.guide[j + 1];
+    while (k < hi && t.cdf[k] < u) ++k;
+    return k < t.n ? k : t.n - 1;
+  }
 
   /// Probability mass of rank k (for tests and workload sizing).
   double Pmf(std::size_t k) const;
 
  private:
-  std::vector<double> cdf_;
+  // The immutable part of a sampler. `guide` has m + 1 entries: the sentinel
+  // guide[m] (the first rank with CDF >= 1, or n) bounds the scan of the
+  // last bucket like any other.
+  struct Table {
+    Table(std::size_t n, double s);
+
+    std::size_t n;
+    double s;
+    double buckets;  // m = bit_ceil(n), a power of two
+    std::vector<double> cdf;
+    std::vector<std::uint32_t> guide;
+  };
+
+  std::shared_ptr<const Table> table_;
 };
 
 }  // namespace cameo

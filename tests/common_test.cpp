@@ -1,9 +1,11 @@
-// Unit tests for src/common: time helpers, ids, RNG distributions, and
+// Unit tests for src/common: time helpers, ids, RNG distributions (including
+// the Zipf sampler's exact draws and its shared tables under threads), and
 // percentile statistics.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -202,6 +204,54 @@ TEST(ZipfTest, DrawsMatchBinarySearchReference) {
     h *= 1099511628211ull;
   }
   EXPECT_EQ(h, 109902518205306590ull);
+}
+
+TEST(ZipfTest, RejectsRankCountsBeyondGuideRange) {
+  // Guide entries are 32-bit ranks; the check fires before any allocation.
+  EXPECT_DEATH(ZipfSampler(std::size_t{1} << 33, 1.0), "n <= ");
+  EXPECT_DEATH(ZipfSampler(0, 1.0), "n > 0");
+}
+
+TEST(ZipfTest, ConcurrentConstructionSharesTables) {
+  // Alternating between two (n, s) pairs makes every construction miss the
+  // one-entry memo, so threads keep replacing the shared table while others
+  // still draw from the one they hold.
+  struct Params {
+    std::size_t n;
+    double s;
+  };
+  const Params params[2] = {{100'000, 0.9}, {1000, 1.5}};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  constexpr int kDraws = 2000;
+
+  auto draws = [&](int thread, int round) {
+    const Params& p = params[(thread + round) % 2];
+    const ZipfSampler zipf(p.n, p.s);
+    Rng rng(static_cast<std::uint64_t>(thread * 100 + round));
+    std::vector<std::size_t> out(kDraws);
+    for (std::size_t& v : out) v = zipf.Sample(rng);
+    return out;
+  };
+
+  std::vector<std::vector<std::size_t>> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) expected.push_back(draws(t, r));
+  }
+
+  std::vector<std::vector<std::size_t>> got(kThreads * kRounds);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        got[static_cast<std::size_t>(t * kRounds + r)] = draws(t, r);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]) << "stream " << i;
+  }
 }
 
 TEST(SampleStatsTest, BasicOrderStatistics) {
