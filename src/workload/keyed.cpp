@@ -12,6 +12,13 @@ inline void AppendRow(EventBatch& batch, std::int64_t key, LogicalTime p) {
   batch.Append(key, 1.0, p);
 }
 
+// Checks a key count before it is converted to a size: a negative count
+// must fail here, not become a huge allocation.
+std::size_t KeyCount(std::int64_t num_keys) {
+  CAMEO_EXPECTS(num_keys >= 1);
+  return static_cast<std::size_t>(num_keys);
+}
+
 }  // namespace
 
 UniformKeys::UniformKeys(std::int64_t num_keys) : num_keys_(num_keys) {
@@ -26,9 +33,7 @@ void UniformKeys::Fill(EventBatch& batch, std::int64_t tuples, LogicalTime p,
 }
 
 ZipfKeys::ZipfKeys(std::int64_t num_keys, double s)
-    : zipf_(static_cast<std::size_t>(num_keys), s) {
-  CAMEO_EXPECTS(num_keys >= 1);
-}
+    : zipf_(KeyCount(num_keys), s) {}
 
 void ZipfKeys::Fill(EventBatch& batch, std::int64_t tuples, LogicalTime p,
                     Rng& rng) {

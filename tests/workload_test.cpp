@@ -7,6 +7,7 @@
 #include "workload/generators.h"
 #include "workload/tenants.h"
 #include "workload/churn.h"
+#include "workload/keyed.h"
 #include "workload/trace.h"
 
 namespace cameo {
@@ -329,6 +330,12 @@ TEST(TokenShareTest, SplitsProportionallyAndHandlesEdges) {
   EXPECT_DOUBLE_EQ(before[0], 20);
   EXPECT_DOUBLE_EQ(after[0], 40);
   EXPECT_TRUE(SplitTokenShares(40, {}).empty());
+}
+
+TEST(KeyedTest, ZipfKeysRejectsNonPositiveCountBeforeAllocating) {
+  // A negative count must fail the precondition, not be cast to a huge size.
+  EXPECT_DEATH(ZipfKeys(-1, 1.0), "num_keys >= 1");
+  EXPECT_DEATH(ZipfKeys(0, 1.0), "num_keys >= 1");
 }
 
 }  // namespace
