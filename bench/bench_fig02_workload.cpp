@@ -5,7 +5,11 @@
 //  (b) ad-hoc micro-batch scheduling overhead reaches ~80% for short jobs;
 //  (c) per-source ingestion varies strongly across sources and time, with
 //      second-scale spikes and idle periods.
+// It also reports the wall-clock cost of one draw from the Zipf sampler that
+// generates the skewed keys (`zipf_1m.ns_per_op`, ungated).
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 
 #include "bench/runner/registry.h"
@@ -30,6 +34,24 @@ void VolumeDistribution(bench::BenchContext& ctx) {
     PrintRow(std::to_string(k) + "%", {FormatPct(acc / total)});
     ctx.Metric("volume.top" + std::to_string(k) + "pct_share", acc / total);
   }
+}
+
+// Cost of one key draw from Zipf(1M, 0.9), the keyed workloads' hot-key
+// distribution. The table is far larger than the caches, so this is the
+// per-key price of skewed key generation.
+void ZipfDrawCost(bench::BenchContext& ctx) {
+  constexpr int kDraws = 2'000'000;
+  const ZipfSampler zipf(1'000'000, 0.9);
+  Rng rng(9001);
+  std::uint64_t sum = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kDraws; ++i) sum += zipf.Sample(rng);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double ns =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() / kDraws;
+  std::printf("\nZipf(1M, 0.9) draw: %.1f ns/op (rank sum %llu)\n", ns,
+              static_cast<unsigned long long>(sum));
+  ctx.Metric("zipf_1m.ns_per_op", ns);
 }
 
 void MicroBatchOverhead(bench::BenchContext& ctx) {
@@ -90,6 +112,7 @@ void IngestionHeatmap(bench::BenchContext& ctx) {
 
 void Run(bench::BenchContext& ctx) {
   VolumeDistribution(ctx);
+  ZipfDrawCost(ctx);
   MicroBatchOverhead(ctx);
   IngestionHeatmap(ctx);
 }
