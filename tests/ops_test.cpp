@@ -2,7 +2,10 @@
 // windowed join, stateless operators, source and sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +17,7 @@
 #include "ops/stateless.h"
 #include "ops/window_agg.h"
 #include "ops/windowed_join.h"
+#include "state/keyed_counter.h"
 
 namespace cameo {
 namespace {
@@ -873,6 +877,146 @@ TEST_F(OpsTest, FilterCarriesSyntheticFaceOfMixedBatches) {
   ASSERT_EQ(out.keys.size(), 1u);
   EXPECT_EQ(out.synthetic_count, 50) << "scaled by selectivity";
   EXPECT_EQ(out.size(), 51);
+}
+
+// ---------------- Watermark: one rule for every windowed operator ----------------
+
+/// The per-channel watermark rule, written out independently of the
+/// operators: a valid sender inside the wired set (any valid sender while
+/// unwired) raises its channel's progress, which starts at 0; once
+/// `expected` channels have reported, the watermark is their minimum, and it
+/// never falls.
+struct ReferenceWatermark {
+  std::vector<std::int64_t> wired;  // sorted; empty = accept any valid sender
+  int expected = 1;
+  std::unordered_map<std::int64_t, LogicalTime> progress;
+  LogicalTime watermark = -1;
+
+  /// Returns true when the watermark rose.
+  bool Credit(std::int64_t sender, LogicalTime p) {
+    if (sender < 0) return false;
+    if (!wired.empty() &&
+        !std::binary_search(wired.begin(), wired.end(), sender)) {
+      return false;
+    }
+    LogicalTime& cp = progress[sender];
+    cp = std::max(cp, p);
+    if (static_cast<int>(progress.size()) < expected) return false;
+    LogicalTime wm = kTimeMax;
+    for (const auto& [ch, q] : progress) wm = std::min(wm, q);
+    if (wm <= watermark) return false;
+    watermark = wm;
+    return true;
+  }
+};
+
+/// Drives `op` (tumbling windows of 10 ticks) with a seeded stream of
+/// one-tuple synthetic batches and progress-only messages. Senders are drawn
+/// from wired ids, unknown ids and -1; a sender's progress sometimes goes
+/// backwards, and early on can be negative. After every Invoke the
+/// operator's watermark, late drops and emitted window ends must match the
+/// reference. `trailing_progress` marks KeyedCounterOp, which also reports
+/// the last passed window end when it closed nothing there.
+template <typename Op>
+void ExpectReferenceWatermark(Op& op, int default_channels, bool wired,
+                              bool trailing_progress, std::uint64_t seed) {
+  constexpr LogicalTime kWindow = 10;
+  Rng rng(seed);
+  ReferenceWatermark ref;
+  ref.expected = default_channels;
+  const std::vector<std::int64_t> pool = {100, 101, 102, 103, 104};
+  if (wired) {
+    std::vector<std::int64_t> ids;
+    const std::int64_t n = rng.UniformInt(1, 3);
+    while (static_cast<std::int64_t>(ids.size()) < n) {
+      const std::int64_t id = pool[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(pool.size()) - 1))];
+      if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+    }
+    ref.wired = ids;
+    std::sort(ref.wired.begin(), ref.wired.end());
+    ref.expected = std::max(default_channels, static_cast<int>(ids.size()));
+    op.SetChannels(ids);
+  }
+  std::vector<std::int64_t> senders = pool;
+  senders.push_back(900);
+  senders.push_back(-1);
+
+  TestEmitter emitter;
+  Rng op_rng(1);
+  std::unordered_map<std::int64_t, LogicalTime> drawn;  // per-sender walk
+  std::set<LogicalTime> open;  // window ends holding a tuple
+  LogicalTime emitted = kTimeMin;
+  std::int64_t late = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::int64_t sender = senders[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(senders.size()) - 1))];
+    LogicalTime& walk = drawn[sender];
+    const LogicalTime p = walk + rng.UniformInt(-8, 15);
+    walk = std::max(walk, p);
+
+    Message m;
+    m.id = MessageId{step};
+    m.sender = OperatorId{sender};
+    m.batch.progress = p;
+    if (p >= 0 && rng.Chance(0.7)) {
+      m.batch.synthetic_count = 1;
+      const LogicalTime end = ((p + kWindow - 1) / kWindow) * kWindow;
+      if (end <= ref.watermark) {
+        ++late;
+      } else {
+        open.insert(end);
+      }
+    }
+
+    std::vector<LogicalTime> want;
+    if (ref.Credit(sender, p)) {
+      while (!open.empty() && *open.begin() <= ref.watermark) {
+        emitted = *open.begin();
+        want.push_back(emitted);
+        open.erase(open.begin());
+      }
+      const LogicalTime last_end = (ref.watermark / kWindow) * kWindow;
+      if (trailing_progress && last_end > emitted) {
+        emitted = last_end;
+        want.push_back(emitted);
+      }
+    }
+
+    emitter.outs.clear();
+    InvokeContext ctx{0, &emitter, &op_rng};
+    op.Invoke(m, ctx);
+    std::vector<LogicalTime> got;
+    for (const CapturedOut& out : emitter.outs) got.push_back(out.batch.progress);
+    ASSERT_EQ(op.watermark(), ref.watermark) << "step " << step;
+    ASSERT_EQ(got, want) << "step " << step;
+    ASSERT_EQ(op.late_dropped(), late) << "step " << step;
+  }
+}
+
+TEST(WatermarkTest, MatchesPerChannelMinimumReference) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    for (bool wired : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (wired ? " wired" : " unwired"));
+      {
+        SCOPED_TRACE("WindowAggOp");
+        WindowAggOp op("a", WindowSpec::Tumbling(10), {}, AggKind::kCount);
+        ExpectReferenceWatermark(op, 1, wired, false, seed);
+      }
+      {
+        SCOPED_TRACE("KeyedCounterOp");
+        KeyedCounterOp op("c", WindowSpec::Tumbling(10), {});
+        ExpectReferenceWatermark(op, 1, wired, true, seed);
+      }
+      {
+        SCOPED_TRACE("WindowedJoinOp");
+        WindowedJoinOp op("j", 10, {});
+        op.SetLeftInputs({OperatorId{100}, OperatorId{102}});
+        ExpectReferenceWatermark(op, 2, wired, false, seed);
+      }
+    }
+  }
 }
 
 }  // namespace
