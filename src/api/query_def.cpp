@@ -67,12 +67,8 @@ void FinalizeChannels(DataflowGraph& g, JobId job) {
       std::vector<std::int64_t> ids = ChannelIds(g, stage, i);
       if (ids.empty()) continue;
       Operator& op = g.Get(stage.operators[static_cast<std::size_t>(i)]);
-      if (auto* agg = dynamic_cast<WindowAggOp*>(&op)) {
-        agg->SetChannels(std::move(ids));
-      } else if (auto* counter = dynamic_cast<KeyedCounterOp*>(&op)) {
-        counter->SetChannels(std::move(ids));
-      } else if (auto* join = dynamic_cast<WindowedJoinOp*>(&op)) {
-        join->SetChannels(std::move(ids));
+      if (auto* windowed = dynamic_cast<WindowedOperator*>(&op)) {
+        windowed->SetChannels(std::move(ids));
       }
     }
   }

@@ -8,29 +8,10 @@ namespace cameo {
 
 WindowAggOp::WindowAggOp(std::string name, WindowSpec window, CostModel cost,
                          AggKind kind, bool per_key, AggParams params)
-    : Operator(std::move(name), window, cost),
+    : WindowedOperator(std::move(name), window, cost, /*min_channels=*/1),
       kernel_(kind, per_key, params) {
   CAMEO_EXPECTS(window.windowed());
   CAMEO_EXPECTS(window.size >= window.slide);
-}
-
-void WindowAggOp::SetExpectedChannels(int n) {
-  CAMEO_EXPECTS(n >= 1);
-  expected_channels_ = n;
-}
-
-void WindowAggOp::SetChannels(std::vector<std::int64_t> channel_ids) {
-  CAMEO_EXPECTS(!channel_ids.empty());
-  std::sort(channel_ids.begin(), channel_ids.end());
-  channel_ids.erase(std::unique(channel_ids.begin(), channel_ids.end()),
-                    channel_ids.end());
-  channel_ids_ = std::move(channel_ids);
-  expected_channels_ = static_cast<int>(channel_ids_.size());
-}
-
-bool WindowAggOp::ChannelAllowed(std::int64_t sender) const {
-  if (channel_ids_.empty()) return true;  // topology not wired: trust senders
-  return std::binary_search(channel_ids_.begin(), channel_ids_.end(), sender);
 }
 
 WindowAggOp::Session* WindowAggOp::SessionAt(LogicalTime t,
@@ -38,7 +19,7 @@ WindowAggOp::Session* WindowAggOp::SessionAt(LogicalTime t,
   const LogicalTime gap = window().gap;
   // A session containing t would close at >= t + gap; if the watermark has
   // already passed that, the session fired -- folding would resurrect it.
-  if (t + gap <= watermark_) {
+  if (t + gap <= watermark()) {
     late_dropped_ += weight;
     return nullptr;
   }
@@ -87,7 +68,7 @@ void WindowAggOp::FoldColumns(const Message& m) {
   for (const WindowPlan::Bucket& bucket : plan_.buckets()) {
     for (std::uint32_t j = 0; j < bucket.windows; ++j) {
       const LogicalTime b = bucket.first_end + static_cast<LogicalTime>(j) * S;
-      if (b <= watermark_) {
+      if (b <= watermark()) {
         // The window ending at b already fired; folding into windows_[b]
         // would re-create it and duplicate its emission on the next
         // watermark advance.
@@ -117,7 +98,7 @@ void WindowAggOp::FoldSynthetic(const Message& m) {
   }
   const LogicalTime S = window().slide;
   for (LogicalTime b = ((p + S - 1) / S) * S; b < p + window().size; b += S) {
-    if (b <= watermark_) {
+    if (b <= watermark()) {
       late_dropped_ += n;
       continue;
     }
@@ -133,21 +114,10 @@ void WindowAggOp::Invoke(const Message& m, InvokeContext& ctx) {
   if (m.batch.columnar()) FoldColumns(m);
   if (m.batch.synthetic_count > 0) FoldSynthetic(m);
 
-  // Advance this channel's progress and recompute the watermark. Progress
-  // from an invalid sender or from an operator outside the wired channel
-  // set earns no credit: counting it would let the watermark advance before
-  // every real upstream channel reported (premature, wrong emissions).
-  if (!m.sender.valid() || !ChannelAllowed(m.sender.value)) return;
-  LogicalTime& cp = channel_progress_[m.sender.value];
-  cp = std::max(cp, m.progress());
-  if (static_cast<int>(channel_progress_.size()) < expected_channels_) return;
-  LogicalTime wm = kTimeMax;
-  for (const auto& [ch, p] : channel_progress_) wm = std::min(wm, p);
-  if (wm <= watermark_) return;
-  watermark_ = wm;
+  if (!CreditProgress(m)) return;
 
   // Trigger every complete window in order.
-  while (!windows_.empty() && windows_.begin()->first <= watermark_) {
+  while (!windows_.empty() && windows_.begin()->first <= watermark()) {
     auto it = windows_.begin();
     EmitWindow(it->first, it->second, ctx);
     windows_.erase(it);
@@ -158,7 +128,7 @@ void WindowAggOp::Invoke(const Message& m, InvokeContext& ctx) {
   if (window().session()) {
     std::size_t closed = 0;
     while (closed < sessions_.size() &&
-           sessions_[closed].last + window().gap <= watermark_) {
+           sessions_[closed].last + window().gap <= watermark()) {
       EmitWindow(sessions_[closed].last + window().gap,
                  sessions_[closed].state, ctx);
       ++closed;

@@ -14,19 +14,10 @@
 // of each other coalesce, and the session ending at last + gap triggers
 // when the watermark passes it.
 //
-// Triggering: the operator tracks per-channel stream progress (channels
-// deliver in order) and triggers all windows whose end B is <= the
-// watermark, the minimum progress across its expected upstream channels.
-// Only channels wired by the topology count: progress from an invalid
-// sender (external ingestion) or from an operator outside the declared
-// channel set (SetChannels) is ignored, so the watermark can never advance
-// before every real upstream channel has reported.
-//
-// Late-data policy: a tuple whose window end B is already <= the watermark
-// would re-create a window that has fired (and re-emit it on the next
-// advance, duplicating window outputs downstream). Such folds are dropped
-// and counted in `late_dropped()` -- one count per dropped (tuple, window)
-// assignment.
+// Triggering: every window whose end B is <= the watermark fires, in order.
+// The watermark, its channel credit and the late-data policy live in
+// WindowedOperator (dataflow/windowed_operator.h); one late_dropped() count
+// is one dropped (tuple, window) assignment.
 //
 // Aggregation executes on the columnar kernel layer (ops/agg_kernels.h):
 // one WindowPlan assignment pass per batch, then whole-bucket folds.
@@ -37,38 +28,23 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "dataflow/operator.h"
+#include "dataflow/windowed_operator.h"
 #include "ops/agg_kernels.h"
 
 namespace cameo {
 
-class WindowAggOp final : public Operator {
+class WindowAggOp final : public WindowedOperator {
  public:
   WindowAggOp(std::string name, WindowSpec window, CostModel cost,
               AggKind kind, bool per_key = false, AggParams params = {});
 
-  /// Number of upstream channels that must report progress before the
-  /// watermark advances. Wired by the scenario/cluster builder from the
-  /// topology; defaults to 1.
-  void SetExpectedChannels(int n);
-
-  /// Declares the exact upstream operator ids that feed this replica
-  /// (wired by FinalizeChannels from the topology). Progress from senders
-  /// outside the set is ignored for watermark accounting; also sets the
-  /// expected channel count to the set's size.
-  void SetChannels(std::vector<std::int64_t> channel_ids);
-
   void Invoke(const Message& m, InvokeContext& ctx) override;
 
-  LogicalTime watermark() const { return watermark_; }
   std::size_t open_windows() const {
     return windows_.size() + sessions_.size();
   }
-  /// Dropped (tuple, window) assignments whose window had already fired.
-  std::int64_t late_dropped() const { return late_dropped_; }
   const AggKernel& kernel() const { return kernel_; }
 
  private:
@@ -78,7 +54,6 @@ class WindowAggOp final : public Operator {
     AggWindowState state;
   };
 
-  bool ChannelAllowed(std::int64_t sender) const;
   void FoldColumns(const Message& m);
   void FoldSynthetic(const Message& m);
   /// Returns the (possibly freshly merged) open session covering logical
@@ -90,16 +65,10 @@ class WindowAggOp final : public Operator {
 
   AggKernel kernel_;
   WindowPlan plan_;
-  int expected_channels_ = 1;
-  LogicalTime watermark_ = -1;
-  std::int64_t late_dropped_ = 0;
   std::map<LogicalTime, AggWindowState> windows_;  // keyed by window end B
   /// Open session windows, sorted by `first`; pairwise more than `gap`
   /// apart (overlapping sessions merge on fold).
   std::vector<Session> sessions_;
-  std::unordered_map<std::int64_t, LogicalTime> channel_progress_;
-  /// Sorted wired-channel ids; empty = accept any valid sender.
-  std::vector<std::int64_t> channel_ids_;
 };
 
 }  // namespace cameo

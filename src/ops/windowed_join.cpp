@@ -1,38 +1,19 @@
 #include "ops/windowed_join.h"
 
 #include <algorithm>
+#include <unordered_map>
 
-#include "common/check.h"
 
 namespace cameo {
 
 WindowedJoinOp::WindowedJoinOp(std::string name, LogicalTime window_size,
                                CostModel cost)
-    : Operator(std::move(name), WindowSpec::Tumbling(window_size), cost) {}
+    : WindowedOperator(std::move(name), WindowSpec::Tumbling(window_size),
+                       cost, /*min_channels=*/2) {}
 
 void WindowedJoinOp::SetLeftInputs(const std::vector<OperatorId>& left) {
   left_inputs_.clear();
   for (OperatorId id : left) left_inputs_.insert(id.value);
-}
-
-void WindowedJoinOp::SetExpectedChannels(int n) {
-  CAMEO_EXPECTS(n >= 2);
-  expected_channels_ = n;
-}
-
-void WindowedJoinOp::SetChannels(std::vector<std::int64_t> channel_ids) {
-  CAMEO_EXPECTS(!channel_ids.empty());
-  std::sort(channel_ids.begin(), channel_ids.end());
-  channel_ids.erase(std::unique(channel_ids.begin(), channel_ids.end()),
-                    channel_ids.end());
-  channel_ids_ = std::move(channel_ids);
-  // A join waits on both sides even when the topology wires fewer ids.
-  expected_channels_ = std::max(2, static_cast<int>(channel_ids_.size()));
-}
-
-bool WindowedJoinOp::ChannelAllowed(std::int64_t sender) const {
-  if (channel_ids_.empty()) return true;  // topology not wired: trust senders
-  return std::binary_search(channel_ids_.begin(), channel_ids_.end(), sender);
 }
 
 void WindowedJoinOp::Invoke(const Message& m, InvokeContext& ctx) {
@@ -42,7 +23,7 @@ void WindowedJoinOp::Invoke(const Message& m, InvokeContext& ctx) {
   if (m.batch.columnar()) {
     for (std::size_t i = 0; i < m.batch.keys.size(); ++i) {
       LogicalTime b = ((m.batch.times[i] + S - 1) / S) * S;  // inclusive end
-      if (b <= watermark_) {
+      if (b <= watermark()) {
         // Window already fired; folding would re-create (and re-emit) it.
         ++late_dropped_;
         continue;
@@ -56,7 +37,7 @@ void WindowedJoinOp::Invoke(const Message& m, InvokeContext& ctx) {
   }
   if (m.batch.synthetic_count > 0) {
     LogicalTime b = ((m.batch.progress + S - 1) / S) * S;
-    if (b <= watermark_) {
+    if (b <= watermark()) {
       late_dropped_ += m.batch.synthetic_count;
     } else {
       WindowState& w = windows_[b];
@@ -66,17 +47,8 @@ void WindowedJoinOp::Invoke(const Message& m, InvokeContext& ctx) {
     }
   }
 
-  // Watermark credit only for wired, valid channels (see window_agg.cpp).
-  if (!m.sender.valid() || !ChannelAllowed(m.sender.value)) return;
-  LogicalTime& cp = channel_progress_[m.sender.value];
-  cp = std::max(cp, m.progress());
-  if (static_cast<int>(channel_progress_.size()) < expected_channels_) return;
-  LogicalTime wm = kTimeMax;
-  for (const auto& [ch, p] : channel_progress_) wm = std::min(wm, p);
-  if (wm <= watermark_) return;
-  watermark_ = wm;
-
-  while (!windows_.empty() && windows_.begin()->first <= watermark_) {
+  if (!CreditProgress(m)) return;
+  while (!windows_.empty() && windows_.begin()->first <= watermark()) {
     auto it = windows_.begin();
     EmitWindow(it->first, it->second, ctx);
     windows_.erase(it);

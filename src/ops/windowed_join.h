@@ -15,40 +15,30 @@
 // the columns plus the synthetic match count (EventBatch::size() is the
 // sum) -- dropping either face would undercount the window.
 //
-// Late-data and channel policy match WindowAggOp (see ops/window_agg.h):
-// folds into a window whose end is already <= the watermark are dropped and
-// counted in late_dropped(); progress from invalid senders or operators
-// outside the wired channel set (SetChannels) earns no watermark credit.
+// The watermark, its channel credit and the late-data policy live in
+// WindowedOperator (dataflow/windowed_operator.h); the join waits on at least
+// two channels, and one late_dropped() count is one dropped tuple.
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "dataflow/operator.h"
+#include "dataflow/windowed_operator.h"
 
 namespace cameo {
 
-class WindowedJoinOp final : public Operator {
+class WindowedJoinOp final : public WindowedOperator {
  public:
   WindowedJoinOp(std::string name, LogicalTime window_size, CostModel cost);
 
   /// Declares which upstream operators feed the left side; everything else
   /// is treated as the right side. Wired by the scenario builder.
   void SetLeftInputs(const std::vector<OperatorId>& left);
-  void SetExpectedChannels(int n);
-  /// Declares the exact upstream operator ids (both sides) that feed this
-  /// replica; progress from senders outside the set is ignored. Also sets
-  /// the expected channel count to max(2, set size).
-  void SetChannels(std::vector<std::int64_t> channel_ids);
 
   void Invoke(const Message& m, InvokeContext& ctx) override;
 
   std::size_t open_windows() const { return windows_.size(); }
-  LogicalTime watermark() const { return watermark_; }
-  /// Dropped tuples whose tumbling window had already fired.
-  std::int64_t late_dropped() const { return late_dropped_; }
 
  private:
   struct Side {
@@ -61,17 +51,11 @@ class WindowedJoinOp final : public Operator {
     SimTime last_event = kTimeMin;
   };
 
-  bool ChannelAllowed(std::int64_t sender) const;
   void EmitWindow(LogicalTime window_end, const WindowState& w,
                   InvokeContext& ctx);
 
   std::unordered_set<std::int64_t> left_inputs_;
-  int expected_channels_ = 2;
-  LogicalTime watermark_ = -1;
-  std::int64_t late_dropped_ = 0;
   std::map<LogicalTime, WindowState> windows_;
-  std::unordered_map<std::int64_t, LogicalTime> channel_progress_;
-  std::vector<std::int64_t> channel_ids_;  // sorted; empty = accept any
 };
 
 }  // namespace cameo

@@ -13,37 +13,19 @@ constexpr LogicalTime kFree = CounterSlate::kFree;
 
 KeyedCounterOp::KeyedCounterOp(std::string name, WindowSpec window,
                                CostModel cost, KeyedCounterOptions opts)
-    : Operator(std::move(name), window, cost), opts_(opts) {
+    : WindowedOperator(std::move(name), window, cost, /*min_channels=*/1),
+      opts_(opts) {
   CAMEO_EXPECTS(window.windowed() && !window.session());
   CAMEO_EXPECTS(window.size >= window.slide);
   CAMEO_EXPECTS(opts_.ttl >= 0);
-}
-
-void KeyedCounterOp::SetExpectedChannels(int n) {
-  CAMEO_EXPECTS(n >= 1);
-  expected_channels_ = n;
-}
-
-void KeyedCounterOp::SetChannels(std::vector<std::int64_t> channel_ids) {
-  CAMEO_EXPECTS(!channel_ids.empty());
-  std::sort(channel_ids.begin(), channel_ids.end());
-  channel_ids.erase(std::unique(channel_ids.begin(), channel_ids.end()),
-                    channel_ids.end());
-  channel_ids_ = std::move(channel_ids);
-  expected_channels_ = static_cast<int>(channel_ids_.size());
-}
-
-bool KeyedCounterOp::ChannelAllowed(std::int64_t sender) const {
-  if (channel_ids_.empty()) return true;  // topology not wired: trust senders
-  return std::binary_search(channel_ids_.begin(), channel_ids_.end(), sender);
 }
 
 void KeyedCounterOp::ArmTtl(CounterSlate& slate, std::int64_t key) {
   if (opts_.ttl <= 0) return;
   // At most one outstanding timer per key: if the armed deadline is still in
   // the future, the fire handler will lazily re-arm from last_seen.
-  if (slate.ttl_armed > watermark_) return;
-  slate.ttl_armed = std::max(slate.last_seen + opts_.ttl, watermark_ + 1);
+  if (slate.ttl_armed > watermark()) return;
+  slate.ttl_armed = std::max(slate.last_seen + opts_.ttl, watermark() + 1);
   wheel_.Schedule(slate.ttl_armed, key, kTtlTag);
 }
 
@@ -99,7 +81,7 @@ void KeyedCounterOp::FoldColumns(const Message& m) {
       for (std::uint32_t j = 0; j < bucket.windows; ++j) {
         const LogicalTime B =
             bucket.first_end + static_cast<LogicalTime>(j) * S;
-        if (B <= watermark_) {
+        if (B <= watermark()) {
           late_dropped_ += bucket.count;
           continue;
         }
@@ -111,7 +93,7 @@ void KeyedCounterOp::FoldColumns(const Message& m) {
       for (std::uint32_t j = 0; j < bucket.windows; ++j) {
         const LogicalTime B =
             bucket.first_end + static_cast<LogicalTime>(j) * S;
-        if (B <= watermark_) {
+        if (B <= watermark()) {
           late_dropped_ += bucket.count;
           continue;
         }
@@ -133,7 +115,7 @@ void KeyedCounterOp::FoldSynthetic(const Message& m) {
   const LogicalTime p = m.batch.progress;
   const LogicalTime S = window().slide;
   for (LogicalTime B = ((p + S - 1) / S) * S; B < p + window().size; B += S) {
-    if (B <= watermark_) {
+    if (B <= watermark()) {
       late_dropped_ += n;
       continue;
     }
@@ -147,20 +129,11 @@ void KeyedCounterOp::Invoke(const Message& m, InvokeContext& ctx) {
   if (m.batch.columnar()) FoldColumns(m);
   if (m.batch.synthetic_count > 0) FoldSynthetic(m);
 
-  // Same watermark discipline as WindowAggOp: only wired channels earn
-  // progress credit, and the watermark is the minimum across all of them.
-  if (!m.sender.valid() || !ChannelAllowed(m.sender.value)) return;
-  LogicalTime& cp = channel_progress_[m.sender.value];
-  cp = std::max(cp, m.progress());
-  if (static_cast<int>(channel_progress_.size()) < expected_channels_) return;
-  LogicalTime wm = kTimeMax;
-  for (const auto& [ch, p] : channel_progress_) wm = std::min(wm, p);
-  if (wm <= watermark_) return;
-  AdvanceWatermark(wm, ctx);
+  if (CreditProgress(m)) AdvanceWatermark(ctx);
 }
 
-void KeyedCounterOp::AdvanceWatermark(LogicalTime wm, InvokeContext& ctx) {
-  watermark_ = wm;
+void KeyedCounterOp::AdvanceWatermark(InvokeContext& ctx) {
+  const LogicalTime wm = watermark();
   pending_emits_.clear();
   wheel_.Advance(wm, [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
     if (tag == kCloseTag) {

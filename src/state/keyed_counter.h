@@ -6,7 +6,8 @@
 // Semantics match WindowAggOp{kCount, per_key} exactly (same inclusive-right
 // window model, late-data policy, sorted-by-key emission, synthetic-batch
 // handling), which is what the bench's per-run equivalence check leans on.
-// What differs is the state layout: WindowAggOp keeps one accumulator map
+// Both take the watermark, its channel credit and the late-data policy from
+// WindowedOperator (dataflow/windowed_operator.h). What differs is the state layout: WindowAggOp keeps one accumulator map
 // *per open window* and sweeps a window map on every watermark advance; this
 // operator keeps one slate *per key* for the store's whole lifetime, so key
 // identity (and its TTL lifecycle) survives across windows and the working
@@ -27,10 +28,9 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "dataflow/operator.h"
+#include "dataflow/windowed_operator.h"
 #include "ops/agg_kernels.h"
 #include "state/slate_store.h"
 #include "state/timer_wheel.h"
@@ -60,23 +60,18 @@ struct KeyedCounterOptions {
   bool mini_batch = true;
 };
 
-class KeyedCounterOp final : public Operator {
+class KeyedCounterOp final : public WindowedOperator {
  public:
   KeyedCounterOp(std::string name, WindowSpec window, CostModel cost,
                  KeyedCounterOptions opts = {});
 
-  void SetExpectedChannels(int n);
-  void SetChannels(std::vector<std::int64_t> channel_ids);
-
   void Invoke(const Message& m, InvokeContext& ctx) override;
 
-  LogicalTime watermark() const { return watermark_; }
   std::size_t live_keys() const { return store_.size(); }
   /// Books-close identity: inserted() == expired() + live_keys() holds
   /// whenever the watermark has passed every key's windows (tests assert it).
   std::int64_t inserted() const { return inserted_; }
   std::int64_t expired() const { return expired_; }
-  std::int64_t late_dropped() const { return late_dropped_; }
   /// Rows observed (real + synthetic), before any window fan-out. For
   /// tumbling windows the books close as rows_seen() == count_emitted() +
   /// late_dropped() once the watermark passes every open window.
@@ -90,14 +85,13 @@ class KeyedCounterOp final : public Operator {
   const SlateStore<CounterSlate>& store() const { return store_; }
 
  private:
-  bool ChannelAllowed(std::int64_t sender) const;
   void FoldColumns(const Message& m);
   void FoldSynthetic(const Message& m);
   /// Folds `n` rows of `key` (latest row time `t`) into the window ending at
   /// `B`; claims a slate cell (arming the close timer) or spills.
   void FoldKey(std::int64_t key, double n, LogicalTime t, LogicalTime B);
   void ArmTtl(CounterSlate& slate, std::int64_t key);
-  void AdvanceWatermark(LogicalTime wm, InvokeContext& ctx);
+  void AdvanceWatermark(InvokeContext& ctx);
 
   KeyedCounterOptions opts_;
   WindowPlan plan_;
@@ -127,19 +121,14 @@ class KeyedCounterOp final : public Operator {
   std::vector<PendingEmit> pending_emits_;
   std::vector<std::pair<std::int64_t, double>> overflow_pairs_;
 
-  int expected_channels_ = 1;
-  LogicalTime watermark_ = -1;
   /// Highest progress stamped on an emitted batch; gates the trailing
   /// progress-only emission (no duplicate window-end stamps downstream).
   LogicalTime emitted_progress_ = kTimeMin;
   std::int64_t inserted_ = 0;
   std::int64_t expired_ = 0;
-  std::int64_t late_dropped_ = 0;
   std::int64_t overflow_folds_ = 0;
   std::int64_t rows_seen_ = 0;
   double count_emitted_ = 0;
-  std::unordered_map<std::int64_t, LogicalTime> channel_progress_;
-  std::vector<std::int64_t> channel_ids_;
 };
 
 }  // namespace cameo

@@ -233,7 +233,7 @@ TEST_F(OpsTest, EventTimePropagatedAsLastContributingArrival) {
 
 TEST_F(OpsTest, WatermarkWaitsForAllExpectedChannels) {
   WindowAggOp agg("a", WindowSpec::Tumbling(10), {}, AggKind::kCount);
-  agg.SetExpectedChannels(2);
+  agg.SetChannels({100, 101});
   auto ctx = Ctx();
   agg.Invoke(ColumnarMsg(/*sender=*/100, 10, {{1, 1.0, 5}}), ctx);
   EXPECT_TRUE(emitter_.outs.empty()) << "channel 101 has not reported";
@@ -244,7 +244,7 @@ TEST_F(OpsTest, WatermarkWaitsForAllExpectedChannels) {
 
 TEST_F(OpsTest, WatermarkIsMinimumAcrossChannels) {
   WindowAggOp agg("a", WindowSpec::Tumbling(10), {}, AggKind::kCount);
-  agg.SetExpectedChannels(2);
+  agg.SetChannels({100, 101});
   auto ctx = Ctx();
   agg.Invoke(ColumnarMsg(100, 30, {{1, 1.0, 5}}), ctx);
   agg.Invoke(ColumnarMsg(101, 10, {{1, 1.0, 7}}), ctx);
@@ -308,7 +308,6 @@ TEST_F(OpsTest, SlidingWindowCountOverlapProperty) {
 TEST_F(OpsTest, JoinMatchesKeysWithinWindow) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 10, {{1, 2.0, 3}, {2, 5.0, 4}}), ctx);
   join.Invoke(ColumnarMsg(200, 10, {{1, 10.0, 6}, {3, 1.0, 7}}), ctx);
@@ -322,7 +321,6 @@ TEST_F(OpsTest, JoinMatchesKeysWithinWindow) {
 TEST_F(OpsTest, JoinSeparatesWindows) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   // Key 1 on left in window 10, on right only in window 20: no match.
   join.Invoke(ColumnarMsg(100, 15, {{1, 2.0, 3}}), ctx);
@@ -337,7 +335,6 @@ TEST_F(OpsTest, JoinSeparatesWindows) {
 TEST_F(OpsTest, JoinHandlesMultiMatch) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 10, {{1, 2.0, 3}, {1, 3.0, 4}}), ctx);
   join.Invoke(ColumnarMsg(200, 10, {{1, 10.0, 6}}), ctx);
@@ -348,7 +345,6 @@ TEST_F(OpsTest, JoinHandlesMultiMatch) {
 TEST_F(OpsTest, JoinSyntheticVolumeIsMinOfSides) {
   WindowedJoinOp join("j", Seconds(1), {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(SyntheticMsg(100, Seconds(1), 300), ctx);
   join.Invoke(SyntheticMsg(200, Seconds(1), 100), ctx);
@@ -359,7 +355,6 @@ TEST_F(OpsTest, JoinSyntheticVolumeIsMinOfSides) {
 TEST_F(OpsTest, JoinEmitsEmptyWindowToAdvanceProgress) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 10, {{1, 1.0, 5}}), ctx);
   join.Invoke(ColumnarMsg(200, 10, {{2, 1.0, 5}}), ctx);
@@ -374,7 +369,6 @@ TEST_F(OpsTest, JoinMixedWindowEmitsKeyedAndSyntheticMatches) {
   // output existed, undercounting mixed windows.
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 5, {{1, 2.0, 3}}), ctx);
   join.Invoke(ColumnarMsg(200, 5, {{1, 10.0, 4}}), ctx);
@@ -454,7 +448,6 @@ TEST_F(OpsTest, LateOnlyInputEmitsNothingNotAFabricatedValue) {
 TEST_F(OpsTest, JoinLateTuplesDoNotResurrectFiredWindows) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 10, {{1, 2.0, 5}}), ctx);
   join.Invoke(ColumnarMsg(200, 10, {{1, 10.0, 6}}), ctx);
@@ -473,10 +466,10 @@ TEST_F(OpsTest, JoinLateTuplesDoNotResurrectFiredWindows) {
 
 TEST_F(OpsTest, InvalidSenderEarnsNoWatermarkCredit) {
   // Regression: the seed mapped an invalid sender to channel -1 and counted
-  // it toward expected_channels_, so one real channel plus one invalid
-  // message advanced a 2-channel watermark prematurely.
+  // it toward the expected channel count, so one real channel plus one
+  // invalid message advanced a 2-channel watermark prematurely.
   WindowAggOp agg("a", WindowSpec::Tumbling(10), {}, AggKind::kSum);
-  agg.SetExpectedChannels(2);
+  agg.SetChannels({100, 101});
   auto ctx = Ctx();
   agg.Invoke(ColumnarMsg(100, 10, {{1, 1.0, 5}}), ctx);
   agg.Invoke(ColumnarMsg(-1, 50, {{1, 2.0, 6}}), ctx);
@@ -506,7 +499,6 @@ TEST_F(OpsTest, WiredChannelsExcludeUnknownSenders) {
 TEST_F(OpsTest, JoinInvalidSenderEarnsNoWatermarkCredit) {
   WindowedJoinOp join("j", 10, {});
   join.SetLeftInputs({OperatorId{100}});
-  join.SetExpectedChannels(2);
   auto ctx = Ctx();
   join.Invoke(ColumnarMsg(100, 10, {{1, 2.0, 5}}), ctx);
   join.Invoke(ColumnarMsg(-1, 50, {{1, 3.0, 6}}), ctx);

@@ -324,8 +324,6 @@ void ExpectCountEquivalence(WindowSpec window, bool mini_batch,
   opts.mini_batch = mini_batch;
   KeyedCounterOp counter("c", window, {}, opts);
   WindowAggOp agg("a", window, {}, AggKind::kCount, /*per_key=*/true);
-  counter.SetExpectedChannels(1);
-  agg.SetExpectedChannels(1);
 
   TestEmitter ce;
   TestEmitter ae;
@@ -419,7 +417,6 @@ TEST_F(KeyedCounterTest, BooksCloseWithTtlExpiry) {
   KeyedCounterOptions opts;
   opts.ttl = Seconds(2);
   KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
-  op.SetExpectedChannels(1);
   TestEmitter emitter;
   Rng traffic(123);
   LogicalTime p = 0;
@@ -456,7 +453,6 @@ TEST_F(KeyedCounterTest, ExpiredKeyNeverFoldedAfterwardAndReinsertsFresh) {
   KeyedCounterOptions opts;
   opts.ttl = Seconds(1);
   KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
-  op.SetExpectedChannels(1);
   TestEmitter emitter;
 
   auto send = [&](LogicalTime p,
@@ -494,7 +490,6 @@ TEST_F(KeyedCounterTest, ExpiredKeyNeverFoldedAfterwardAndReinsertsFresh) {
 
 TEST_F(KeyedCounterTest, LateRowsDropDeterministically) {
   KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {});
-  op.SetExpectedChannels(1);
   TestEmitter emitter;
   auto ctx = Ctx(emitter);
   op.Invoke(Msg(Seconds(2), {{1, 1.0, Millis(500)}}), ctx);  // wm -> 2 s
