@@ -65,9 +65,6 @@ struct EngineOptions {
     bool seed_static_estimates = true;
     std::int64_t seed_nominal_tuples = 1000;
     bool enable_timeline = false;
-    /// > 0: total token issuance (tokens/s) re-shared across live
-    /// token-enabled queries on every membership change.
-    double token_total_rate = 0;
     /// Reliable-delivery session layer over the shard transport
     /// (shard/session.h). Auto-enabled when `shard_faults` injects
     /// anything; off by default so clean runs stay bit-identical.

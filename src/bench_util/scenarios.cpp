@@ -206,9 +206,6 @@ ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
     spec.latency_constraint = opt.tenant_constraint;
     spec.msgs_per_sec_per_source = opt.tenant_msgs_per_sec;
     spec.tuples_per_msg = opt.tenant_tuples_per_msg;
-    if (opt.engine.sim.token_total_rate > 0) {
-      spec.token_rate_per_sec = 1;  // equal weight
-    }
     SimTime depart = std::min<SimTime>(ti.depart, opt.duration);
     // Batching clients close intervals at window boundaries regardless of
     // when the query registered, so the ingestion clock starts at the first

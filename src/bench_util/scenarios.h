@@ -141,9 +141,6 @@ struct ChurnScenarioOptions {
   double tenant_msgs_per_sec = 1.0;
   std::int64_t tenant_tuples_per_msg = 1000;
 
-  /// `engine.sim.token_total_rate` > 0 gives every tenant an equal token
-  /// weight and re-shares the total on each membership change (§5.4 under
-  /// churn).
   EngineOptions engine;
   SimTime duration = Seconds(60);
 };

@@ -50,15 +50,6 @@ class TokenBucket {
   std::int64_t budget() const { return budget_; }
   Duration interval() const { return interval_; }
 
-  /// Re-shares the bucket on tenant-membership change (§5.4 under churn):
-  /// the new budget applies from the next TryAcquire; tokens already issued
-  /// this interval keep their tags, and an already-overspent interval simply
-  /// grants nothing more until it rolls over.
-  void SetBudget(std::int64_t tokens_per_interval) {
-    CAMEO_EXPECTS(tokens_per_interval > 0);
-    budget_ = tokens_per_interval;
-  }
-
  private:
   std::int64_t budget_;
   Duration interval_;

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/pool.h"
 #include "dataflow/critical_path.h"
-#include "workload/churn.h"
 
 namespace cameo {
 
@@ -205,7 +204,6 @@ int Cluster::ScheduleQuery(SimTime at, SimTime until, QueryBuilder builder,
     if (q.until > q.at) {
       events_.Schedule(q.until, [this, job = h.job] { RemoveQueryNow(job); });
     }
-    if (options_.sim.token_total_rate > 0) RebalanceTokens();
   });
   return ticket;
 }
@@ -224,52 +222,10 @@ void Cluster::RemoveQueryNow(JobId job) {
   // purged at quiescence; messages_purged() reads the stats so purges an
   // active mailbox defers to its owner's release are counted too).
   runtime_->RetireOperators(ops);
-  if (options_.sim.token_total_rate > 0) RebalanceTokens();
 }
 
 void Cluster::At(SimTime t, std::function<void()> fn) {
   events_.Schedule(t, std::move(fn));
-}
-
-void Cluster::SetJobTokenRate(JobId job, double per_source_rate) {
-  for (SourceState& s : sources_) {
-    if (graph_.Get(s.op).job() != job) continue;
-    auto it = token_buckets_.find(s.op);
-    if (it == token_buckets_.end()) continue;
-    it->second.SetBudget(
-        std::max<std::int64_t>(1, static_cast<std::int64_t>(per_source_rate)));
-  }
-}
-
-void Cluster::RebalanceTokens() {
-  // Weights are the specs' configured token rates; the live tenants split
-  // options_.sim.token_total_rate proportionally (SplitTokenShares, shared with
-  // the churn scripts), spread over each job's sources.
-  struct Member {
-    JobId job;
-    int sources = 0;
-  };
-  std::vector<Member> members;
-  std::vector<double> weights;
-  for (SourceState& s : sources_) {
-    JobId job = graph_.Get(s.op).job();
-    if (!graph_.query_live(job)) continue;
-    if (token_buckets_.find(s.op) == token_buckets_.end()) continue;
-    auto it = std::find_if(members.begin(), members.end(),
-                           [&](const Member& m) { return m.job == job; });
-    if (it == members.end()) {
-      members.push_back({job, 1});
-      weights.push_back(graph_.job(job).token_rate_per_sec);
-    } else {
-      ++it->sources;
-    }
-  }
-  std::vector<double> shares =
-      SplitTokenShares(options_.sim.token_total_rate, weights);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    if (shares[i] <= 0) continue;
-    SetJobTokenRate(members[i].job, shares[i] / std::max(1, members[i].sources));
-  }
 }
 
 void Cluster::PumpSource(std::size_t idx) {

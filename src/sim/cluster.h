@@ -23,8 +23,7 @@
 // time (converters, profiler seeds and ingestion are registered on the spot)
 // and retires it at its departure time: the source stops pumping, the
 // scheduler purges the tenant's mailboxes (counted, never silent) and parks
-// them at kRetired, and -- when `token_total_rate` is set -- the token-bucket
-// shares of the surviving tenants are rebalanced (§5.4 under churn).
+// them at kRetired.
 #pragma once
 
 #include <functional>
@@ -96,9 +95,6 @@ class Cluster {
 
   /// Runs `fn` at virtual time `t` (scripted perturbations, rebalances, ...).
   void At(SimTime t, std::function<void()> fn);
-
-  /// Re-shares `per_source_rate` tokens/s onto each source bucket of `job`.
-  void SetJobTokenRate(JobId job, double per_source_rate);
 
   /// Messages discarded by query retirement (accounted, never silent).
   /// Derived from scheduler stats so purges deferred to a worker's release
@@ -178,8 +174,6 @@ class Cluster {
   /// Registers a job's converters, latency accounting and (optionally)
   /// static cost seeds: at construction and at a scripted arrival.
   void RegisterJob(JobId job);
-  /// Re-splits options_.sim.token_total_rate across live token-enabled jobs.
-  void RebalanceTokens();
   void PumpSource(std::size_t idx);
   void Deliver(Message m, WorkerId producer);
   void KickIdleWorkers(int shard);

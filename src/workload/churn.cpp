@@ -57,21 +57,4 @@ TenantChurnScript GenerateTenantChurn(const TenantChurnSpec& spec, Rng& rng) {
   return script;
 }
 
-std::vector<double> SplitTokenShares(double total_rate,
-                                     const std::vector<double>& weights) {
-  std::vector<double> shares(weights.size(), 0.0);
-  if (weights.empty() || total_rate <= 0) return shares;
-  double sum = 0;
-  for (double w : weights) sum += w > 0 ? w : 0;
-  if (sum <= 0) {  // no preferences: uniform split
-    std::fill(shares.begin(), shares.end(),
-              total_rate / static_cast<double>(weights.size()));
-    return shares;
-  }
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    shares[i] = weights[i] > 0 ? total_rate * weights[i] / sum : 0.0;
-  }
-  return shares;
-}
-
 }  // namespace cameo

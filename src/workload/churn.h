@@ -5,8 +5,7 @@
 // Pareto (heavy-tailed) lifetimes -- that both execution backends replay:
 // `sim::Cluster::ScheduleQuery` in virtual time, and the churn tests/
 // benchmarks against `ThreadRuntime::AddQuery`/`RemoveQuery` in wall-clock
-// time. Token-bucket shares for the surviving tenant set are re-split with
-// `SplitTokenShares` on every membership change (§5.4 under churn).
+// time.
 #pragma once
 
 #include <vector>
@@ -53,10 +52,5 @@ struct TenantChurnScript {
 
 /// Draws a churn script from `spec`. Deterministic for a given Rng state.
 TenantChurnScript GenerateTenantChurn(const TenantChurnSpec& spec, Rng& rng);
-
-/// Splits `total_rate` across `weights` proportionally (uniform when a
-/// weight is <= 0); returns one share per weight. Empty input -> empty.
-std::vector<double> SplitTokenShares(double total_rate,
-                                     const std::vector<double>& weights);
 
 }  // namespace cameo

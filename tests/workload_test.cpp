@@ -315,23 +315,6 @@ TEST(TenantChurnTest, AdmissionControlCapsConcurrency) {
   }
 }
 
-TEST(TokenShareTest, SplitsProportionallyAndHandlesEdges) {
-  auto shares = SplitTokenShares(60, {1, 2, 3});
-  ASSERT_EQ(shares.size(), 3u);
-  EXPECT_DOUBLE_EQ(shares[0], 10);
-  EXPECT_DOUBLE_EQ(shares[1], 20);
-  EXPECT_DOUBLE_EQ(shares[2], 30);
-  // No preferences: uniform.
-  shares = SplitTokenShares(30, {0, 0, 0});
-  EXPECT_DOUBLE_EQ(shares[0], 10);
-  // Membership change: the departing tenant's share flows to survivors.
-  auto before = SplitTokenShares(40, {1, 1});
-  auto after = SplitTokenShares(40, {1});
-  EXPECT_DOUBLE_EQ(before[0], 20);
-  EXPECT_DOUBLE_EQ(after[0], 40);
-  EXPECT_TRUE(SplitTokenShares(40, {}).empty());
-}
-
 TEST(KeyedTest, ZipfKeysRejectsNonPositiveCountBeforeAllocating) {
   // A negative count must fail the precondition, not be cast to a huge size.
   EXPECT_DEATH(ZipfKeys(-1, 1.0), "num_keys >= 1");
