@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-
 namespace cameo {
 
 WindowedJoinOp::WindowedJoinOp(std::string name, LogicalTime window_size,

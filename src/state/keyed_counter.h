@@ -7,11 +7,12 @@
 // window model, late-data policy, sorted-by-key emission, synthetic-batch
 // handling), which is what the bench's per-run equivalence check leans on.
 // Both take the watermark, its channel credit and the late-data policy from
-// WindowedOperator (dataflow/windowed_operator.h). What differs is the state layout: WindowAggOp keeps one accumulator map
-// *per open window* and sweeps a window map on every watermark advance; this
-// operator keeps one slate *per key* for the store's whole lifetime, so key
-// identity (and its TTL lifecycle) survives across windows and the working
-// set is proportional to live keys, not windows x keys.
+// WindowedOperator (dataflow/windowed_operator.h). What differs is the
+// state layout: WindowAggOp keeps one accumulator map *per open window* and
+// sweeps a window map on every watermark advance; this operator keeps one
+// slate *per key* for the store's whole lifetime, so key identity (and its
+// TTL lifecycle) survives across windows and the working set is
+// proportional to live keys, not windows x keys.
 //
 // Slate layout: two resident (window end, count) cells cover the common
 // window shapes (tumbling; sliding with size <= 2*slide). Rarer overlap

@@ -871,7 +871,7 @@ TEST_F(OpsTest, FilterCarriesSyntheticFaceOfMixedBatches) {
   EXPECT_EQ(out.size(), 51);
 }
 
-// ---------------- Watermark: one rule for every windowed operator ----------------
+// ---------------- Watermark: one rule, three operators ----------------
 
 /// The per-channel watermark rule, written out independently of the
 /// operators: a valid sender inside the wired set (any valid sender while
@@ -979,7 +979,9 @@ void ExpectReferenceWatermark(Op& op, int default_channels, bool wired,
     InvokeContext ctx{0, &emitter, &op_rng};
     op.Invoke(m, ctx);
     std::vector<LogicalTime> got;
-    for (const CapturedOut& out : emitter.outs) got.push_back(out.batch.progress);
+    for (const CapturedOut& out : emitter.outs) {
+      got.push_back(out.batch.progress);
+    }
     ASSERT_EQ(op.watermark(), ref.watermark) << "step " << step;
     ASSERT_EQ(got, want) << "step " << step;
     ASSERT_EQ(op.late_dropped(), late) << "step " << step;
