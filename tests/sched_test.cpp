@@ -4,13 +4,16 @@
 // policy, randomized contexts).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/policies.h"
 #include "sched/cameo_scheduler.h"
 #include "sched/fifo_scheduler.h"
+#include "sched/mailbox.h"
 #include "sched/orleans_scheduler.h"
 #include "sched/ready_queue.h"
 #include "sched/slot_scheduler.h"
@@ -475,6 +478,84 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, AnySchedulerTest,
                            }
                          });
 
+// ---------------- Mailbox ordered buffer ----------------
+
+using LocalOrder = std::pair<Priority, std::int64_t>;  // (pri_local, id)
+
+LocalOrder OrderOf(const Message& m) { return {m.pc.pri_local, m.id.value}; }
+
+TEST(MailboxTest, LocalPriorityDrainMatchesSortedReference) {
+  // Each pop must equal the minimum of a std::sort reference over what was
+  // drained; a FIFO mailbox, given the same traffic, pops in arrival order.
+  for (MailboxOrder order : {MailboxOrder::kLocalPriority, MailboxOrder::kFifo}) {
+    for (std::uint64_t seed : {5u, 19u, 2024u}) {
+      SCOPED_TRACE(seed);
+      SCOPED_TRACE(order == MailboxOrder::kFifo ? "fifo" : "local priority");
+      Mailbox mb(order);
+      ASSERT_TRUE(mb.TryClaim());  // the test owns the consumer side
+      Rng rng(seed);
+      std::vector<LocalOrder> drained;  // reference: drained, not yet popped
+      std::vector<LocalOrder> inbox;    // pushed, not yet drained
+      std::int64_t next_id = 0;
+      Priority frontier = 0;
+      const auto push = [&] {
+        Priority pri;
+        if (rng.Chance(0.1)) {
+          pri = frontier - rng.UniformInt(1, 5'000);  // straggler
+        } else if (rng.Chance(0.2)) {
+          pri = frontier;  // equal pri_local under a distinct id
+        } else {
+          pri = frontier += rng.UniformInt(1, 100);  // in-order run
+        }
+        // Even ids follow arrival; an occasional odd id sorts before the
+        // previous arrival, so equal-priority ties are not arrival order.
+        next_id += 2;
+        const std::int64_t id = rng.Chance(0.1) ? next_id - 3 : next_id;
+        ASSERT_TRUE(mb.Push(Msg(id, /*op=*/1, /*global=*/0, pri)));
+        inbox.emplace_back(pri, id);
+      };
+      const auto drain = [&] {
+        mb.DrainInbox();
+        drained.insert(drained.end(), inbox.begin(), inbox.end());
+        inbox.clear();
+        ASSERT_EQ(mb.buffered(), drained.size());
+      };
+      const auto pop = [&] {
+        if (order == MailboxOrder::kLocalPriority) {
+          std::sort(drained.begin(), drained.end());
+        }
+        const LocalOrder peeked = OrderOf(mb.PeekBest());
+        const LocalOrder popped = OrderOf(mb.PopBest());
+        ASSERT_EQ(peeked, popped) << "PeekBest must equal the next pop";
+        ASSERT_EQ(popped, drained.front());
+        drained.erase(drained.begin());
+      };
+
+      for (int round = 0; round < 200; ++round) {
+        const int arrivals = static_cast<int>(rng.UniformInt(0, 40));
+        for (int i = 0; i < arrivals; ++i) push();
+        drain();
+        const int pops = static_cast<int>(
+            rng.UniformInt(0, static_cast<std::int64_t>(mb.buffered())));
+        for (int i = 0; i < pops; ++i) pop();
+        EXPECT_EQ(mb.size(), static_cast<std::int64_t>(drained.size()));
+      }
+      while (!mb.buffer_empty()) pop();
+      EXPECT_TRUE(drained.empty());
+
+      // The purge counts everything: in-order and straggler messages
+      // already drained, plus arrivals still in the inbox.
+      for (int i = 0; i < 60; ++i) push();
+      drain();
+      for (int i = 0; i < 7; ++i) push();
+      EXPECT_EQ(mb.PurgeBacklog(),
+                static_cast<std::int64_t>(drained.size() + inbox.size()));
+      EXPECT_EQ(mb.size(), 0);
+      EXPECT_TRUE(mb.buffer_empty());
+    }
+  }
+}
+
 // ---------------- Policy-comparator ordering properties ----------------
 //
 // The scheduler's dispatch order is induced by two comparators over the
@@ -489,7 +570,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulers, AnySchedulerTest,
 // policy over randomized contexts (so it covers every roster addition
 // automatically) and checks the axioms on the resulting keys.
 
-/// Mirrors the mailbox's LocalOrderGreater (mailbox.cpp) with < polarity.
+/// Mirrors the mailbox's LocalBefore (mailbox.cpp).
 struct LocalKey {
   Priority pri = 0;
   std::int64_t seq = 0;

@@ -276,6 +276,81 @@ TEST(TimerWheelTest, ReArmFromFireCallback) {
   EXPECT_TRUE(w.empty());
 }
 
+TEST(TimerWheelTest, FiringOrderIndependentOfBucketWidth) {
+  // Bucket width only decides where a timer waits (wheel bucket or overflow
+  // heap); Advance sorts each due set by (time, seq), so the fired sequence
+  // and the pending count must not depend on it. The key packs the schedule
+  // index (== the wheel's seq) above an arbitrary payload byte.
+  using Fired = std::tuple<LogicalTime, std::uint64_t, std::int64_t,
+                           std::uint32_t>;
+  struct Trace {
+    std::vector<Fired> fired;
+    std::vector<std::size_t> sizes;  // size() after every Advance
+  };
+  const auto run = [](int width_shift, std::uint64_t seed) {
+    TimerWheel w(width_shift);
+    Rng rng(seed);
+    Trace trace;
+    std::int64_t scheduled = 0;
+    LogicalTime last_deadline = -1;
+    // Deadline offsets from inside one 64-tick bucket to past the widest
+    // (256 << 24 tick) horizon.
+    const auto offset = [&rng] {
+      static constexpr LogicalTime kScales[] = {63, LogicalTime{1} << 14,
+                                                LogicalTime{1} << 22,
+                                                LogicalTime{1} << 34};
+      return rng.UniformInt(0, kScales[rng.UniformInt(0, 3)]);
+    };
+    const auto arm = [&](LogicalTime wm) {
+      // Equal-time ties: reuse the previous deadline while it is still due
+      // later than the watermark.
+      const LogicalTime t = last_deadline > wm && rng.Chance(0.2)
+                                ? last_deadline
+                                : wm + 1 + offset();
+      const std::int64_t key = (scheduled++ << 8) | rng.UniformInt(0, 255);
+      w.Schedule(t, key, static_cast<std::uint32_t>(rng.UniformInt(0, 1)));
+      last_deadline = t;
+    };
+    LogicalTime wm = -1;
+    for (int round = 0; round < 400; ++round) {
+      const int arms = static_cast<int>(rng.UniformInt(0, 12));
+      for (int i = 0; i < arms; ++i) arm(wm);
+      // Small steps mostly, occasionally a jump across many horizons.
+      wm += rng.Chance(0.1) ? rng.UniformInt(1, LogicalTime{1} << 35)
+                            : rng.UniformInt(1, 5'000);
+      w.Advance(wm, [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
+        trace.fired.emplace_back(t, static_cast<std::uint64_t>(key >> 8), key,
+                                 tag);
+        if (tag == 1 && rng.Chance(0.5)) arm(wm);  // re-arm from the callback
+      });
+      trace.sizes.push_back(w.size());
+    }
+    w.Advance(wm + (LogicalTime{1} << 36),
+              [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
+                trace.fired.emplace_back(
+                    t, static_cast<std::uint64_t>(key >> 8), key, tag);
+              });
+    trace.sizes.push_back(w.size());
+    EXPECT_TRUE(w.empty());
+    EXPECT_EQ(trace.fired.size(), static_cast<std::size_t>(scheduled));
+    return trace;
+  };
+
+  for (std::uint64_t seed : {3u, 41u, 977u}) {
+    SCOPED_TRACE(seed);
+    const Trace reference = run(0, seed);
+    for (int width_shift : {6, 24}) {
+      SCOPED_TRACE(width_shift);
+      const Trace t = run(width_shift, seed);
+      EXPECT_EQ(t.sizes, reference.sizes);
+      ASSERT_EQ(t.fired.size(), reference.fired.size());
+      for (std::size_t i = 0; i < t.fired.size(); ++i) {
+        ASSERT_EQ(t.fired[i], reference.fired[i]) << "fire #" << i;
+      }
+    }
+  }
+}
+
 // ---------------- KeyedCounterOp ----------------
 
 struct CapturedOut {
