@@ -16,6 +16,11 @@
 // so the between-message priority re-check keeps the drain going; a strictly
 // more urgent operator still cuts it short.
 //
+// Deep-mailbox panel: BM_CameoDeepMailbox keeps one operator's mailbox 4,096
+// messages deep with arrivals in (PRI_local, id) order, the shape of a Cameo
+// source's backlog. The panels above spread their backlog over 325 mailboxes,
+// so none of them pops from a deep mailbox.
+//
 // Contended panel (sharded control plane): the same dispatch path hammered
 // from 8 worker threads, (a) behind one global mutex -- the pre-refactor
 // ThreadRuntime dispatch path, claim-one contract -- and (b) calling the
@@ -45,6 +50,7 @@ namespace {
 constexpr int kOperators = 325;  // paper: 300-350 no-op tenants
 constexpr std::size_t kDrain = 8;     // messages per claim in batched panels
 constexpr int kBacklog = 2048;        // standing backlog for batched panels
+constexpr int kDeepBacklog = 4096;    // standing backlog of the deep mailbox
 
 Message MakeMsg(std::int64_t id, std::int64_t op) {
   Message m;
@@ -125,6 +131,26 @@ void BM_CameoScheduleBatch8(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CameoScheduleBatch8);
+
+void BM_CameoDeepMailbox(benchmark::State& state) {
+  // Claim-one dispatch from one operator whose mailbox holds a standing
+  // in-order backlog: each pop comes from a kDeepBacklog-deep buffer.
+  CameoScheduler sched;
+  const WorkerId w{0};
+  std::int64_t id = 0;
+  for (; id < kDeepBacklog; ++id) {
+    sched.Enqueue(MakeMsg(id, /*op=*/0), WorkerId{}, id);
+  }
+  for (auto _ : state) {
+    sched.Enqueue(MakeMsg(id, /*op=*/0), WorkerId{}, id);
+    ++id;
+    auto out = sched.Dequeue(w, id);
+    benchmark::DoNotOptimize(out);
+    sched.OnComplete(out->target, w, id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CameoDeepMailbox);
 
 struct ConversionRig {
   ConversionRig()

@@ -33,6 +33,10 @@ class RingQueue {
     CAMEO_EXPECTS(!empty());
     return items_[head_];
   }
+  const T& back() const {
+    CAMEO_EXPECTS(!empty());
+    return items_.back();
+  }
 
   void pop_front() {
     CAMEO_EXPECTS(!empty());

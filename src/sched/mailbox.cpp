@@ -8,14 +8,17 @@ namespace cameo {
 
 namespace {
 
-/// Min-order on (PRI_local, message id): deterministic total order, FIFO
-/// tie-break. std::push_heap builds a max-heap, so "less" is inverted.
+/// (PRI_local, message id) order: deterministic and strict (ids are unique),
+/// FIFO tie-break.
+bool LocalBefore(const Message& a, const Message& b) {
+  if (a.pc.pri_local != b.pc.pri_local) return a.pc.pri_local < b.pc.pri_local;
+  return a.id.value < b.id.value;
+}
+
+/// std::push_heap builds a max-heap, so the min-heap comparator is inverted.
 struct LocalOrderGreater {
   bool operator()(const Message& a, const Message& b) const {
-    if (a.pc.pri_local != b.pc.pri_local) {
-      return a.pc.pri_local > b.pc.pri_local;
-    }
-    return a.id.value > b.id.value;
+    return LocalBefore(b, a);
   }
 };
 
@@ -59,7 +62,10 @@ void Mailbox::DrainInbox() {
     n = next;
   }
   while (fifo != nullptr) {
-    if (order_ == MailboxOrder::kFifo) {
+    // An arrival that sorts after the run's tail extends the sorted run (a
+    // FIFO mailbox treats every arrival so); only stragglers pay a heap push.
+    if (order_ == MailboxOrder::kFifo || buffer_.empty() ||
+        !LocalBefore(fifo->msg, buffer_.back())) {
       buffer_.push_back(std::move(fifo->msg));
     } else {
       heap_.push_back(std::move(fifo->msg));
@@ -71,15 +77,20 @@ void Mailbox::DrainInbox() {
   }
 }
 
+bool Mailbox::RunFirst() const {
+  return heap_.empty() ||
+         (!buffer_.empty() && LocalBefore(buffer_.front(), heap_.front()));
+}
+
 const Message& Mailbox::PeekBest() const {
   CAMEO_EXPECTS(!buffer_empty());
-  return order_ == MailboxOrder::kFifo ? buffer_.front() : heap_.front();
+  return RunFirst() ? buffer_.front() : heap_.front();
 }
 
 Message Mailbox::PopBest() {
   CAMEO_EXPECTS(!buffer_empty());
   Message out;
-  if (order_ == MailboxOrder::kFifo) {
+  if (RunFirst()) {
     out = std::move(buffer_.front());
     buffer_.pop_front();
   } else {

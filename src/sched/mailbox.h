@@ -184,6 +184,9 @@ class Mailbox {
   };
   using NodePool = Pool<Node>;
 
+  /// True when the run's head, not the heap's, is the best message.
+  bool RunFirst() const;
+
   // The state word packs (epoch << 2) | state so claim validation and the
   // state transition are one atomic compare-exchange.
   static constexpr std::uint64_t Pack(State s, std::uint64_t epoch) {
@@ -203,11 +206,13 @@ class Mailbox {
   std::atomic<bool> retiring_{false};
   std::atomic<Priority> registered_pri_{kTimeMax};
 
-  // Owner-only ordered buffer: exactly one is used, per `order_`. The FIFO
-  // buffer is a RingQueue rather than a deque: deque block churn would
-  // re-introduce a heap allocation every few messages.
-  RingQueue<Message> buffer_;    // kFifo
-  std::vector<Message> heap_;    // kLocalPriority min-heap on (pri_local, id)
+  // Owner-only ordered buffer: a sorted run plus a straggler heap; the best
+  // message is the smaller of their heads. The run is a RingQueue rather
+  // than a deque: deque block churn would re-introduce a heap allocation
+  // every few messages.
+  RingQueue<Message> buffer_;  // sorted run: arrivals at or past its tail
+  std::vector<Message> heap_;  // min-heap on (pri_local, id) of the rest;
+                               // always empty under kFifo
 };
 
 /// The owner-side release protocol. When work remains, `prepare(mb)` runs

@@ -14,7 +14,8 @@ constexpr LogicalTime kFree = CounterSlate::kFree;
 KeyedCounterOp::KeyedCounterOp(std::string name, WindowSpec window,
                                CostModel cost, KeyedCounterOptions opts)
     : WindowedOperator(std::move(name), window, cost, /*min_channels=*/1),
-      opts_(opts) {
+      opts_(opts),
+      wheel_(TimerWheel::WidthShiftCovering(window.size + opts.ttl)) {
   CAMEO_EXPECTS(window.windowed() && !window.session());
   CAMEO_EXPECTS(window.size >= window.slide);
   CAMEO_EXPECTS(opts_.ttl >= 0);

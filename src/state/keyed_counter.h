@@ -83,6 +83,9 @@ class KeyedCounterOp final : public WindowedOperator {
   /// overflow store (0 for tumbling and 2x-sliding windows).
   std::int64_t overflow_folds() const { return overflow_folds_; }
   std::size_t pending_timers() const { return wheel_.size(); }
+  /// Timers beyond the wheel's horizon; 0 while the horizon, sized from
+  /// window size + TTL, covers every close and TTL deadline.
+  std::size_t overflow_timers() const { return wheel_.overflow_size(); }
   const SlateStore<CounterSlate>& store() const { return store_; }
 
  private:
@@ -99,7 +102,9 @@ class KeyedCounterOp final : public WindowedOperator {
   SlateStore<CounterSlate> store_;
   TimerWheel wheel_;
 
-  /// Per-bucket key-grouping scratch (mini-batch pass).
+  /// Per-bucket key-grouping scratch (mini-batch pass). It keeps its slabs
+  /// across buckets, so a bucket pays no regrowth rehashes; AppendSorted,
+  /// not the table layout, fixes the fold order.
   struct MiniCell {
     double n = 0;
     LogicalTime t = kTimeMin;

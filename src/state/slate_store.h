@@ -180,12 +180,16 @@ class SlateStore {
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
-  /// Drops every slate and returns all slabs to the pool. The directory
-  /// vectors keep their capacity, so a Clear/refill cycle is allocation-free
-  /// once the pool is warm.
+  /// Drops every slate but keeps the slabs, so a store refilled to a similar
+  /// size (per-batch scratch) pays no regrowth rehashes. The slabs go back
+  /// to the pool when the store is destroyed or moved over.
   void Clear() {
-    ReleaseSlabs(dir_);
-    dir_.clear();
+    for (Slab* slab : dir_) {
+      for (Slot& s : slab->slots) {
+        if (s.state == kUsed) s.value = V{};
+        s.state = kEmpty;
+      }
+    }
     size_ = tombs_ = 0;
   }
 

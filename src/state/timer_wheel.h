@@ -44,8 +44,20 @@ class TimerWheel {
   /// `width_shift`: log2 of logical ticks per bucket. The wheel spans
   /// kBuckets << width_shift ticks past the watermark; later deadlines sit
   /// in the overflow heap until the wheel advances under them.
-  explicit TimerWheel(int width_shift = 6) : width_shift_(width_shift) {
+  explicit TimerWheel(int width_shift = kDefaultShift)
+      : width_shift_(width_shift) {
     CAMEO_EXPECTS(width_shift >= 0 && width_shift < 32);
+  }
+
+  /// The narrowest width, never below the default 64-tick buckets, whose
+  /// horizon covers deadlines up to `span` ticks past the watermark. Firing
+  /// order does not depend on the width; only the overflow traffic does.
+  static int WidthShiftCovering(LogicalTime span) {
+    int shift = kDefaultShift;
+    while (shift < 31 && static_cast<LogicalTime>(kBuckets << shift) < span) {
+      ++shift;
+    }
+    return shift;
   }
 
   /// Arms a timer at deadline `t`. Deadlines at or before the last Advance()
@@ -65,6 +77,8 @@ class TimerWheel {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
+  /// Timers parked past the horizon, in the overflow heap.
+  std::size_t overflow_size() const { return overflow_.size(); }
   /// The last watermark passed to Advance().
   LogicalTime advanced() const { return advanced_; }
 
@@ -83,7 +97,8 @@ class TimerWheel {
   }
 
  private:
-  static constexpr int kBucketBits = 8;  // 256 ring slots
+  static constexpr int kDefaultShift = 6;  // 64-tick buckets
+  static constexpr int kBucketBits = 8;    // 256 ring slots
   static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;
 
   static bool HeapAfter(const Timer& a, const Timer& b) {

@@ -1,10 +1,10 @@
 // Unit and property tests for src/state: the SlateStore open-addressing
 // keyed store (churn equivalence vs std::unordered_map, tombstone reuse,
 // deterministic sorted emission, rehash behavior), the TimerWheel logical
-// calendar queue ((time, seq) fire order under fixed-seed replay, overflow
-// horizon crossing, lazy re-arm), and KeyedCounterOp (bit-exact data
-// equivalence with the per-key kCount WindowAggOp, TTL books-close
-// accounting, no post-expiry folds).
+// calendar queue ((time, seq) fire order under fixed-seed replay and across
+// bucket widths, overflow horizon crossing, lazy re-arm), and KeyedCounterOp
+// (bit-exact data equivalence with the per-key kCount WindowAggOp, TTL
+// books-close accounting, no post-expiry folds, deadlines inside the wheel).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -151,15 +151,23 @@ TEST(SlateStoreTest, GrowthRehashPreservesContents) {
   }
 }
 
-TEST(SlateStoreTest, ClearReleasesAndRestarts) {
+TEST(SlateStoreTest, ClearKeepsSlabsAndRestarts) {
   SlateStore<double> s;
   for (std::int64_t k = 0; k < 5000; ++k) s.Probe(k) = 1;
+  for (std::int64_t k = 0; k < 100; ++k) s.Erase(k);  // tombstones too
+  const std::size_t capacity = s.capacity();
+  const std::uint64_t rehashes = s.rehashes();
   s.Clear();
   EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.capacity(), 0u);
+  EXPECT_EQ(s.tombstones(), 0u);
+  EXPECT_EQ(s.capacity(), capacity);
+  EXPECT_EQ(s.Find(3), nullptr);
+  EXPECT_EQ(s.Find(4000), nullptr);
   s.Probe(3) = 9;
   EXPECT_DOUBLE_EQ(*s.Find(3), 9.0);
   EXPECT_EQ(s.size(), 1u);
+  for (std::int64_t k = 0; k < 5000; ++k) s.Probe(k) = 1;
+  EXPECT_EQ(s.rehashes(), rehashes) << "a same-size refill reuses the slabs";
 }
 
 TEST(SlateStoreTest, MoveTransfersContents) {
@@ -522,6 +530,41 @@ TEST_F(KeyedCounterTest, BooksCloseWithTtlExpiry) {
   EXPECT_EQ(static_cast<double>(op.rows_seen() - op.late_dropped()),
             op.count_emitted());
   EXPECT_EQ(op.pending_timers(), 0u);
+}
+
+TEST_F(KeyedCounterTest, WindowAndTtlDeadlinesStayInWheel) {
+  // Shaped like the benchmark's batch-analytics counter: 1 s tumbling
+  // windows, a 2 s TTL, two upstream channels whose progress interleaves.
+  // Every close and TTL deadline must land inside the wheel's horizon, so no
+  // Schedule or fire pays the overflow heap.
+  KeyedCounterOptions opts;
+  opts.ttl = Seconds(2);
+  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
+  op.SetChannels({0, 1});
+  TestEmitter emitter;
+  Rng traffic(31);
+  LogicalTime progress[2] = {0, 0};
+  std::size_t max_pending = 0;
+  while (std::min(progress[0], progress[1]) < Seconds(3)) {
+    const int ch = static_cast<int>(traffic.UniformInt(0, 1));
+    const LogicalTime from = progress[ch];
+    progress[ch] += traffic.UniformInt(Millis(1), Millis(40));
+    std::vector<std::tuple<std::int64_t, double, LogicalTime>> rows;
+    const int n = static_cast<int>(traffic.UniformInt(0, 300));
+    for (int r = 0; r < n; ++r) {
+      rows.emplace_back(traffic.UniformInt(0, 20'000), 1.0,
+                        traffic.UniformInt(from, progress[ch]));
+    }
+    Message m = Msg(progress[ch], std::move(rows));
+    m.sender = OperatorId{ch};
+    auto ctx = Ctx(emitter);
+    op.Invoke(m, ctx);
+    ASSERT_EQ(op.overflow_timers(), 0u)
+        << "at progress " << progress[0] << "/" << progress[1];
+    max_pending = std::max(max_pending, op.pending_timers());
+  }
+  EXPECT_GT(max_pending, 10'000u) << "close and TTL timers were armed";
+  EXPECT_GT(op.count_emitted(), 0.0) << "windows closed during the run";
 }
 
 TEST_F(KeyedCounterTest, ExpiredKeyNeverFoldedAfterwardAndReinsertsFresh) {
