@@ -142,7 +142,6 @@ CellResult KeyedCell(bench::BenchContext& ctx, const std::string& policy) {
   opt.zipf_s = 1.1;
   opt.counter_per_tuple = Micros(19);
   opt.splits = 4;
-  opt.mini_batch = true;
   opt.duration = ctx.Dur(Seconds(20), Seconds(3));
   KeyedScenarioResult r = RunKeyedScenario(opt);
   return {r.run.GroupSuccessRate("KEYED"), r.run.GroupPercentile("KEYED", 99),

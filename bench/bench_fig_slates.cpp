@@ -1,24 +1,23 @@
 // Keyed slate state at scale: ns/row and deadline-met rate for the per-user
-// counter as the live-key population grows 10k -> 1M and key skew grows
+// counter as the key universe grows 10k -> 1M and key skew grows
 // Zipf s 0 -> 1.5.
 //
 // Three parts:
 //  1. Slate microbench: KeyedCounterOp driven directly with uniform keyed
-//     batches at each population size. The comparator is the row-wise
+//     batches at each universe size. The comparator is the row-wise
 //     std::map reference (one ordered-map probe per row, per-window key
 //     maps); every run is checked bit-identical against it -- same window
 //     emissions, same late drops -- before its timing is reported. The
 //     steady-state segment is also watched by this TU's counting global
-//     operator new: `slates_<N>_allocs_per_msg` must stay 0 (the pooled
-//     slab store, timer wheel, and recycled batch columns cover the whole
-//     message lifecycle).
+//     operator new: `slates_<N>_allocs_per_msg` must stay 0 (per-window
+//     key stores recycled with their slabs, and recycled batch columns,
+//     cover the whole message lifecycle).
 //  2. Scenario sweeps (full simulator, job "KEYED"): deadline-met rate and
 //     p99 vs key count (uniform keys) and vs Zipf skew, the latter run both
-//     unmitigated (splits=1, no mini-batching) and mitigated (hot-key
-//     splitting x4 + per-key mini-batching). The headline: at s >= 1.2 the
-//     unmitigated hot shard saturates and its queue grows without bound,
-//     while splitting spreads the hot key across sub-keys that a downstream
-//     per-key merge recombines.
+//     unmitigated (splits=1) and mitigated (hot-key splitting x4). The
+//     headline: at s >= 1.2 the unmitigated hot shard saturates and its
+//     queue grows without bound, while splitting spreads the hot key across
+//     sub-keys that a downstream per-key merge recombines.
 //  3. CheetahGIS-style spatial grid: random walkers over a cell grid with a
 //     hotspot drift, keyed by cell id -- the paper's motivating workload
 //     shape (moving hotspots, long-tail cell popularity).
@@ -92,9 +91,9 @@ constexpr LogicalTime kWindow = 256;
 constexpr int kRowsPerBatch = 512;
 constexpr LogicalTime kTickStride = 64;  // batch progress stride
 
-/// The traffic for one population size: a sequential cover pass (inserts
-/// every key once), a random warm segment (wraps the timer-wheel ring and
-/// reaches every buffer's high-water mark), then the measured segment.
+/// The traffic for one universe size: a sequential cover pass (every key
+/// once), a random warm segment (reaches every buffer's high-water mark),
+/// then the measured segment.
 struct Traffic {
   std::vector<EventBatch> batches;
   std::size_t measure_from = 0;
@@ -115,7 +114,7 @@ Traffic MakeTraffic(std::int64_t num_keys, int measured_batches,
                                    : rng.UniformInt(0, num_keys - 1);
       // Random-segment event times trail progress a little, so some rows
       // land in already-closed windows and exercise the late-drop path. The
-      // cover pass stays on-time so every key really gets a slate.
+      // cover pass stays on-time so every key really gets counted.
       const LogicalTime t =
           sequential ? p
                      : std::max<LogicalTime>(1, p - rng.UniformInt(0, 96));
@@ -252,11 +251,9 @@ void RunSlateMicrobench(bench::BenchContext& ctx) {
 
     // Equivalence run: the whole stream through a fresh operator and the
     // reference; every window emission must match bit-exactly.
-    KeyedCounterOptions opts;
-    opts.mini_batch = true;
     {
       KeyedCounterOp eq_op("slates_eq", WindowSpec::Tumbling(kWindow),
-                           {0, 0, 0.0}, opts);
+                           {0, 0, 0.0});
       CaptureEmitter capture;
       DriveOp(eq_op, tr.batches, 0, tr.batches.size(), capture, 1);
       MapReference ref;
@@ -266,15 +263,11 @@ void RunSlateMicrobench(bench::BenchContext& ctx) {
     }
 
     // Timing run: warm (cover + warm segment) untimed, then the measured
-    // segment timed and allocation-counted. Mini-batching is off here: it is
-    // a skew mitigation (measured in the Zipf sweep below), pure overhead on
-    // uniform traffic where every key shows up about once per batch.
-    KeyedCounterOptions timing_opts;
-    timing_opts.mini_batch = false;
-    KeyedCounterOp op("slates", WindowSpec::Tumbling(kWindow), {0, 0, 0.0},
-                      timing_opts);
+    // segment timed and allocation-counted.
+    KeyedCounterOp op("slates", WindowSpec::Tumbling(kWindow), {0, 0, 0.0});
     DrainEmitter drain;
     DriveOp(op, tr.batches, 0, tr.measure_from, drain, 1);
+    const std::uint64_t rehashes_before = op.store().rehashes();
     const std::int64_t allocs_before = HeapAllocs();
     const double slate_ns = DriveOp(op, tr.batches, tr.measure_from,
                                     tr.batches.size(), drain,
@@ -282,7 +275,8 @@ void RunSlateMicrobench(bench::BenchContext& ctx) {
     const double allocs_per_msg =
         static_cast<double>(HeapAllocs() - allocs_before) /
         static_cast<double>(tr.batches.size() - tr.measure_from);
-    CAMEO_CHECK(op.live_keys() == static_cast<std::size_t>(num_keys));
+    // Recycled window stores keep their capacity: no regrowth once warm.
+    CAMEO_CHECK(op.store().rehashes() == rehashes_before);
 
     MapReference ref;
     DriveReference(ref, tr.batches, 0, tr.measure_from, 1);
@@ -327,7 +321,6 @@ void CheckBooks(const KeyedScenarioResult& r) {
   // the end hold rows that were seen but not yet emitted, so emission is a
   // lower bound, not an equality).
   CAMEO_CHECK(r.rows_seen > 0);
-  CAMEO_CHECK(r.keys_inserted == r.keys_expired + r.keys_live);
   CAMEO_CHECK(r.count_emitted + static_cast<double>(r.late_dropped) <=
               static_cast<double>(r.rows_seen));
 }
@@ -371,7 +364,7 @@ void RunScenarioSweeps(bench::BenchContext& ctx) {
   const std::vector<double> skews =
       ctx.smoke ? std::vector<double>{0.0, 1.2}
                 : std::vector<double>{0.0, 0.6, 1.0, 1.2, 1.5};
-  std::printf("\n--- Zipf hot-key sweep: unmitigated vs split+mini-batch ---\n");
+  std::printf("\n--- Zipf hot-key sweep: split x1 vs split x4 ---\n");
   PrintHeaderRow("zipf_s", {"unmit_succ", "mit_succ", "unmit_p99", "mit_p99"});
   for (const double s : skews) {
     KeyedScenarioOptions base;
@@ -383,13 +376,11 @@ void RunScenarioSweeps(bench::BenchContext& ctx) {
 
     KeyedScenarioOptions unmit = base;
     unmit.splits = 1;
-    unmit.mini_batch = false;
     KeyedScenarioResult ru = RunKeyedScenario(unmit);
     CheckBooks(ru);
 
     KeyedScenarioOptions mit = base;
     mit.splits = 4;
-    mit.mini_batch = true;
     KeyedScenarioResult rm = RunKeyedScenario(mit);
     CheckBooks(rm);
 
@@ -424,25 +415,21 @@ void RunScenarioSweeps(bench::BenchContext& ctx) {
 
   // --- CheetahGIS-style spatial grid (hotspot random walk over cells) ---
   std::printf("\n--- spatial grid workload (cell-keyed walkers) ---\n");
-  PrintHeaderRow("grid", {"success", "p99", "live_cells", "expired"});
+  PrintHeaderRow("grid", {"success", "p99", "live_cells", "rehashes"});
   KeyedScenarioOptions grid;
   grid.dist = KeyDistribution::kGrid;
   grid.grid_width = 256;
   grid.grid_height = 256;
   grid.grid_entities = ctx.smoke ? 4'000 : 20'000;
-  // Cells the walkers leave behind expire; the TTL scales with the horizon
-  // so even a smoke run sees the full insert -> idle -> expire lifecycle.
-  grid.ttl = ctx.smoke ? Seconds(1) : Seconds(5);
   grid.duration = duration;
   KeyedScenarioResult rg = RunKeyedScenario(grid);
   CheckBooks(rg);
   PrintRow("256x256", {FormatPct(rg.run.GroupSuccessRate("KEYED")),
                        FormatMs(rg.run.GroupPercentile("KEYED", 99)),
                        std::to_string(rg.keys_live),
-                       std::to_string(rg.keys_expired)});
+                       std::to_string(rg.slate_rehashes)});
   ctx.Metric("grid.success", rg.run.GroupSuccessRate("KEYED"));
   ctx.Metric("grid_p99_ms", rg.run.GroupPercentile("KEYED", 99));
-  CAMEO_CHECK(rg.keys_expired > 0);  // TTL actually reclaims cold cells
 }
 
 void Run(bench::BenchContext& ctx) {

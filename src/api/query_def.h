@@ -91,7 +91,7 @@ struct StageDef {
     kMap,          // stateless per-tuple transform
     kFilter,       // stateless predicate
     kWindowAgg,    // windowed aggregation
-    kKeyedCounter, // per-key counter over a slate store
+    kKeyedCounter, // per-key windowed row counter
     kWindowedJoin, // two-input windowed join
     kSink,         // terminal
   };
@@ -110,7 +110,7 @@ struct StageDef {
   AggKind agg = AggKind::kSum;  // kWindowAgg
   bool per_key = false;         // kWindowAgg
   AggParams agg_params;         // kWindowAgg (TopK / Percentile shapes)
-  KeyedCounterOptions counter;  // kKeyedCounter (TTL, mini-batching)
+  KeyedCounterOptions counter;  // kKeyedCounter
   MapOp::Fn map_fn;             // kMap
   FilterOp::Predicate filter_fn;         // kFilter
   double filter_selectivity = 1.0;       // kFilter
@@ -172,10 +172,9 @@ class QueryDef {
   /// Open/high/low/close of each window (four tuples keyed 0..3).
   QueryDef& Ohlc(int replicas, WindowSpec window, CostModel cost,
                  std::string stage = "ohlc");
-  /// Per-key row counter over a SlateStore (state/keyed_counter.h); emits
-  /// (key, count) per window like a per-key kCount WindowAgg, but keeps one
-  /// slate per key across windows with optional TTL expiry. Usually fed via
-  /// KeyBy().
+  /// Per-key row counter (state/keyed_counter.h): a per-key kCount
+  /// WindowAgg that also reports progress for window ends at which it
+  /// closed nothing. Usually fed via KeyBy().
   QueryDef& KeyedCounter(int replicas, WindowSpec window, CostModel cost,
                          KeyedCounterOptions opts = {},
                          std::string stage = "counter");

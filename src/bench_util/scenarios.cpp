@@ -266,10 +266,6 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
   ingest.event_time_delay = Millis(50);
   ingest.key_sampler = std::move(sampler);
 
-  KeyedCounterOptions copts;
-  copts.ttl = opt.ttl;
-  copts.mini_batch = opt.mini_batch;
-
   QueryDef def =
       Query("KEYED")
           .Constraint(opt.constraint)
@@ -277,7 +273,7 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
           .Source(opt.sources)
           .KeyBy(opt.splits)
           .KeyedCounter(opt.counters, WindowSpec::Tumbling(opt.window),
-                        {Micros(100), opt.counter_per_tuple, 0.05}, copts)
+                        {Micros(100), opt.counter_per_tuple, 0.05})
           .KeyBy()
           .WindowAgg(opt.merge_replicas, WindowSpec::Tumbling(opt.window),
                      {Micros(60), 40, 0.05}, AggKind::kSum, /*per_key=*/true,
@@ -309,11 +305,7 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
       out.count_emitted += op->count_emitted();
       out.late_dropped += op->late_dropped();
       out.keys_live += static_cast<std::int64_t>(op->live_keys());
-      out.keys_inserted += op->inserted();
-      out.keys_expired += op->expired();
-      out.overflow_folds += op->overflow_folds();
       out.slate_rehashes += static_cast<std::int64_t>(op->store().rehashes());
-      out.pending_timers += static_cast<std::int64_t>(op->pending_timers());
     }
   }
   return out;

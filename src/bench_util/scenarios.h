@@ -176,15 +176,11 @@ struct KeyedScenarioOptions {
   /// Hot-key split factor of the KeyBy edge into the counters (two-phase
   /// aggregation; 1 = unmitigated).
   int splits = 1;
-  /// Per-key mini-batching inside the counter (hot-key mitigation #1).
-  bool mini_batch = true;
   int merge_replicas = 2;
 
   double msgs_per_sec = 20;
   std::int64_t tuples_per_msg = 2000;
   LogicalTime window = Seconds(1);  // tumbling
-  /// Idle-key TTL (slates of keys silent this long expire); 0 = keep forever.
-  LogicalTime ttl = 0;
   /// Per-tuple cost of the counter stage (ns); the knob that turns key skew
   /// into shard overload.
   Duration counter_per_tuple = 500;
@@ -217,12 +213,8 @@ struct KeyedScenarioResult {
   std::int64_t rows_seen = 0;       // rows observed by the counters
   double count_emitted = 0;         // sum of emitted per-key counts
   std::int64_t late_dropped = 0;
-  std::int64_t keys_live = 0;
-  std::int64_t keys_inserted = 0;
-  std::int64_t keys_expired = 0;
-  std::int64_t overflow_folds = 0;
+  std::int64_t keys_live = 0;  // (key, window) entries in open windows
   std::int64_t slate_rehashes = 0;
-  std::int64_t pending_timers = 0;
 };
 
 /// One keyed per-user-counter query (job "KEYED"): sources with sampled key

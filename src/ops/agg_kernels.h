@@ -9,8 +9,8 @@
 //  1. **Window assignment** (`WindowPlan::Build`): one pass over the batch's
 //     time column groups row *indices* by their first window end
 //     (ceil(t/S)*S). A batch typically spans one or two window buckets, so
-//     the map probe and the late-window check run once per bucket instead of
-//     once per row.
+//     the window lookup and the late-window check run once per bucket
+//     instead of once per row.
 //  2. **Columnar fold** (`AggKernel::FoldRows`): the aggregation consumes a
 //     whole bucket of rows against one accumulator in a tight loop -- the
 //     kind switch happens once per bucket, the loop body is branch-light and
@@ -55,12 +55,11 @@ struct AggParams {
   std::size_t sketch_buckets = 512;
 };
 
-/// Per-key accumulator map of the windowed kernels. Since PR 7 this is the
-/// keyed-state subsystem's SlateStore (state/slate_store.h): the same
-/// open-addressing probe loop the original FlatKeyMap had, now over pooled
-/// slabs with erase/tombstone support and the shared KeyMix hash. Window
-/// accumulators get slab recycling for free -- a closed window's map hands
-/// its slabs to the next window's through the global pool.
+/// Per-key accumulator map of the windowed kernels: the keyed-state
+/// subsystem's SlateStore (state/slate_store.h), an open-addressing map
+/// over pooled slabs with the shared KeyMix hash. WindowAggOp reuses a
+/// closed window's state for a later window (AggWindowState::Reset), so
+/// the map keeps its slabs and a refill to a similar size never rehashes.
 using FlatKeyMap = SlateStore<double>;
 
 /// One pass of window assignment over a batch's time column: rows grouped by
@@ -119,6 +118,20 @@ struct AggWindowState {
   SimTime last_event = kTimeMin;
   FlatKeyMap per_key;
   std::unique_ptr<LogHistogram> sketch;
+
+  /// Empties the state for reuse by another window. The per-key store keeps
+  /// its slabs, so a refill to a similar size pays no regrowth rehashes.
+  void Reset() {
+    count = 0;
+    sum = max = 0;
+    max_valid = false;
+    open = high = low = close = 0;
+    open_time = kTimeMax;
+    close_time = kTimeMin;
+    last_event = kTimeMin;
+    per_key.Clear();
+    sketch.reset();
+  }
 };
 
 /// A configured aggregation kernel: stateless between calls, so one instance

@@ -50,6 +50,34 @@ WindowAggOp::Session* WindowAggOp::SessionAt(LogicalTime t,
   return &sessions_[lo];
 }
 
+AggWindowState& WindowAggOp::WindowAt(LogicalTime end) {
+  auto it = std::lower_bound(
+      windows_.begin(), windows_.end(), end,
+      [](const OpenWindow& w, LogicalTime e) { return w.end < e; });
+  if (it != windows_.end() && it->end == end) return *it->state;
+  std::unique_ptr<AggWindowState> state;
+  if (spare_.empty()) {
+    state = std::make_unique<AggWindowState>();
+  } else {
+    state = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  return *windows_.insert(it, OpenWindow{end, std::move(state)})->state;
+}
+
+std::size_t WindowAggOp::per_key_entries() const {
+  std::size_t n = 0;
+  for (const OpenWindow& w : windows_) n += w.state->per_key.size();
+  return n;
+}
+
+std::uint64_t WindowAggOp::per_key_rehashes() const {
+  std::uint64_t n = 0;
+  for (const OpenWindow& w : windows_) n += w.state->per_key.rehashes();
+  for (const auto& s : spare_) n += s->per_key.rehashes();
+  return n;
+}
+
 void WindowAggOp::FoldColumns(const Message& m) {
   if (window().session()) {
     for (std::size_t i = 0; i < m.batch.keys.size(); ++i) {
@@ -69,13 +97,13 @@ void WindowAggOp::FoldColumns(const Message& m) {
     for (std::uint32_t j = 0; j < bucket.windows; ++j) {
       const LogicalTime b = bucket.first_end + static_cast<LogicalTime>(j) * S;
       if (b <= watermark()) {
-        // The window ending at b already fired; folding into windows_[b]
-        // would re-create it and duplicate its emission on the next
+        // The window ending at b already fired; folding into it would
+        // re-create it and duplicate its emission on the next
         // watermark advance.
         late_dropped_ += bucket.count;
         continue;
       }
-      AggWindowState& w = windows_[b];
+      AggWindowState& w = WindowAt(b);
       w.last_event = std::max(w.last_event, m.event_time);
       if (contiguous) {
         kernel_.FoldRows(w, m.batch, bucket.begin, bucket.count);
@@ -102,7 +130,7 @@ void WindowAggOp::FoldSynthetic(const Message& m) {
       late_dropped_ += n;
       continue;
     }
-    AggWindowState& w = windows_[b];
+    AggWindowState& w = WindowAt(b);
     w.last_event = std::max(w.last_event, m.event_time);
     kernel_.FoldSynthetic(w, n, p);
   }
@@ -116,15 +144,19 @@ void WindowAggOp::Invoke(const Message& m, InvokeContext& ctx) {
 
   if (!CreditProgress(m)) return;
 
-  // Trigger every complete window in order.
-  while (!windows_.empty() && windows_.begin()->first <= watermark()) {
-    auto it = windows_.begin();
-    EmitWindow(it->first, it->second, ctx);
-    windows_.erase(it);
+  // Trigger every complete window in order, recycling its state.
+  std::size_t fired = 0;
+  while (fired < windows_.size() && windows_[fired].end <= watermark()) {
+    OpenWindow& w = windows_[fired++];
+    EmitWindow(w.end, *w.state, ctx);
+    w.state->Reset();
+    spare_.push_back(std::move(w.state));
   }
+  windows_.erase(windows_.begin(),
+                 windows_.begin() + static_cast<std::ptrdiff_t>(fired));
   // Sessions close once the watermark passes last + gap; they are sorted by
   // `first` with strictly increasing ends, so closing from the front emits
-  // in window-end order, like the map above.
+  // in window-end order, like the windows above.
   if (window().session()) {
     std::size_t closed = 0;
     while (closed < sessions_.size() &&

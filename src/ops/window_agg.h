@@ -27,7 +27,7 @@
 // same operator.
 #pragma once
 
-#include <map>
+#include <memory>
 #include <vector>
 
 #include "dataflow/windowed_operator.h"
@@ -35,7 +35,7 @@
 
 namespace cameo {
 
-class WindowAggOp final : public WindowedOperator {
+class WindowAggOp : public WindowedOperator {
  public:
   WindowAggOp(std::string name, WindowSpec window, CostModel cost,
               AggKind kind, bool per_key = false, AggParams params = {});
@@ -47,7 +47,23 @@ class WindowAggOp final : public WindowedOperator {
   }
   const AggKernel& kernel() const { return kernel_; }
 
+ protected:
+  /// Per-key accumulator entries held by open windows: one per (key, window)
+  /// pair.
+  std::size_t per_key_entries() const;
+  /// Rehashes of every window's per-key store over the operator's lifetime
+  /// (stores are recycled across windows, so this stops moving once warm).
+  std::uint64_t per_key_rehashes() const;
+  /// Emits the result batch of the window ending at `window_end`.
+  virtual void EmitWindow(LogicalTime window_end, const AggWindowState& w,
+                          InvokeContext& ctx);
+
  private:
+  struct OpenWindow {
+    LogicalTime end;
+    std::unique_ptr<AggWindowState> state;
+  };
+
   struct Session {
     LogicalTime first = 0;  // earliest tuple time in the session
     LogicalTime last = 0;   // latest tuple time; closes at last + gap
@@ -60,12 +76,17 @@ class WindowAggOp final : public WindowedOperator {
   /// time `t`, or nullptr when t's session has already closed -- in which
   /// case the `weight` tuples are counted as late-dropped.
   Session* SessionAt(LogicalTime t, std::int64_t weight);
-  void EmitWindow(LogicalTime window_end, const AggWindowState& w,
-                  InvokeContext& ctx);
+  /// The open window ending at `end`, created (from a recycled state when
+  /// one is spare) if absent.
+  AggWindowState& WindowAt(LogicalTime end);
 
   AggKernel kernel_;
   WindowPlan plan_;
-  std::map<LogicalTime, AggWindowState> windows_;  // keyed by window end B
+  /// Open windows sorted by end. A closed window's state is Reset() into
+  /// spare_ and reused by a later window; its per-key store keeps its slabs,
+  /// so steady-state windows open and close without touching the heap.
+  std::vector<OpenWindow> windows_;
+  std::vector<std::unique_ptr<AggWindowState>> spare_;
   /// Open session windows, sorted by `first`; pairwise more than `gap`
   /// apart (overlapping sessions merge on fold).
   std::vector<Session> sessions_;

@@ -57,7 +57,7 @@ struct ShardRuntimeOptions {
   std::uint64_t seed = 1;
   /// Cross-shard link delay model (InprocTransport only).
   DelayModel link;
-  /// Injected transport (tests, the socket smoke). Defaults to an
+  /// Injected transport (tests, fault injection). Defaults to an
   /// InprocTransport built from `link` and `seed`.
   std::unique_ptr<Transport> transport;
   /// Reliable-delivery session layer (session.h). Auto-enabled when `faults`

@@ -3,21 +3,20 @@
 // Pool-backed slabs, sized for millions of live keys with zero steady-state
 // heap allocations per message.
 //
-// Generalizes PR 6's FlatKeyMap (ops/agg_kernels.h, now an alias of
-// SlateStore<double>) with what a long-lived keyed store needs and a
-// per-window accumulator map does not:
-//  - **Erase + tombstone-aware rehash.** TTL expiry deletes keys; deleted
-//    slots become tombstones so probe chains stay intact. When tombstones
-//    pile up past half the live size, the next growth check rehashes at the
-//    *same* capacity instead of doubling, so churn (insert/expire cycles)
-//    reaches a steady state instead of growing forever.
+// The per-key accumulator map of the windowed kernels (FlatKeyMap in
+// ops/agg_kernels.h is an alias of SlateStore<double>):
+//  - **Erase + tombstone-aware rehash.** Deleted slots become tombstones so
+//    probe chains stay intact. When tombstones pile up past half the live
+//    size, the next growth check rehashes at the *same* capacity instead of
+//    doubling, so insert/erase churn reaches a steady state instead of
+//    growing forever.
 //  - **Pooled slab storage.** Slots live in fixed-size slabs drawn from
 //    Pool<Slab> (common/pool.h). Rehash acquires the new table's slabs, then
 //    releases the old ones back to the pool -- after the first full cycle
 //    the pool satisfies every rehash from recycled slabs and the store never
 //    touches the heap again (the slab-directory vectors retain capacity).
-//    Windowed users get the same benefit across windows: a closed window's
-//    store hands its slabs to the next window's.
+//    Clear() keeps the slabs, so a windowed operator that reuses a closed
+//    window's store for the next window refills it without regrowth.
 //  - **Deterministic iteration.** AppendSorted emits (key, value) pairs
 //    sorted by key regardless of hash-table layout or insertion/erase
 //    history, so emission order is replay-stable.

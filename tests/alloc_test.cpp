@@ -22,6 +22,7 @@
 #include "common/check.h"
 #include "common/pool.h"
 #include "common/rng.h"
+#include "ops/window_agg.h"
 #include "sched/cameo_scheduler.h"
 #include "sched/fifo_scheduler.h"
 #include "sched/orleans_scheduler.h"
@@ -382,7 +383,8 @@ TEST(ZeroAllocTest, SessionReceiveUnderDropDupSteadyState) {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed slate state: a million live keys, zero allocations per message.
+// Windowed aggregation: a million keys in one window, zero allocations per
+// message.
 // ---------------------------------------------------------------------------
 
 /// Recycles every emitted batch back into the column stash, mirroring what
@@ -399,7 +401,7 @@ class DrainEmitter final : public Emitter {
 /// Drives `op` with one columnar batch of `keys` rows (ids `base + i`), all
 /// stamped `p`, then recycles the input batch -- the runtime's steady-state
 /// message lifecycle.
-void DriveKeyedBatch(KeyedCounterOp& op, InvokeContext& ctx, std::int64_t& id,
+void DriveKeyedBatch(Operator& op, InvokeContext& ctx, std::int64_t& id,
                      std::int64_t base, std::int64_t keys, LogicalTime p) {
   Message m;
   m.id = MessageId{id++};
@@ -411,59 +413,49 @@ void DriveKeyedBatch(KeyedCounterOp& op, InvokeContext& ctx, std::int64_t& id,
 }
 
 TEST(ZeroAllocTest, KeyedCounterMillionKeySteadyState) {
-  KeyedCounterOptions opts;
-  opts.mini_batch = true;
-  KeyedCounterOp op("slates", WindowSpec::Tumbling(256), {0, 0, 0.0}, opts);
+  // One tumbling window holds 1M distinct keys at a time: every window is
+  // filled with the whole key set, then closed by the first batch of the
+  // next, emitting 1M rows. The first windows grow the per-key store, the
+  // emission buffers and the pool's slab caches; later windows reuse the
+  // recycled store and must not touch the heap.
+  constexpr std::int64_t kKeys = 1 << 20;  // 1,048,576 keys per window
+  constexpr std::int64_t kBatch = 512;
+  constexpr LogicalTime kStride = 64;
+  constexpr LogicalTime kWindow = kKeys / kBatch * kStride;
+  KeyedCounterOp op("slates", WindowSpec::Tumbling(kWindow), {0, 0, 0.0});
   DrainEmitter emitter;
   Rng rng(7);
   InvokeContext ctx{0, &emitter, &rng};
   std::int64_t id = 0;
-  LogicalTime p = 0;
-
-  // Build the working set: 1M distinct keys, watermark advancing so windows
-  // close as we go. This also wraps the timer wheel's 256-bucket ring several
-  // times (one wheel bucket per batch at this stride), warming every bucket
-  // vector, the slate store's growth path, and the pool's slab caches.
-  constexpr std::int64_t kKeys = 1 << 20;  // 1,048,576 live keys
-  constexpr std::int64_t kBatch = 512;
-  for (std::int64_t base = 0; base < kKeys; base += kBatch) {
-    p += 64;
-    DriveKeyedBatch(op, ctx, id, base, kBatch, p);
-  }
-  ASSERT_EQ(op.live_keys(), static_cast<std::size_t>(kKeys));
-
-  // Steady state: traffic cycles over a resident subset of the million keys,
-  // windows keep closing, emissions keep draining. A few cycles first so the
-  // emission batches and pending-emit buffers reach their high-water marks.
-  std::int64_t next = 0;
-  auto drive = [&](int batches) {
-    for (int i = 0; i < batches; ++i) {
-      p += 64;
-      DriveKeyedBatch(op, ctx, id, next, kBatch, p);
-      next = (next + kBatch) % 4096;
+  auto fill = [&](LogicalTime window_start) {
+    for (std::int64_t base = 0; base < kKeys; base += kBatch) {
+      DriveKeyedBatch(op, ctx, id, base, kBatch,
+                      window_start + 1 + base / kBatch * kStride);
     }
+    ASSERT_EQ(op.live_keys(), static_cast<std::size_t>(kKeys));
   };
-  drive(600);  // > 256 batches: full ring wrap inside the warm phase
+  fill(0);
+  fill(kWindow);
+  fill(2 * kWindow);
 
   const std::int64_t before = HeapAllocs();
-  drive(512);  // another full wrap, measured
+  const std::int64_t emitted_before = emitter.emitted;
+  fill(3 * kWindow);
+  fill(4 * kWindow);
   const std::int64_t after = HeapAllocs();
-  EXPECT_EQ(op.live_keys(), static_cast<std::size_t>(kKeys));
-  EXPECT_GT(emitter.emitted, 0);
+  EXPECT_GT(emitter.emitted, emitted_before) << "windows closed while measured";
+  EXPECT_EQ(op.count_emitted(), static_cast<double>(4 * kKeys));
   if (kCountingReliable) {
     EXPECT_EQ(after - before, 0)
         << "steady-state keyed-counter messages must not touch the heap";
   }
 }
 
-TEST(ZeroAllocTest, KeyedCounterTtlChurnSteadyState) {
-  // Keys arrive, go idle, and expire: inserts balance expiries, so the store
-  // reaches a fixed population where tombstone sweeps (same-capacity
-  // rehashes) recycle slabs through the pool instead of growing. After the
-  // pool has seen one full double-buffered rehash, churn is allocation-free.
-  KeyedCounterOptions opts;
-  opts.ttl = 2048;
-  KeyedCounterOp op("churn", WindowSpec::Tumbling(256), {0, 0, 0.0}, opts);
+TEST(ZeroAllocTest, KeyedCounterKeyChurnSteadyState) {
+  // Fresh keys every batch while windows keep closing: each window's keys
+  // go with it, and the recycled window stores take the next ones without
+  // growing.
+  KeyedCounterOp op("churn", WindowSpec::Tumbling(256), {0, 0, 0.0});
   DrainEmitter emitter;
   Rng rng(11);
   InvokeContext ctx{0, &emitter, &rng};
@@ -474,7 +466,7 @@ TEST(ZeroAllocTest, KeyedCounterTtlChurnSteadyState) {
     for (int i = 0; i < batches; ++i) {
       p += 64;
       DriveKeyedBatch(op, ctx, id, base, 256, p);
-      base += 256;  // fresh keys every batch; old ones idle out via TTL
+      base += 256;  // fresh keys every batch
     }
   };
   drive(4000);
@@ -483,11 +475,40 @@ TEST(ZeroAllocTest, KeyedCounterTtlChurnSteadyState) {
   const std::int64_t before = HeapAllocs();
   drive(2000);
   const std::int64_t after = HeapAllocs();
-  EXPECT_EQ(op.live_keys(), population) << "TTL churn must hold steady";
-  EXPECT_GT(op.expired(), 0);
+  EXPECT_EQ(op.live_keys(), population) << "key churn must hold steady";
   if (kCountingReliable) {
     EXPECT_EQ(after - before, 0)
-        << "insert/expire churn must recycle slabs, not allocate";
+        << "key churn must recycle window stores, not allocate";
+  }
+}
+
+TEST(ZeroAllocTest, WindowAggSteadyState) {
+  // The LS aggregation shape: a non-keyed kSum over tumbling windows that
+  // open and close every few batches. Closed windows' states are recycled,
+  // so opening a window costs no allocation.
+  WindowAggOp op("sum", WindowSpec::Tumbling(256), {0, 0, 0.0},
+                 AggKind::kSum);
+  DrainEmitter emitter;
+  Rng rng(13);
+  InvokeContext ctx{0, &emitter, &rng};
+  std::int64_t id = 0;
+  LogicalTime p = 0;
+  auto drive = [&](int batches) {
+    for (int i = 0; i < batches; ++i) {
+      p += 64;
+      DriveKeyedBatch(op, ctx, id, 0, 64, p);
+    }
+  };
+  drive(256);
+
+  const std::int64_t before = HeapAllocs();
+  const std::int64_t emitted_before = emitter.emitted;
+  drive(2000);
+  const std::int64_t after = HeapAllocs();
+  EXPECT_EQ(emitter.emitted - emitted_before, 500) << "one output per window";
+  if (kCountingReliable) {
+    EXPECT_EQ(after - before, 0)
+        << "opening and closing windows must not touch the heap";
   }
 }
 

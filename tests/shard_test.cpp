@@ -27,7 +27,6 @@
 #include "shard/placement.h"
 #include "shard/session.h"
 #include "shard/shard_runtime.h"
-#include "shard/socket_transport.h"
 #include "shard/wire.h"
 #include "state/slate_store.h"
 
@@ -594,77 +593,6 @@ TEST(InprocTransportTest, ConcurrentSendersKeepPerChannelOrder) {
   }
   EXPECT_EQ(received, 2 * kPerSender);
   EXPECT_EQ(t.stats().frames_sent, static_cast<std::uint64_t>(received));
-}
-
-// ---------------------------------------------------------------------------
-// SocketTransport (the CI socket smoke runs this suite; see ci.yml).
-// ---------------------------------------------------------------------------
-
-void RoundTripOver(SocketTransport& t) {
-  t.Start(2);
-  Rng rng(33);
-  constexpr int kFrames = 40;
-  std::vector<Message> sent;
-  for (int i = 0; i < kFrames; ++i) {
-    sent.push_back(RandomMessage(rng, rng.UniformInt(0, 64)));
-    WireFrame f = AcquireFrame();
-    EncodeMessage(sent.back(), f);
-    t.Send(0, 1, /*now=*/i, std::move(f));
-  }
-  int received = 0;
-  WireFrame out;
-  // Socket delivery is asynchronous (kernel buffering): poll until drained.
-  for (int spin = 0; received < kFrames && spin < 100'000; ++spin) {
-    if (!t.Receive(1, kTimeMax, out)) continue;
-    Message m;
-    ASSERT_TRUE(DecodeMessage(out, m));
-    ExpectBitIdentical(sent[static_cast<std::size_t>(received)], m);
-    m.batch.Recycle();
-    ReleaseFrame(std::move(out));
-    ++received;
-  }
-  EXPECT_EQ(received, kFrames);
-  for (Message& m : sent) m.batch.Recycle();
-}
-
-TEST(SocketTransportTest, UnixPairRoundTrip) {
-  SocketTransport t(SocketTransport::Mode::kUnixPair);
-  RoundTripOver(t);
-}
-
-TEST(SocketTransportTest, TcpLoopbackRoundTrip) {
-  SocketTransport t(SocketTransport::Mode::kTcpLoopback);
-  RoundTripOver(t);
-}
-
-TEST(SocketTransportTest, LargeFrameReassembles) {
-  // A frame far larger than a socket buffer: exercises partial writes on the
-  // sender (the writer thread blocks mid-frame) and reassembly across many
-  // short reads on the receiver.
-  SocketTransport t(SocketTransport::Mode::kUnixPair);
-  t.Start(2);
-  Rng rng(44);
-  Message big = RandomMessage(rng, 60'000);  // ~1.4 MB of columns
-  WireFrame f = AcquireFrame();
-  EncodeMessage(big, f);
-  const std::size_t frame_size = f.bytes.size();
-  std::thread writer([&t, frame = std::move(f)]() mutable {
-    t.Send(0, 1, 0, std::move(frame));
-  });
-  WireFrame out;
-  bool got = false;
-  for (int spin = 0; !got && spin < 10'000'000; ++spin) {
-    got = t.Receive(1, kTimeMax, out);
-  }
-  writer.join();
-  ASSERT_TRUE(got);
-  EXPECT_EQ(out.bytes.size(), frame_size);
-  Message m;
-  ASSERT_TRUE(DecodeMessage(out, m));
-  ExpectBitIdentical(big, m);
-  m.batch.Recycle();
-  big.batch.Recycle();
-  ReleaseFrame(std::move(out));
 }
 
 // ---------------------------------------------------------------------------
@@ -1243,7 +1171,6 @@ TEST(ShardedCluster, ShardCountPreservesTotals) {
   KeyedScenarioResult one = RunKeyedScenario(SmallKeyedRun(1));
   KeyedScenarioResult four = RunKeyedScenario(SmallKeyedRun(4));
   EXPECT_EQ(one.rows_seen, four.rows_seen);
-  EXPECT_EQ(one.keys_inserted, four.keys_inserted);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 // Unit and property tests for src/state: the SlateStore open-addressing
 // keyed store (churn equivalence vs std::unordered_map, tombstone reuse,
-// deterministic sorted emission, rehash behavior), the TimerWheel logical
-// calendar queue ((time, seq) fire order under fixed-seed replay and across
-// bucket widths, overflow horizon crossing, lazy re-arm), and KeyedCounterOp
-// (bit-exact data equivalence with the per-key kCount WindowAggOp, TTL
-// books-close accounting, no post-expiry folds, deadlines inside the wheel).
+// deterministic sorted emission, rehash behavior) and KeyedCounterOp
+// (bit-exact emissions against a std::map reference over tumbling and
+// sliding windows, stragglers and synthetic rows; books-close accounting;
+// key state that ends with its last window; late-row drops).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +13,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ops/window_agg.h"
 #include "state/keyed_counter.h"
 #include "state/slate_store.h"
-#include "state/timer_wheel.h"
 
 namespace cameo {
 namespace {
@@ -179,186 +176,6 @@ TEST(SlateStoreTest, MoveTransfersContents) {
   EXPECT_DOUBLE_EQ(*b.Find(999), 999.0);
 }
 
-// ---------------- TimerWheel ----------------
-
-TEST(TimerWheelTest, FiresInTimeSeqOrderUnderFixedSeedReplay) {
-  const auto run = [](std::uint64_t seed) {
-    TimerWheel w;
-    Rng rng(seed);
-    std::vector<TimerWheel::Timer> fired;
-    std::uint64_t scheduled = 0;
-    LogicalTime wm = -1;
-    // Interleave scheduling and advancing; deadlines span in-wheel and
-    // overflow ranges (wheel horizon = 256 << 6 = 16384 ticks).
-    for (int round = 0; round < 300; ++round) {
-      const int arms = static_cast<int>(rng.UniformInt(0, 20));
-      for (int i = 0; i < arms; ++i) {
-        const LogicalTime t = wm + 1 + rng.UniformInt(0, 60'000);
-        w.Schedule(t, /*key=*/static_cast<std::int64_t>(scheduled), /*tag=*/0);
-        ++scheduled;
-      }
-      wm += rng.UniformInt(1, 900);
-      w.Advance(wm, [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
-        fired.push_back({t, /*seq=*/static_cast<std::uint64_t>(key), key, tag});
-      });
-    }
-    w.Advance(wm + 100'000, [&](LogicalTime t, std::int64_t key,
-                                std::uint32_t tag) {
-      fired.push_back({t, static_cast<std::uint64_t>(key), key, tag});
-    });
-    EXPECT_TRUE(w.empty());
-    EXPECT_EQ(fired.size(), scheduled);
-    return fired;
-  };
-
-  const auto fired = run(99);
-  // Within one Advance the order is globally (time, seq); across Advances
-  // times are non-decreasing by construction of the watermark.
-  for (std::size_t i = 1; i < fired.size(); ++i) {
-    if (fired[i - 1].time == fired[i].time) {
-      EXPECT_LT(fired[i - 1].seq, fired[i].seq)
-          << "ties must fire in schedule order";
-    }
-  }
-  std::vector<bool> seen(fired.size(), false);
-  for (const auto& t : fired) {
-    ASSERT_LT(static_cast<std::size_t>(t.key), seen.size());
-    EXPECT_FALSE(seen[static_cast<std::size_t>(t.key)]) << "double fire";
-    seen[static_cast<std::size_t>(t.key)] = true;
-  }
-  // Fixed seed => bit-identical replay.
-  const auto replay = run(99);
-  ASSERT_EQ(replay.size(), fired.size());
-  for (std::size_t i = 0; i < fired.size(); ++i) {
-    EXPECT_EQ(replay[i].time, fired[i].time);
-    EXPECT_EQ(replay[i].key, fired[i].key);
-  }
-}
-
-TEST(TimerWheelTest, AdvanceRespectsExactDeadlines) {
-  TimerWheel w;
-  w.Schedule(10, 1);
-  w.Schedule(11, 2);
-  std::vector<std::int64_t> fired;
-  w.Advance(10, [&](LogicalTime, std::int64_t k, std::uint32_t) {
-    fired.push_back(k);
-  });
-  EXPECT_EQ(fired, (std::vector<std::int64_t>{1}));
-  w.Advance(11, [&](LogicalTime, std::int64_t k, std::uint32_t) {
-    fired.push_back(k);
-  });
-  EXPECT_EQ(fired, (std::vector<std::int64_t>{1, 2}));
-  EXPECT_TRUE(w.empty());
-}
-
-TEST(TimerWheelTest, OverflowTimersCrossIntoWheel) {
-  TimerWheel w(/*width_shift=*/0);  // horizon: 256 ticks
-  w.Schedule(100'000, 1);
-  w.Schedule(100, 2);
-  std::vector<std::int64_t> fired;
-  const auto fire = [&](LogicalTime, std::int64_t k, std::uint32_t) {
-    fired.push_back(k);
-  };
-  w.Advance(99'000, fire);  // far timer migrates overflow -> wheel unfired
-  EXPECT_EQ(fired, (std::vector<std::int64_t>{2}));
-  EXPECT_EQ(w.size(), 1u);
-  w.Advance(100'000, fire);
-  EXPECT_EQ(fired, (std::vector<std::int64_t>{2, 1}));
-}
-
-TEST(TimerWheelTest, ReArmFromFireCallback) {
-  TimerWheel w;
-  w.Schedule(5, 1);
-  std::vector<std::pair<LogicalTime, std::int64_t>> fired;
-  const auto advance = [&](LogicalTime wm) {
-    w.Advance(wm, [&](LogicalTime t, std::int64_t k, std::uint32_t) {
-      fired.emplace_back(t, k);
-      if (t < 20) w.Schedule(t + 10, k);  // lazy re-arm
-    });
-  };
-  advance(5);
-  advance(15);
-  advance(40);
-  EXPECT_EQ(fired, (std::vector<std::pair<LogicalTime, std::int64_t>>{
-                       {5, 1}, {15, 1}, {25, 1}}));
-  EXPECT_TRUE(w.empty());
-}
-
-TEST(TimerWheelTest, FiringOrderIndependentOfBucketWidth) {
-  // Bucket width only decides where a timer waits (wheel bucket or overflow
-  // heap); Advance sorts each due set by (time, seq), so the fired sequence
-  // and the pending count must not depend on it. The key packs the schedule
-  // index (== the wheel's seq) above an arbitrary payload byte.
-  using Fired = std::tuple<LogicalTime, std::uint64_t, std::int64_t,
-                           std::uint32_t>;
-  struct Trace {
-    std::vector<Fired> fired;
-    std::vector<std::size_t> sizes;  // size() after every Advance
-  };
-  const auto run = [](int width_shift, std::uint64_t seed) {
-    TimerWheel w(width_shift);
-    Rng rng(seed);
-    Trace trace;
-    std::int64_t scheduled = 0;
-    LogicalTime last_deadline = -1;
-    // Deadline offsets from inside one 64-tick bucket to past the widest
-    // (256 << 24 tick) horizon.
-    const auto offset = [&rng] {
-      static constexpr LogicalTime kScales[] = {63, LogicalTime{1} << 14,
-                                                LogicalTime{1} << 22,
-                                                LogicalTime{1} << 34};
-      return rng.UniformInt(0, kScales[rng.UniformInt(0, 3)]);
-    };
-    const auto arm = [&](LogicalTime wm) {
-      // Equal-time ties: reuse the previous deadline while it is still due
-      // later than the watermark.
-      const LogicalTime t = last_deadline > wm && rng.Chance(0.2)
-                                ? last_deadline
-                                : wm + 1 + offset();
-      const std::int64_t key = (scheduled++ << 8) | rng.UniformInt(0, 255);
-      w.Schedule(t, key, static_cast<std::uint32_t>(rng.UniformInt(0, 1)));
-      last_deadline = t;
-    };
-    LogicalTime wm = -1;
-    for (int round = 0; round < 400; ++round) {
-      const int arms = static_cast<int>(rng.UniformInt(0, 12));
-      for (int i = 0; i < arms; ++i) arm(wm);
-      // Small steps mostly, occasionally a jump across many horizons.
-      wm += rng.Chance(0.1) ? rng.UniformInt(1, LogicalTime{1} << 35)
-                            : rng.UniformInt(1, 5'000);
-      w.Advance(wm, [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
-        trace.fired.emplace_back(t, static_cast<std::uint64_t>(key >> 8), key,
-                                 tag);
-        if (tag == 1 && rng.Chance(0.5)) arm(wm);  // re-arm from the callback
-      });
-      trace.sizes.push_back(w.size());
-    }
-    w.Advance(wm + (LogicalTime{1} << 36),
-              [&](LogicalTime t, std::int64_t key, std::uint32_t tag) {
-                trace.fired.emplace_back(
-                    t, static_cast<std::uint64_t>(key >> 8), key, tag);
-              });
-    trace.sizes.push_back(w.size());
-    EXPECT_TRUE(w.empty());
-    EXPECT_EQ(trace.fired.size(), static_cast<std::size_t>(scheduled));
-    return trace;
-  };
-
-  for (std::uint64_t seed : {3u, 41u, 977u}) {
-    SCOPED_TRACE(seed);
-    const Trace reference = run(0, seed);
-    for (int width_shift : {6, 24}) {
-      SCOPED_TRACE(width_shift);
-      const Trace t = run(width_shift, seed);
-      EXPECT_EQ(t.sizes, reference.sizes);
-      ASSERT_EQ(t.fired.size(), reference.fired.size());
-      for (std::size_t i = 0; i < t.fired.size(); ++i) {
-        ASSERT_EQ(t.fired[i], reference.fired[i]) << "fire #" << i;
-      }
-    }
-  }
-}
-
 // ---------------- KeyedCounterOp ----------------
 
 struct CapturedOut {
@@ -396,110 +213,142 @@ class KeyedCounterTest : public ::testing::Test {
   std::int64_t next_id_ = 0;
 };
 
-/// Drives the same fixed-seed keyed traffic through KeyedCounterOp and a
-/// per-key kCount WindowAggOp and asserts the *data* emissions (progress,
-/// keys, counts, times) are bit-identical. Progress-only batches are skipped:
-/// the slate operator reports trailing progress where the window map emits
-/// nothing, which carries no data.
-void ExpectCountEquivalence(WindowSpec window, bool mini_batch,
-                            std::uint64_t seed, int batches) {
-  KeyedCounterOptions opts;
-  opts.mini_batch = mini_batch;
-  KeyedCounterOp counter("c", window, {}, opts);
-  WindowAggOp agg("a", window, {}, AggKind::kCount, /*per_key=*/true);
+/// Row-wise std::map reference of the counter's semantics: inclusive-right
+/// windows of size W and slide S (a row at t counts in every window end that
+/// is a multiple of S in [t, t + W)), synthetic rows as key 0 at the batch's
+/// progress, folds into a window the watermark has passed dropped as late,
+/// one batch per closed window with keys ascending, and a progress-only
+/// batch for the last passed window end when no window closed there.
+struct MapReference {
+  struct Out {
+    LogicalTime progress;
+    std::vector<std::pair<std::int64_t, double>> rows;
+  };
 
-  TestEmitter ce;
-  TestEmitter ae;
+  WindowSpec window;
+  std::map<LogicalTime, std::map<std::int64_t, double>> open;
+  std::vector<Out> out;
+  LogicalTime wm = -1;
+  LogicalTime emitted = kTimeMin;
+  std::int64_t late = 0;
+
+  void Fold(std::int64_t key, double n, LogicalTime t) {
+    const LogicalTime S = window.slide;
+    for (LogicalTime end = (t + S - 1) / S * S; end < t + window.size;
+         end += S) {
+      if (end <= wm) {
+        late += static_cast<std::int64_t>(n);
+      } else {
+        open[end][key] += n;
+      }
+    }
+  }
+
+  void Consume(const EventBatch& b) {
+    for (std::size_t i = 0; i < b.keys.size(); ++i) {
+      Fold(b.keys[i], 1.0, b.times[i]);
+    }
+    if (b.synthetic_count > 0) {
+      Fold(0, static_cast<double>(b.synthetic_count), b.progress);
+    }
+    if (b.progress <= wm) return;
+    wm = b.progress;
+    while (!open.empty() && open.begin()->first <= wm) {
+      emitted = open.begin()->first;
+      out.push_back({emitted, {open.begin()->second.begin(),
+                               open.begin()->second.end()}});
+      open.erase(open.begin());
+    }
+    const LogicalTime last_end = wm / window.slide * window.slide;
+    if (last_end > emitted) {
+      emitted = last_end;
+      out.push_back({last_end, {}});
+    }
+  }
+};
+
+/// Drives fixed-seed keyed traffic -- rows scattered around each batch's
+/// progress, including stragglers late for some of their windows, synthetic
+/// rows, and progress jumps past empty windows -- through KeyedCounterOp
+/// and the map reference, and asserts every emitted batch matches
+/// bit-exactly, progress-only batches included.
+void ExpectMatchesMapReference(WindowSpec window, std::uint64_t seed,
+                               int batches) {
+  KeyedCounterOp counter("c", window, {});
+  MapReference ref{window};
+  TestEmitter emitter;
   Rng rng(seed);
   Rng op_rng(1);
-  std::int64_t next_id = 0;
   LogicalTime p = 0;
+  double counted = 0;
   for (int b = 0; b < batches; ++b) {
-    p += rng.UniformInt(1, Seconds(1));
-    const int rows = static_cast<int>(rng.UniformInt(0, 200));
+    // Occasional row-less long jumps pass window ends that hold no rows,
+    // where only the trailing progress-only batch reports the watermark.
+    const bool jump = rng.Chance(0.1);
+    p += jump ? rng.UniformInt(Seconds(2), Seconds(6))
+              : rng.UniformInt(1, Seconds(1));
     Message m;
-    m.id = MessageId{next_id++};
+    m.id = MessageId{b};
     m.sender = OperatorId{0};
     m.batch.progress = p;
+    const int rows = jump ? 0 : static_cast<int>(rng.UniformInt(0, 200));
     for (int r = 0; r < rows; ++r) {
-      const std::int64_t key = rng.UniformInt(0, 50);
-      // Times scattered around the progress point, including stragglers that
-      // are late for some windows.
-      const LogicalTime t =
-          std::max<LogicalTime>(0, p - Seconds(2) + rng.UniformInt(0, Seconds(3)));
-      m.batch.Append(key, 1.0, t);
+      const LogicalTime t = std::max<LogicalTime>(
+          0, p - Seconds(2) + rng.UniformInt(0, Seconds(3)));
+      m.batch.Append(rng.UniformInt(0, 50), 1.0, t);
     }
-    Message copy;
-    copy.id = m.id;
-    copy.sender = m.sender;
-    copy.batch.progress = m.batch.progress;
-    copy.batch.keys = m.batch.keys;
-    copy.batch.values = m.batch.values;
-    copy.batch.times = m.batch.times;
-    InvokeContext cc{0, &ce, &op_rng};
-    InvokeContext ac{0, &ae, &op_rng};
-    counter.Invoke(m, cc);
-    agg.Invoke(copy, ac);
+    if (!jump && rng.Chance(0.3)) {
+      m.batch.synthetic_count = rng.UniformInt(1, 40);
+    }
+    ref.Consume(m.batch);
+    InvokeContext ctx{0, &emitter, &op_rng};
+    counter.Invoke(m, ctx);
   }
 
-  const auto data_only = [](const std::vector<CapturedOut>& outs) {
-    std::vector<const CapturedOut*> d;
-    for (const CapturedOut& o : outs) {
-      if (o.batch.columnar()) d.push_back(&o);
-    }
-    return d;
-  };
-  const auto cd = data_only(ce.outs);
-  const auto ad = data_only(ae.outs);
-  ASSERT_EQ(cd.size(), ad.size());
-  for (std::size_t i = 0; i < cd.size(); ++i) {
-    EXPECT_EQ(cd[i]->batch.progress, ad[i]->batch.progress);
-    EXPECT_EQ(cd[i]->batch.keys, ad[i]->batch.keys);
-    EXPECT_EQ(cd[i]->batch.times, ad[i]->batch.times);
-    ASSERT_EQ(cd[i]->batch.values.size(), ad[i]->batch.values.size());
-    for (std::size_t j = 0; j < cd[i]->batch.values.size(); ++j) {
-      EXPECT_DOUBLE_EQ(cd[i]->batch.values[j], ad[i]->batch.values[j])
-          << "window " << cd[i]->batch.progress << " key "
-          << cd[i]->batch.keys[j];
+  ASSERT_EQ(emitter.outs.size(), ref.out.size());
+  for (std::size_t i = 0; i < ref.out.size(); ++i) {
+    const EventBatch& got = emitter.outs[i].batch;
+    const MapReference::Out& want = ref.out[i];
+    ASSERT_EQ(got.progress, want.progress) << "batch " << i;
+    ASSERT_EQ(got.keys.size(), want.rows.size()) << "window " << want.progress;
+    for (std::size_t j = 0; j < want.rows.size(); ++j) {
+      EXPECT_EQ(got.keys[j], want.rows[j].first);
+      EXPECT_EQ(got.values[j], want.rows[j].second)
+          << "window " << want.progress << " key " << want.rows[j].first;
+      EXPECT_EQ(got.times[j], want.progress);
+      counted += want.rows[j].second;
     }
   }
-  EXPECT_EQ(counter.watermark(), agg.watermark());
+  EXPECT_EQ(counter.watermark(), ref.wm);
+  EXPECT_EQ(counter.late_dropped(), ref.late);
+  EXPECT_EQ(counter.count_emitted(), counted);
+  EXPECT_GT(ref.late, 0) << "traffic must include late stragglers";
+  EXPECT_TRUE(std::any_of(ref.out.begin(), ref.out.end(),
+                          [](const MapReference::Out& o) {
+                            return o.rows.empty();
+                          }))
+      << "traffic must pass window ends that hold no rows";
 }
 
-TEST_F(KeyedCounterTest, TumblingMatchesWindowAggCount) {
-  ExpectCountEquivalence(WindowSpec::Tumbling(Seconds(1)), /*mini_batch=*/true,
-                         7, 300);
-}
-
-TEST_F(KeyedCounterTest, TumblingMatchesWindowAggCountUngrouped) {
-  ExpectCountEquivalence(WindowSpec::Tumbling(Seconds(1)), /*mini_batch=*/false,
-                         7, 300);
-}
-
-TEST_F(KeyedCounterTest, SlidingTwoCellMatchesWindowAggCount) {
-  ExpectCountEquivalence(WindowSpec::Sliding(Seconds(2), Seconds(1)),
-                         /*mini_batch=*/true, 11, 300);
-}
-
-TEST_F(KeyedCounterTest, SlidingOverflowPathMatchesWindowAggCount) {
-  // size = 4 * slide: four windows open per key, twice the resident cells --
-  // every extra fold exercises the overflow spill and its emission merge.
-  ExpectCountEquivalence(WindowSpec::Sliding(Seconds(4), Seconds(1)),
-                         /*mini_batch=*/true, 13, 200);
-}
-
-TEST_F(KeyedCounterTest, MiniBatchAndRowWiseFoldsAreBitIdentical) {
-  for (bool mini : {false, true}) {
-    SCOPED_TRACE(mini);
-    ExpectCountEquivalence(WindowSpec::Sliding(Seconds(3), Seconds(1)), mini,
-                           17, 200);
+TEST_F(KeyedCounterTest, MatchesMapReference) {
+  {
+    SCOPED_TRACE("tumbling");
+    ExpectMatchesMapReference(WindowSpec::Tumbling(Seconds(1)), 7, 300);
+  }
+  {
+    SCOPED_TRACE("sliding, size 2x slide");
+    ExpectMatchesMapReference(WindowSpec::Sliding(Seconds(2), Seconds(1)), 11,
+                              300);
+  }
+  {
+    SCOPED_TRACE("sliding, size 3x slide");
+    ExpectMatchesMapReference(WindowSpec::Sliding(Seconds(3), Seconds(1)), 17,
+                              200);
   }
 }
 
-TEST_F(KeyedCounterTest, BooksCloseWithTtlExpiry) {
-  KeyedCounterOptions opts;
-  opts.ttl = Seconds(2);
-  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
+TEST_F(KeyedCounterTest, BooksCloseOnceEveryWindowCloses) {
+  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {});
   TestEmitter emitter;
   Rng traffic(123);
   LogicalTime p = 0;
@@ -508,69 +357,31 @@ TEST_F(KeyedCounterTest, BooksCloseWithTtlExpiry) {
     std::vector<std::tuple<std::int64_t, double, LogicalTime>> rows;
     const int n = static_cast<int>(traffic.UniformInt(0, 30));
     for (int r = 0; r < n; ++r) {
-      // Rotating key population: early keys go idle and must expire.
+      // Rotating key population, with some rows late for their window.
       const std::int64_t lo = p / Seconds(4) * 100;
       rows.emplace_back(lo + traffic.UniformInt(0, 99), 1.0,
-                        std::max<LogicalTime>(0, p - Millis(50)));
+                        std::max<LogicalTime>(
+                            0, p - traffic.UniformInt(0, Millis(1200))));
     }
-    auto ctx = Ctx(emitter);
-    op.Invoke(Msg(p, std::move(rows)), ctx);
-  }
-  // Push the watermark far past every open window and TTL deadline. Expiry
-  // defers at most one wheel round per open-window guard, so advance in a
-  // few strides rather than one jump.
-  for (int i = 1; i <= 8; ++i) {
-    auto ctx = Ctx(emitter);
-    op.Invoke(Msg(p + i * Seconds(5), {}), ctx);
-  }
-  EXPECT_EQ(op.live_keys(), 0u) << "all keys idle => all expired";
-  EXPECT_EQ(op.inserted(), op.expired() + static_cast<std::int64_t>(op.live_keys()));
-  // Tumbling conservation: every observed row was either counted in an
-  // emitted window or dropped late.
-  EXPECT_EQ(static_cast<double>(op.rows_seen() - op.late_dropped()),
-            op.count_emitted());
-  EXPECT_EQ(op.pending_timers(), 0u);
-}
-
-TEST_F(KeyedCounterTest, WindowAndTtlDeadlinesStayInWheel) {
-  // Shaped like the benchmark's batch-analytics counter: 1 s tumbling
-  // windows, a 2 s TTL, two upstream channels whose progress interleaves.
-  // Every close and TTL deadline must land inside the wheel's horizon, so no
-  // Schedule or fire pays the overflow heap.
-  KeyedCounterOptions opts;
-  opts.ttl = Seconds(2);
-  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
-  op.SetChannels({0, 1});
-  TestEmitter emitter;
-  Rng traffic(31);
-  LogicalTime progress[2] = {0, 0};
-  std::size_t max_pending = 0;
-  while (std::min(progress[0], progress[1]) < Seconds(3)) {
-    const int ch = static_cast<int>(traffic.UniformInt(0, 1));
-    const LogicalTime from = progress[ch];
-    progress[ch] += traffic.UniformInt(Millis(1), Millis(40));
-    std::vector<std::tuple<std::int64_t, double, LogicalTime>> rows;
-    const int n = static_cast<int>(traffic.UniformInt(0, 300));
-    for (int r = 0; r < n; ++r) {
-      rows.emplace_back(traffic.UniformInt(0, 20'000), 1.0,
-                        traffic.UniformInt(from, progress[ch]));
-    }
-    Message m = Msg(progress[ch], std::move(rows));
-    m.sender = OperatorId{ch};
+    Message m = Msg(p, std::move(rows));
+    if (traffic.Chance(0.2)) m.batch.synthetic_count = traffic.UniformInt(1, 9);
     auto ctx = Ctx(emitter);
     op.Invoke(m, ctx);
-    ASSERT_EQ(op.overflow_timers(), 0u)
-        << "at progress " << progress[0] << "/" << progress[1];
-    max_pending = std::max(max_pending, op.pending_timers());
   }
-  EXPECT_GT(max_pending, 10'000u) << "close and TTL timers were armed";
-  EXPECT_GT(op.count_emitted(), 0.0) << "windows closed during the run";
+  // Push the watermark past every open window.
+  auto ctx = Ctx(emitter);
+  op.Invoke(Msg(p + Seconds(5), {}), ctx);
+  EXPECT_EQ(op.open_windows(), 0u);
+  EXPECT_EQ(op.live_keys(), 0u) << "a key's state goes with its last window";
+  EXPECT_GT(op.late_dropped(), 0);
+  // Tumbling conservation: every observed row was either counted in an
+  // emitted window or dropped late.
+  EXPECT_EQ(static_cast<double>(op.rows_seen()),
+            op.count_emitted() + static_cast<double>(op.late_dropped()));
 }
 
-TEST_F(KeyedCounterTest, ExpiredKeyNeverFoldedAfterwardAndReinsertsFresh) {
-  KeyedCounterOptions opts;
-  opts.ttl = Seconds(1);
-  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {}, opts);
+TEST_F(KeyedCounterTest, KeyReturningAfterItsWindowClosedStartsFromZero) {
+  KeyedCounterOp op("c", WindowSpec::Tumbling(Seconds(1)), {});
   TestEmitter emitter;
 
   auto send = [&](LogicalTime p,
@@ -580,30 +391,23 @@ TEST_F(KeyedCounterTest, ExpiredKeyNeverFoldedAfterwardAndReinsertsFresh) {
     op.Invoke(Msg(p, std::move(rows)), ctx);
   };
 
-  send(Millis(500), {{42, 1.0, Millis(400)}});
-  EXPECT_EQ(op.inserted(), 1);
-  ASSERT_NE(op.store().Find(42), nullptr);
-  // Idle past the TTL (window 1 s closes, then the 1 s TTL lapses).
-  send(Seconds(3), {});
-  send(Seconds(6), {});
-  EXPECT_EQ(op.expired(), 1);
-  EXPECT_EQ(op.store().Find(42), nullptr) << "slate erased on expiry";
+  send(Millis(500), {{42, 1.0, Millis(400)}, {42, 1.0, Millis(450)}});
+  EXPECT_EQ(op.live_keys(), 1u);
+  send(Seconds(3), {});  // window 1 s closes
   EXPECT_EQ(op.live_keys(), 0u);
 
-  // The key returns: a fresh slate is inserted (count restarts from zero --
-  // no stale state survived expiry).
+  // The key returns: its count restarts from zero.
   send(Seconds(6) + Millis(300), {{42, 1.0, Seconds(6) + Millis(200)}});
-  EXPECT_EQ(op.inserted(), 2);
+  EXPECT_EQ(op.live_keys(), 1u);
   send(Seconds(8), {});
-  // Exactly two data emissions for key 42, one per active window, 1 row each.
-  double counted = 0;
+  std::vector<double> counts;
   for (const CapturedOut& o : emitter.outs) {
     for (std::size_t i = 0; i < o.batch.keys.size(); ++i) {
-      if (o.batch.keys[i] == 42) counted += o.batch.values[i];
+      if (o.batch.keys[i] == 42) counts.push_back(o.batch.values[i]);
     }
   }
-  EXPECT_DOUBLE_EQ(counted, 2.0);
-  EXPECT_EQ(op.inserted(), op.expired() + static_cast<std::int64_t>(op.live_keys()));
+  EXPECT_EQ(counts, (std::vector<double>{2.0, 1.0}));
+  EXPECT_EQ(op.live_keys(), 0u);
 }
 
 TEST_F(KeyedCounterTest, LateRowsDropDeterministically) {
@@ -616,7 +420,7 @@ TEST_F(KeyedCounterTest, LateRowsDropDeterministically) {
   // Row for window 1 s arrives after the watermark passed it: dropped.
   op.Invoke(Msg(Seconds(2) + 1, {{2, 1.0, Millis(700)}}), ctx2);
   EXPECT_EQ(op.late_dropped(), 1);
-  EXPECT_EQ(op.store().Find(2), nullptr);
+  EXPECT_EQ(op.live_keys(), 0u);
 }
 
 }  // namespace
