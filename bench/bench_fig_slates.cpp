@@ -10,7 +10,7 @@
 //     emissions, same late drops -- before its timing is reported. The
 //     steady-state segment is also watched by this TU's counting global
 //     operator new: `slates_<N>_allocs_per_msg` must stay 0 (per-window
-//     key stores recycled with their slabs, and recycled batch columns,
+//     key stores recycled with their capacity, and recycled batch columns,
 //     cover the whole message lifecycle).
 //  2. Scenario sweeps (full simulator, job "KEYED"): deadline-met rate and
 //     p99 vs key count (uniform keys) and vs Zipf skew, the latter run both
@@ -435,7 +435,7 @@ void RunScenarioSweeps(bench::BenchContext& ctx) {
 void Run(bench::BenchContext& ctx) {
   PrintFigureBanner(
       "Slates", "keyed slate state at 1M+ keys",
-      "pooled slate store vs std::map; hot-key splitting vs saturation");
+      "slate store vs std::map; hot-key splitting vs saturation");
   RunSlateMicrobench(ctx);
   RunScenarioSweeps(ctx);
 }

@@ -295,7 +295,7 @@ std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
         // Cold keys take the sub == 0 route, identical to the unsplit path.
         // All decisions are per-batch and data-deterministic: replays and
         // the row-wise reference fold see the same routing.
-        SlateStore<std::uint32_t> freq;  // slab storage from the pool
+        SlateStore<std::uint32_t> freq;  // key -> occurrences in the batch
         for (std::int64_t key : batch.keys) freq.Probe(key) += 1;
         const std::uint32_t threshold = static_cast<std::uint32_t>(
             std::max<std::size_t>(2, batch.keys.size() / (4 * replicas)));

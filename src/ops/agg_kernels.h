@@ -55,13 +55,6 @@ struct AggParams {
   std::size_t sketch_buckets = 512;
 };
 
-/// Per-key accumulator map of the windowed kernels: the keyed-state
-/// subsystem's SlateStore (state/slate_store.h), an open-addressing map
-/// over pooled slabs with the shared KeyMix hash. WindowAggOp reuses a
-/// closed window's state for a later window (AggWindowState::Reset), so
-/// the map keeps its slabs and a refill to a similar size never rehashes.
-using FlatKeyMap = SlateStore<double>;
-
 /// One pass of window assignment over a batch's time column: rows grouped by
 /// their *first* window end, ceil(t/S)*S (inclusive-right window model, see
 /// ops/window_agg.h). Rows within a bucket keep batch order, so folding a
@@ -103,8 +96,8 @@ class WindowPlan {
 };
 
 /// Per-window accumulator state shared by every kernel kind. Cheap kinds use
-/// the scalar fields; per-key kinds the flat map; kPercentile lazily attaches
-/// a LogHistogram sketch.
+/// the scalar fields; per-key kinds the slate store (state/slate_store.h);
+/// kPercentile lazily attaches a LogHistogram sketch.
 struct AggWindowState {
   std::int64_t count = 0;
   double sum = 0;
@@ -116,11 +109,12 @@ struct AggWindowState {
   LogicalTime open_time = kTimeMax;
   LogicalTime close_time = kTimeMin;
   SimTime last_event = kTimeMin;
-  FlatKeyMap per_key;
+  SlateStore<double> per_key;
   std::unique_ptr<LogHistogram> sketch;
 
   /// Empties the state for reuse by another window. The per-key store keeps
-  /// its slabs, so a refill to a similar size pays no regrowth rehashes.
+  /// its capacity, so a refill to a similar size pays no allocation and no
+  /// regrowth.
   void Reset() {
     count = 0;
     sum = max = 0;

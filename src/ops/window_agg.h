@@ -83,8 +83,9 @@ class WindowAggOp : public WindowedOperator {
   AggKernel kernel_;
   WindowPlan plan_;
   /// Open windows sorted by end. A closed window's state is Reset() into
-  /// spare_ and reused by a later window; its per-key store keeps its slabs,
-  /// so steady-state windows open and close without touching the heap.
+  /// spare_ and reused by a later window; its per-key store keeps its
+  /// capacity, so steady-state windows open and close without touching the
+  /// heap.
   std::vector<OpenWindow> windows_;
   std::vector<std::unique_ptr<AggWindowState>> spare_;
   /// Open session windows, sorted by `first`; pairwise more than `gap`

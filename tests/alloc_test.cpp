@@ -415,9 +415,9 @@ void DriveKeyedBatch(Operator& op, InvokeContext& ctx, std::int64_t& id,
 TEST(ZeroAllocTest, KeyedCounterMillionKeySteadyState) {
   // One tumbling window holds 1M distinct keys at a time: every window is
   // filled with the whole key set, then closed by the first batch of the
-  // next, emitting 1M rows. The first windows grow the per-key store, the
-  // emission buffers and the pool's slab caches; later windows reuse the
-  // recycled store and must not touch the heap.
+  // next, emitting 1M rows. The first windows grow the per-key store and
+  // the emission buffers; later windows reuse the recycled store with its
+  // capacity and must not touch the heap.
   constexpr std::int64_t kKeys = 1 << 20;  // 1,048,576 keys per window
   constexpr std::int64_t kBatch = 512;
   constexpr LogicalTime kStride = 64;

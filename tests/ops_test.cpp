@@ -805,56 +805,6 @@ TEST(AggKernelTest, ShuffledTimestampsMatchContiguousFastPathBitExactly) {
   }
 }
 
-// ---------------- FlatKeyMap (now an alias of SlateStore<double>) ----------
-
-TEST(FlatKeyMapTest, RandomizedChurnMatchesUnorderedMap) {
-  FlatKeyMap map;
-  std::unordered_map<std::int64_t, double> ref;
-  Rng rng(4242);
-  for (int i = 0; i < 60'000; ++i) {
-    const std::int64_t key = rng.UniformInt(-500, 500);
-    if (rng.Uniform01() < 0.6) {
-      const double v = static_cast<double>(rng.UniformInt(1, 9));
-      map.Probe(key) += v;
-      ref[key] += v;
-    } else {
-      EXPECT_EQ(map.Erase(key), ref.erase(key) > 0);
-    }
-  }
-  ASSERT_EQ(map.size(), ref.size());
-  for (const auto& [k, v] : ref) {
-    const double* got = map.Find(k);
-    ASSERT_NE(got, nullptr);
-    EXPECT_DOUBLE_EQ(*got, v);
-  }
-}
-
-TEST(FlatKeyMapTest, TombstoneReuseThenDeterministicSortedEmission) {
-  FlatKeyMap map;
-  // Insert, erase every odd key (tombstones), reinsert some -- the map must
-  // reuse tombstoned slots and still emit sorted by key.
-  for (std::int64_t k = 0; k < 2000; ++k) map.Probe(k) = static_cast<double>(k);
-  for (std::int64_t k = 1; k < 2000; k += 2) EXPECT_TRUE(map.Erase(k));
-  EXPECT_EQ(map.tombstones(), 1000u);
-  for (std::int64_t k = 1; k < 1000; k += 2) map.Probe(k) = -1.0;
-  EXPECT_EQ(map.size(), 1500u);
-
-  std::vector<std::pair<std::int64_t, double>> out;
-  map.AppendSorted(out);
-  ASSERT_EQ(out.size(), 1500u);
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_LT(out[i - 1].first, out[i].first);
-  }
-  for (const auto& [k, v] : out) {
-    if (k % 2 == 1) {
-      EXPECT_DOUBLE_EQ(v, -1.0);
-      EXPECT_LT(k, 1000);
-    } else {
-      EXPECT_DOUBLE_EQ(v, static_cast<double>(k));
-    }
-  }
-}
-
 // ---------------- Mixed batches through stateless ops ----------------
 
 TEST_F(OpsTest, FilterCarriesSyntheticFaceOfMixedBatches) {
