@@ -6,9 +6,15 @@
 // (sources), Route + BuildCxtAtOperator per emitted batch, PrepareReply for
 // the sender, sink accounting, and the recycle of the message's columns.
 //
+// The step owns the message, so it offers the batch to the operator as
+// `InvokeContext::input`: a source (or a map) forwards it by move, and the
+// message's batch reads 0 rows afterwards. Everything after Invoke that counts rows
+// (the cost hook, processed volume, sink tuples) uses the row count taken
+// before Invoke.
+//
 // What differs between backends is a compile-time hook on `Hooks`:
 //   SimTime InvokeStart()                            InvokeContext::now
-//   StepClock InvokeEnd(const Operator&, const Message&, SimTime start)
+//   StepClock InvokeEnd(const Operator&, std::int64_t rows, SimTime start)
 //   MessageId NextId()
 //   void Deliver(Message)                            one routed output
 //   void Reply(OperatorId sender, OperatorId from, const ReplyContext&)
@@ -60,7 +66,8 @@ struct StepTables {
   DataflowGraph& graph;
   CostProfiler& profiler;
   std::vector<EmittedBatch>& outs;  // scratch, reused across invocations
-  Rng& rng;                         // handed to Operator::Invoke
+  std::vector<DataflowGraph::Delivery>& routed;  // scratch, likewise
+  Rng& rng;                                      // handed to Operator::Invoke
 };
 
 /// Builds the message an external event `e` at `source` becomes and records
@@ -88,20 +95,21 @@ void RunMessageStep(const StepTables& t, Hooks& hooks, Message& m,
   Operator& op = t.graph.Get(self);
   t.outs.clear();
   BufferingEmitter emitter(t.outs);
+  const std::int64_t rows = m.batch.size();  // before a source consumes it
   const SimTime start = hooks.InvokeStart();
-  InvokeContext ctx{start, &emitter, &t.rng};
+  InvokeContext ctx{start, &emitter, &t.rng, &m.batch};
   op.Invoke(m, ctx);
-  const StepClock clock = hooks.InvokeEnd(op, m, start);
+  const StepClock clock = hooks.InvokeEnd(op, rows, start);
 
   t.profiler.Record(self, clock.cost);
   policy.OnInvoked(self, op.job(), clock.cost, clock.now);
   auto& latency = hooks.latency();
-  if (op.is_source()) {
-    latency.OnProcessed(op.job(), m.batch.size(), clock.now);
-  }
+  if (op.is_source()) latency.OnProcessed(op.job(), rows, clock.now);
 
   for (EmittedBatch& out : t.outs) {
-    for (auto& d : t.graph.Route(self, out.port, std::move(out.batch))) {
+    t.routed.clear();
+    t.graph.Route(self, out.port, std::move(out.batch), t.routed);
+    for (auto& d : t.routed) {
       Message md;
       md.pc = converter.BuildCxtAtOperator(m.pc, op, t.graph.Get(d.target),
                                            d.batch.progress, out.event_time,
@@ -127,9 +135,10 @@ void RunMessageStep(const StepTables& t, Hooks& hooks, Message& m,
     const bool windowed = t.graph.job(op.job()).output_slide > 0;
     latency.OnSinkOutput(op.job(), windowed ? m.progress() : m.event_time,
                          clock.now);
-    latency.OnSinkTuples(op.job(), m.batch.size(), clock.now);
+    latency.OnSinkTuples(op.job(), rows, clock.now);
   }
-  // Last reader of this message's columns: park them for reuse.
+  // Last reader of this message's columns: park them for reuse (a no-op
+  // when the operator moved them on).
   m.batch.Recycle();
 }
 

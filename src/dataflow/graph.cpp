@@ -190,6 +190,13 @@ std::vector<OperatorId> DataflowGraph::OperatorsOf(JobId job) const {
 std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
                                                           int port,
                                                           EventBatch batch) {
+  std::vector<Delivery> out;
+  Route(sender, port, std::move(batch), out);
+  return out;
+}
+
+void DataflowGraph::Route(OperatorId sender, int port, EventBatch batch,
+                          std::vector<Delivery>& out) {
   // One snapshot for sender, stage, and receivers: routing never sees a
   // half-published query.
   const Topology* t = topo();
@@ -205,7 +212,6 @@ std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
           src.downstream[static_cast<std::size_t>(port)].value)];
   Partition part = src.partition[static_cast<std::size_t>(port)];
 
-  std::vector<Delivery> out;
   // Every branch below picks replicas by position in `dst.operators` -- the
   // stage-global list, fixed at compile time. Shard placement renumbers
   // nothing here: a shard maps operator ids to local scheduler state, but
@@ -271,13 +277,23 @@ std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
         }
         break;
       }
+      // One delivery per replica, in replica order, each starting as a
+      // progress-only batch: a replica that receives no rows still gets the
+      // progress (see the keyless branch above). Rows append in place.
       const int split_r = src.split[static_cast<std::size_t>(port)];
-      std::vector<EventBatch> split(replicas);
+      const std::size_t first = out.size();
+      for (std::size_t r = 0; r < replicas; ++r) {
+        out.push_back(
+            {dst.operators[r], EventBatch::Synthetic(0, batch.progress)});
+      }
+      auto split = [&](std::size_t r) -> EventBatch& {
+        return out[first + r].batch;
+      };
       if (split_r <= 1) {
         for (std::size_t i = 0; i < batch.keys.size(); ++i) {
           const auto h =
               static_cast<std::size_t>(KeyMix(batch.keys[i])) % replicas;
-          split[h].Append(batch.keys[i], batch.values[i], batch.times[i]);
+          split(h).Append(batch.keys[i], batch.values[i], batch.times[i]);
         }
       } else {
         // Two-phase hot-key splitting. A frequency pass over the batch finds
@@ -311,25 +327,16 @@ std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
           }
           std::uint64_t h = KeyMix(key);
           if (sub != 0) h = KeyMix(static_cast<std::int64_t>(h ^ sub));
-          split[static_cast<std::size_t>(h) % replicas].Append(
-              key, batch.values[i], batch.times[i]);
+          split(static_cast<std::size_t>(h) % replicas)
+              .Append(key, batch.values[i], batch.times[i]);
         }
       }
-      for (std::size_t r = 0; r < replicas; ++r) {
-        if (split[r].keys.empty()) {
-          // No rows for this shard, but progress must still flow (see the
-          // keyless branch above).
-          out.push_back({dst.operators[r],
-                         EventBatch::Synthetic(0, batch.progress)});
-          continue;
-        }
-        split[r].progress = batch.progress;
-        out.push_back({dst.operators[r], std::move(split[r])});
-      }
+      // The split copied every row out: park the input's columns for the
+      // next Append to adopt.
+      batch.Recycle();
       break;
     }
   }
-  return out;
 }
 
 std::size_t DataflowGraph::NextReplica(std::int64_t edge,

@@ -165,11 +165,16 @@ class DataflowGraph {
     EventBatch batch;
   };
 
-  /// Routes a batch emitted by `sender` on `port` to downstream operators.
-  /// Mutates round-robin state; a kKeyHash edge splits columnar batches by
-  /// mixed key hash (delivering progress-only batches to replicas that own
-  /// none of the rows) and assigns keyless batches to key 0's owner, with
-  /// progress broadcast to the rest.
+  /// Routes a batch emitted by `sender` on `port` to downstream operators,
+  /// appending the deliveries to `out` (a caller-owned vector, so a worker
+  /// reuses its capacity route to route). Mutates round-robin state; a
+  /// kKeyHash edge splits columnar batches by mixed key hash (delivering
+  /// progress-only batches to replicas that own none of the rows) and
+  /// assigns keyless batches to key 0's owner, with progress broadcast to
+  /// the rest.
+  void Route(OperatorId sender, int port, EventBatch batch,
+             std::vector<Delivery>& out);
+  /// As above, into a fresh vector.
   std::vector<Delivery> Route(OperatorId sender, int port, EventBatch batch);
 
   /// Sink stages (no downstream edges) of a job.

@@ -84,6 +84,11 @@ struct InvokeContext {
   SimTime now = 0;
   Emitter* emitter = nullptr;  // never null during Invoke
   Rng* rng = nullptr;
+  /// The invoked message's batch, offered by a caller that owns the message
+  /// and is done with its columns once Invoke returns; an operator that
+  /// forwards its input, or rewrites it in place, may move from it instead
+  /// of copying. Null means the caller keeps the batch.
+  EventBatch* input = nullptr;
 };
 
 class Operator {

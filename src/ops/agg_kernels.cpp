@@ -17,7 +17,6 @@ void WindowPlan::Build(const std::vector<LogicalTime>& times, LogicalTime size,
   // the same window count, so neighbouring rows resolve their bucket with
   // two compares instead of two 64-bit divisions.
   const bool uniform = size % slide == 0;
-  const auto uniform_nw = static_cast<std::uint32_t>(size / slide);
 
   // Pass 1: per row, compute (first window end, window count) and find its
   // bucket. Batches cluster in time, so consecutive rows almost always share

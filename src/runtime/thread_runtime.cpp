@@ -33,10 +33,8 @@ struct ThreadRuntime::StepHooks {
   ShardedLatencyRecorder::Writer rec;
 
   SimTime InvokeStart() { return rt.Now(); }
-  StepClock InvokeEnd(const Operator& op, const Message& m, SimTime start) {
-    if (rt.config_.emulate_cost) {
-      SpinFor(op.cost_model().Sample(m.batch.size(), rng));
-    }
+  StepClock InvokeEnd(const Operator& op, std::int64_t rows, SimTime start) {
+    if (rt.config_.emulate_cost) SpinFor(op.cost_model().Sample(rows, rng));
     const SimTime end = rt.Now();
     return {.cost = end - start, .now = end, .dequeued = start};
   }
@@ -267,7 +265,8 @@ void ThreadRuntime::WorkerLoop(int index) {
   // scratch vectors retain capacity, keeping the loop allocation-free.
   std::vector<Message> batch;
   std::vector<EmittedBatch> outs;
-  const StepTables tables{graph_, profiler_, outs, rng};
+  std::vector<DataflowGraph::Delivery> routed;
+  const StepTables tables{graph_, profiler_, outs, routed, rng};
 
   while (true) {
     if (stop_.load(std::memory_order_seq_cst) ||

@@ -31,7 +31,7 @@ struct Cluster::StepHooks {
   Duration cost;
 
   SimTime InvokeStart() { return c.events_.now(); }
-  StepClock InvokeEnd(const Operator&, const Message&, SimTime now) {
+  StepClock InvokeEnd(const Operator&, std::int64_t /*rows*/, SimTime now) {
     return {.cost = cost, .now = now, .dequeued = dispatch_time};
   }
   MessageId NextId() { return c.NextMessageId(); }
@@ -444,8 +444,8 @@ void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                               Duration exec_cost) {
   StepHooks hooks{*this, w, runtime_->ShardOf(m.target), dispatch_time,
                   exec_cost};
-  RunMessageStep(StepTables{graph_, profiler_, emitted_, rng_}, hooks, m,
-                 converter(m.target), *runtime_->policy_of(m.target));
+  RunMessageStep(StepTables{graph_, profiler_, emitted_, routed_, rng_}, hooks,
+                 m, converter(m.target), *runtime_->policy_of(m.target));
 }
 
 void Cluster::FinishActivation(WorkerId w, OperatorId op) {

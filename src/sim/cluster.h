@@ -236,8 +236,10 @@ class Cluster {
   // their capacity is reused by every dispatch.
   std::vector<Message> batch_scratch_;
   std::vector<Duration> exec_scratch_;
-  /// Outputs of the invocation in progress (message-step scratch).
+  /// Outputs of the invocation in progress and their routed deliveries
+  /// (message-step scratch).
   std::vector<EmittedBatch> emitted_;
+  std::vector<DataflowGraph::Delivery> routed_;
 };
 
 }  // namespace cameo

@@ -17,6 +17,7 @@
 #include "ops/source.h"
 #include "ops/window_agg.h"
 #include "sim/driver.h"
+#include "workload/keyed.h"
 #include "workload/tenants.h"
 
 namespace cameo {
@@ -307,6 +308,45 @@ TEST(EngineParityTest, FiniteInputYieldsIdenticalBooks) {
   EXPECT_EQ(s.outputs(sim_job), t.outputs(thread_job));
   EXPECT_EQ(s.sink_tuples(sim_job), t.sink_tuples(thread_job));
   EXPECT_EQ(s.processed(sim_job), t.processed(thread_job));
+}
+
+TEST(EngineParityTest, KeyedSourcesBookPreInvokeRows) {
+  // A source forwards a columnar batch by move, leaving the message's batch
+  // empty, so the step books processed volume from the rows it counted
+  // before Invoke. Keyed ingestion must book exactly what the same arrivals
+  // book as synthetic tuple counts, on both backends.
+  EngineOptions opt;
+  opt.workers = 2;
+  opt.wallclock.emulate_cost = false;
+  opt.wallclock.time_scale = 0.05;
+
+  QuerySpec spec = SmallSpec("keyed");
+  spec.sources = 2;
+  IngestSpec in;
+  in.msgs_per_sec = 4.0;
+  in.tuples_per_msg = 100;
+  in.end = Seconds(3);
+  in.event_time_delay = Millis(50);
+  const QueryDef plain_def = AggregationQueryDef(spec).Ingest(in);
+  QueryDef keyed_def = AggregationQueryDef(spec).Ingest(in);
+  keyed_def.Keys([](int) { return std::make_unique<UniformKeys>(64); });
+
+  SimEngine plain(opt);
+  const JobId plain_job = plain.Submit(plain_def).job();
+  plain.RunFor(Seconds(4));
+  SimEngine sim(opt);
+  const JobId sim_job = sim.Submit(keyed_def).job();
+  sim.RunFor(Seconds(4));
+  ThreadEngine thread(opt);
+  const JobId thread_job = thread.Submit(keyed_def).job();
+  thread.RunFor(Seconds(4));
+  thread.Stop();
+
+  const std::int64_t want = plain.cluster().latency().processed(plain_job);
+  EXPECT_GT(want, 0);
+  EXPECT_EQ(want % in.tuples_per_msg, 0);
+  EXPECT_EQ(sim.cluster().latency().processed(sim_job), want);
+  EXPECT_EQ(thread.runtime().latency().processed(thread_job), want);
 }
 
 TEST(SimEngineTest, LiveSubmitJoinsAtCurrentVirtualTime) {

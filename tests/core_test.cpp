@@ -3,6 +3,9 @@
 // the Algorithm 1 context converter.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <utility>
+
 #include "core/context_converter.h"
 #include "core/linear_regression.h"
 #include "core/policies.h"
@@ -138,6 +141,62 @@ TEST(LinearRegressionTest, NanosecondScaleStability) {
   ASSERT_TRUE(r.Ready());
   EXPECT_NEAR(r.alpha(), 1.0, 1e-6);
   EXPECT_NEAR(r.Predict(base + 30e9), base + 32e9, 1e3);
+}
+
+/// The windowed fit over a std::deque, summing oldest to newest: the
+/// reference the ring buffer must match bit for bit.
+struct DequeFit {
+  bool ready = false;
+  double alpha = 0, gamma = 0;
+};
+
+DequeFit FitDeque(const std::deque<std::pair<double, double>>& pts) {
+  DequeFit f;
+  const auto n = static_cast<double>(pts.size());
+  if (pts.size() < 2) return f;
+  double mx = 0, my = 0;
+  for (const auto& [x, y] : pts) {
+    mx += x;
+    my += y;
+  }
+  mx /= n;
+  my /= n;
+  double sxx = 0, sxy = 0;
+  for (const auto& [x, y] : pts) {
+    sxx += (x - mx) * (x - mx);
+    sxy += (x - mx) * (y - my);
+  }
+  if (sxx <= 0) return f;
+  f.alpha = sxy / sxx;
+  f.gamma = my - f.alpha * mx;
+  f.ready = true;
+  return f;
+}
+
+TEST(LinearRegressionTest, RingMatchesDequeReferenceBitExactly) {
+  // Random (p, t) streams at nanosecond scale, long enough to wrap each
+  // window several times; the fit is read after every observation, so each
+  // ring head position is compared.
+  Rng rng(2026);
+  for (std::size_t window : {2, 3, 7, 64}) {
+    OnlineLinearRegression ring(window);
+    std::deque<std::pair<double, double>> ref;
+    double p = 3.6e12;
+    for (std::size_t i = 0; i < 5 * window + 3; ++i) {
+      p += rng.Uniform(0, 2e9);
+      const double t = p + rng.Uniform(1e9, 3e9);
+      ring.Observe(p, t);
+      ref.emplace_back(p, t);
+      if (ref.size() > window) ref.pop_front();
+      const DequeFit want = FitDeque(ref);
+      ASSERT_EQ(ring.size(), ref.size());
+      ASSERT_EQ(ring.Ready(), want.ready) << "window " << window << " i " << i;
+      if (!want.ready) continue;
+      // EXPECT_EQ on doubles is exact: bit-identical, not merely close.
+      EXPECT_EQ(ring.alpha(), want.alpha) << "window " << window << " i " << i;
+      EXPECT_EQ(ring.gamma(), want.gamma) << "window " << window << " i " << i;
+    }
+  }
 }
 
 // ---------------- ProgressMap ----------------

@@ -85,6 +85,42 @@ TEST_F(OpsTest, SourceForwardsBatchUnchanged) {
   EXPECT_FALSE(src.is_sink());
 }
 
+TEST_F(OpsTest, SourceCopiesWhenTheCallerKeepsTheBatch) {
+  // A three-member context offers no input (as a hand-driven trace loop
+  // builds it): the source emits a copy and the message keeps its rows.
+  SourceOp src("s", {});
+  Message m = ColumnarMsg(-1, 40, {{1, 2.0, 30}, {5, 6.0, 40}}, Millis(3));
+  InvokeContext ctx{0, &emitter_, &rng_};
+  ASSERT_EQ(ctx.input, nullptr);
+  src.Invoke(m, ctx);
+  ASSERT_EQ(emitter_.outs.size(), 1u);
+  const EventBatch& out = emitter_.outs[0].batch;
+  EXPECT_EQ(out.keys, m.batch.keys);
+  EXPECT_EQ(out.values, m.batch.values);
+  EXPECT_EQ(out.times, m.batch.times);
+  EXPECT_EQ(out.progress, 40);
+  EXPECT_EQ(m.batch.size(), 2) << "the caller's batch is untouched";
+  EXPECT_NE(out.keys.data(), m.batch.keys.data()) << "a copy, not an alias";
+}
+
+TEST_F(OpsTest, SourceMovesAnOfferedInput) {
+  SourceOp src("s", {});
+  Message m = ColumnarMsg(-1, 40, {{1, 2.0, 30}, {5, 6.0, 40}}, Millis(3));
+  const std::int64_t* columns = m.batch.keys.data();
+  auto ctx = Ctx();
+  ctx.input = &m.batch;
+  src.Invoke(m, ctx);
+  ASSERT_EQ(emitter_.outs.size(), 1u);
+  const EventBatch& out = emitter_.outs[0].batch;
+  EXPECT_EQ(out.keys, (std::vector<std::int64_t>{1, 5}));
+  EXPECT_EQ(out.values, (std::vector<double>{2.0, 6.0}));
+  EXPECT_EQ(out.times, (std::vector<LogicalTime>{30, 40}));
+  EXPECT_EQ(out.progress, 40);
+  EXPECT_EQ(emitter_.outs[0].event_time, Millis(3));
+  EXPECT_EQ(out.keys.data(), columns) << "the columns moved, no copy";
+  EXPECT_EQ(m.batch.size(), 0) << "the consumed input reads 0 rows";
+}
+
 TEST_F(OpsTest, SinkCountsOutputsAndTuples) {
   SinkOp sink("k", {});
   auto ctx = Ctx();
@@ -112,6 +148,25 @@ TEST_F(OpsTest, MapTransformsTuples) {
   EXPECT_EQ(out.keys[1], 4);
   EXPECT_DOUBLE_EQ(out.values[1], 8.0);
   EXPECT_EQ(out.progress, 10);
+}
+
+TEST_F(OpsTest, MapTransformsAnOfferedInputInPlace) {
+  MapOp map("m", {}, [](std::int64_t& k, double& v) {
+    k += 1;
+    v *= 2;
+  });
+  Message m = ColumnarMsg(0, 10, {{1, 2.0, 5}, {3, 4.0, 6}});
+  const std::int64_t* columns = m.batch.keys.data();
+  auto ctx = Ctx();
+  ctx.input = &m.batch;
+  map.Invoke(m, ctx);
+  ASSERT_EQ(emitter_.outs.size(), 1u);
+  const EventBatch& out = emitter_.outs[0].batch;
+  EXPECT_EQ(out.keys, (std::vector<std::int64_t>{2, 4}));
+  EXPECT_EQ(out.values, (std::vector<double>{4.0, 8.0}));
+  EXPECT_EQ(out.times, (std::vector<LogicalTime>{5, 6}));
+  EXPECT_EQ(out.keys.data(), columns) << "the columns moved, no copy";
+  EXPECT_EQ(m.batch.size(), 0);
 }
 
 TEST_F(OpsTest, FilterDropsNonMatchingTuples) {

@@ -3,6 +3,7 @@
 // parameter combination, plus failure-injection behaviour.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
 
 #include <unordered_map>
