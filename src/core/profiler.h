@@ -7,14 +7,14 @@
 // perturbed with N(0, sigma) noise to reproduce the paper's measurement-
 // inaccuracy study (Fig. 16).
 //
-// Thread safety: entries live behind a copy-on-write index so Seed() for a
-// hot-added query's operators can run concurrently with workers calling
-// Record/Estimate on other operators. A single entry is only ever touched
-// under its operator's actor-model exclusivity; the perturbation RNG is a
-// simulator-only feature (single-threaded backend).
+// Thread safety: entries live in a dense id table (common/id_table.h) so
+// Seed() for a hot-added query's operators can run concurrently with workers
+// calling Record/Estimate on other operators. A single entry is only ever
+// touched under its operator's actor-model exclusivity; the perturbation RNG
+// is a simulator-only feature (single-threaded backend).
 #pragma once
 
-#include "common/cow_index.h"
+#include "common/id_table.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -71,7 +71,7 @@ class CostProfiler : public CostReader {
 
   double smoothing_;
   Duration perturb_sigma_ = 0;
-  CowIndex<OperatorId, Entry> entries_;
+  IdTable<OperatorId, Entry> entries_;
   mutable Rng noise_rng_;
 };
 

@@ -6,28 +6,28 @@
 
 namespace cameo {
 
-DataflowGraph::DataflowGraph() : s_(std::make_unique<State>()) {
-  s_->topo.store(new Topology(), std::memory_order_release);
+namespace {
+
+/// The entry for `id`, which must already be published.
+template <typename Id, typename T>
+T& At(const IdTable<Id, T>& table, Id id) {
+  T* v = table.Find(id);
+  CAMEO_EXPECTS(v != nullptr);
+  return *v;
 }
 
-template <typename Fn>
-void DataflowGraph::Mutate(Fn&& fn) {
-  std::lock_guard lock(s_->mutate_mu_);
-  const Topology* cur = s_->topo.load(std::memory_order_acquire);
-  auto next = std::make_unique<Topology>(*cur);
-  fn(*next);
-  s_->retired.emplace_back(cur);  // readers may still hold the old snapshot
-  s_->topo.store(next.release(), std::memory_order_release);
-}
+}  // namespace
+
+DataflowGraph::DataflowGraph() : s_(std::make_unique<State>()) {}
 
 JobId DataflowGraph::AddJob(JobSpec spec) {
   CAMEO_EXPECTS(spec.latency_constraint >= 0);
-  JobId id;
-  Mutate([&](Topology& t) {
-    id = JobId{static_cast<std::int64_t>(t.jobs.size())};
-    JobEntry entry;
-    entry.spec = std::move(spec);
-    t.jobs.push_back(std::move(entry));
+  std::lock_guard lock(s_->mutate_mu);
+  const JobId id{static_cast<std::int64_t>(s_->jobs.size())};
+  s_->jobs.GetOrCreate(id, [&] {
+    auto entry = std::make_unique<JobEntry>();
+    entry->spec = std::move(spec);
+    return entry;
   });
   return id;
 }
@@ -35,29 +35,25 @@ JobId DataflowGraph::AddJob(JobSpec spec) {
 StageId DataflowGraph::AddStage(JobId job, const std::string& name,
                                 int parallelism,
                                 const OperatorFactory& factory) {
-  CAMEO_EXPECTS(job.valid() &&
-                static_cast<std::size_t>(job.value) < job_count());
   CAMEO_EXPECTS(parallelism >= 1);
-  StageId sid;
-  Mutate([&](Topology& t) {
-    sid = StageId{static_cast<std::int64_t>(t.stages.size())};
-    StageInfo info;
-    info.id = sid;
-    info.job = job;
-    info.name = name;
-    info.parallelism = parallelism;
-    for (int i = 0; i < parallelism; ++i) {
-      auto op = factory(i);
-      CAMEO_CHECK(op != nullptr);
-      OperatorId oid{static_cast<std::int64_t>(t.operators.size())};
-      op->Bind(oid, sid, job);
-      info.operators.push_back(oid);
-      t.operators.push_back(op.get());
-      s_->owned_operators.push_back(std::move(op));
-    }
-    t.stages.push_back(std::move(info));
-    t.jobs[static_cast<std::size_t>(job.value)].stages.push_back(sid);
-  });
+  std::lock_guard lock(s_->mutate_mu);
+  JobEntry& entry = At(s_->jobs, job);
+  const StageId sid{static_cast<std::int64_t>(s_->stages.size())};
+  auto info = std::make_unique<StageInfo>();
+  info->id = sid;
+  info->job = job;
+  info->name = name;
+  info->parallelism = parallelism;
+  for (int i = 0; i < parallelism; ++i) {
+    auto op = factory(i);
+    CAMEO_CHECK(op != nullptr);
+    const OperatorId oid{static_cast<std::int64_t>(s_->operators.size())};
+    op->Bind(oid, sid, job);
+    info->operators.push_back(oid);
+    s_->operators.GetOrCreate(oid, [&] { return std::move(op); });
+  }
+  s_->stages.GetOrCreate(sid, [&] { return std::move(info); });
+  entry.stages.push_back(sid);
   return sid;
 }
 
@@ -65,25 +61,18 @@ int DataflowGraph::Connect(StageId from, StageId to, Partition partition,
                            int split) {
   CAMEO_EXPECTS(split >= 1);
   CAMEO_EXPECTS(split == 1 || partition == Partition::kKeyHash);
-  int port = -1;
-  Mutate([&](Topology& t) {
-    CAMEO_EXPECTS(from.valid() &&
-                  static_cast<std::size_t>(from.value) < t.stages.size());
-    CAMEO_EXPECTS(to.valid() &&
-                  static_cast<std::size_t>(to.value) < t.stages.size());
-    StageInfo& src = t.stages[static_cast<std::size_t>(from.value)];
-    StageInfo& dst = t.stages[static_cast<std::size_t>(to.value)];
-    CAMEO_EXPECTS(src.job == dst.job);
-    if (partition == Partition::kOneToOne) {
-      CAMEO_EXPECTS(src.parallelism == dst.parallelism);
-    }
-    src.downstream.push_back(to);
-    src.partition.push_back(partition);
-    src.split.push_back(split);
-    dst.upstream.push_back(from);
-    port = static_cast<int>(src.downstream.size()) - 1;
-  });
-  return port;
+  std::lock_guard lock(s_->mutate_mu);
+  StageInfo& src = At(s_->stages, from);
+  StageInfo& dst = At(s_->stages, to);
+  CAMEO_EXPECTS(src.job == dst.job);
+  if (partition == Partition::kOneToOne) {
+    CAMEO_EXPECTS(src.parallelism == dst.parallelism);
+  }
+  src.downstream.push_back(to);
+  src.partition.push_back(partition);
+  src.split.push_back(split);
+  dst.upstream.push_back(from);
+  return static_cast<int>(src.downstream.size()) - 1;
 }
 
 JobHandles DataflowGraph::AddQuery(const QueryBuilder& build) {
@@ -98,49 +87,35 @@ JobHandles DataflowGraph::AddQuery(const QueryBuilder& build) {
 
 std::vector<OperatorId> DataflowGraph::RemoveQuery(JobId job) {
   std::vector<OperatorId> ops = OperatorsOf(job);
-  Mutate([&](Topology& t) {
-    JobEntry& entry = t.jobs[static_cast<std::size_t>(job.value)];
-    CAMEO_EXPECTS(entry.live);
-    entry.live = false;
-  });
+  const bool was_live = At(s_->jobs, job).live.exchange(false);
+  CAMEO_EXPECTS(was_live);
   return ops;
 }
 
 bool DataflowGraph::query_live(JobId job) const {
-  return job_entry(job).live;
+  return job_entry(job).live.load(std::memory_order_acquire);
 }
 
 std::size_t DataflowGraph::live_job_count() const {
-  const Topology* t = topo();
-  return static_cast<std::size_t>(
-      std::count_if(t->jobs.begin(), t->jobs.end(),
-                    [](const JobEntry& j) { return j.live; }));
+  std::size_t live = 0;
+  for (JobId job : job_ids()) live += query_live(job) ? 1 : 0;
+  return live;
 }
 
 Operator& DataflowGraph::Get(OperatorId id) {
-  const Topology* t = topo();
-  CAMEO_EXPECTS(id.valid() &&
-                static_cast<std::size_t>(id.value) < t->operators.size());
-  return *t->operators[static_cast<std::size_t>(id.value)];
+  return At(s_->operators, id);
 }
 
 const Operator& DataflowGraph::Get(OperatorId id) const {
-  const Topology* t = topo();
-  CAMEO_EXPECTS(id.valid() &&
-                static_cast<std::size_t>(id.value) < t->operators.size());
-  return *t->operators[static_cast<std::size_t>(id.value)];
+  return At(s_->operators, id);
 }
 
 bool DataflowGraph::Contains(OperatorId id) const {
-  return id.valid() &&
-         static_cast<std::size_t>(id.value) < topo()->operators.size();
+  return s_->operators.Find(id) != nullptr;
 }
 
 const DataflowGraph::JobEntry& DataflowGraph::job_entry(JobId id) const {
-  const Topology* t = topo();
-  CAMEO_EXPECTS(id.valid() &&
-                static_cast<std::size_t>(id.value) < t->jobs.size());
-  return t->jobs[static_cast<std::size_t>(id.value)];
+  return At(s_->jobs, id);
 }
 
 const JobSpec& DataflowGraph::job(JobId id) const {
@@ -148,22 +123,20 @@ const JobSpec& DataflowGraph::job(JobId id) const {
 }
 
 const StageInfo& DataflowGraph::stage(StageId id) const {
-  const Topology* t = topo();
-  CAMEO_EXPECTS(id.valid() &&
-                static_cast<std::size_t>(id.value) < t->stages.size());
-  return t->stages[static_cast<std::size_t>(id.value)];
+  return At(s_->stages, id);
 }
 
-std::size_t DataflowGraph::job_count() const { return topo()->jobs.size(); }
+std::size_t DataflowGraph::job_count() const { return s_->jobs.size(); }
 
 std::size_t DataflowGraph::operator_count() const {
-  return topo()->operators.size();
+  return s_->operators.size();
 }
 
 std::vector<JobId> DataflowGraph::job_ids() const {
+  const std::size_t n = job_count();
   std::vector<JobId> out;
-  out.reserve(job_count());
-  for (std::size_t i = 0; i < job_count(); ++i) {
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     out.push_back(JobId{static_cast<std::int64_t>(i)});
   }
   return out;
@@ -175,13 +148,8 @@ const std::vector<StageId>& DataflowGraph::stages_of(JobId job) const {
 
 std::vector<OperatorId> DataflowGraph::OperatorsOf(JobId job) const {
   std::vector<OperatorId> out;
-  // One snapshot for the whole walk, so a concurrent AddStage cannot mix
-  // generations.
-  const Topology* t = topo();
-  CAMEO_EXPECTS(job.valid() &&
-                static_cast<std::size_t>(job.value) < t->jobs.size());
-  for (StageId sid : t->jobs[static_cast<std::size_t>(job.value)].stages) {
-    const StageInfo& s = t->stages[static_cast<std::size_t>(sid.value)];
+  for (StageId sid : stages_of(job)) {
+    const StageInfo& s = stage(sid);
     out.insert(out.end(), s.operators.begin(), s.operators.end());
   }
   return out;
@@ -197,19 +165,10 @@ std::vector<DataflowGraph::Delivery> DataflowGraph::Route(OperatorId sender,
 
 void DataflowGraph::Route(OperatorId sender, int port, EventBatch batch,
                           std::vector<Delivery>& out) {
-  // One snapshot for sender, stage, and receivers: routing never sees a
-  // half-published query.
-  const Topology* t = topo();
-  CAMEO_EXPECTS(sender.valid() &&
-                static_cast<std::size_t>(sender.value) < t->operators.size());
-  const Operator& op = *t->operators[static_cast<std::size_t>(sender.value)];
-  const StageInfo& src =
-      t->stages[static_cast<std::size_t>(op.stage().value)];
+  const StageInfo& src = stage(Get(sender).stage());
   CAMEO_EXPECTS(port >= 0 &&
                 static_cast<std::size_t>(port) < src.downstream.size());
-  const StageInfo& dst =
-      t->stages[static_cast<std::size_t>(
-          src.downstream[static_cast<std::size_t>(port)].value)];
+  const StageInfo& dst = stage(src.downstream[static_cast<std::size_t>(port)]);
   Partition part = src.partition[static_cast<std::size_t>(port)];
 
   // Every branch below picks replicas by position in `dst.operators` -- the
@@ -311,7 +270,10 @@ void DataflowGraph::Route(OperatorId sender, int port, EventBatch batch,
         // Cold keys take the sub == 0 route, identical to the unsplit path.
         // All decisions are per-batch and data-deterministic: replays and
         // the row-wise reference fold see the same routing.
-        SlateStore<std::uint32_t> freq;  // key -> occurrences in the batch
+        // The frequency table is per-thread scratch, cleared per batch, so a
+        // warm router allocates nothing.
+        thread_local SlateStore<std::uint32_t> freq;  // key -> occurrences
+        freq.Clear();
         for (std::int64_t key : batch.keys) freq.Probe(key) += 1;
         const std::uint32_t threshold = static_cast<std::uint32_t>(
             std::max<std::size_t>(2, batch.keys.size() / (4 * replicas)));
@@ -352,13 +314,8 @@ std::size_t DataflowGraph::NextReplica(std::int64_t edge,
 
 std::vector<StageId> DataflowGraph::SinkStages(JobId job) const {
   std::vector<StageId> out;
-  const Topology* t = topo();
-  CAMEO_EXPECTS(job.valid() &&
-                static_cast<std::size_t>(job.value) < t->jobs.size());
-  for (StageId sid : t->jobs[static_cast<std::size_t>(job.value)].stages) {
-    if (t->stages[static_cast<std::size_t>(sid.value)].downstream.empty()) {
-      out.push_back(sid);
-    }
+  for (StageId sid : stages_of(job)) {
+    if (stage(sid).downstream.empty()) out.push_back(sid);
   }
   return out;
 }

@@ -3,23 +3,21 @@
 // operators and answers routing queries: given an emitting operator and an
 // output port, which operator(s) receive the batch and with what partitioning.
 //
-// Dynamic multi-tenancy: the topology is no longer frozen before execution.
-// All read accessors (Get/Route/job/stage/...) resolve against an immutable
-// published snapshot, loaded lock-free, so workers can route while a control
-// thread splices a new query in (AddQuery) or marks one retired
-// (RemoveQuery). Mutations copy-and-publish the snapshot under a mutex;
-// retired snapshots and operators are kept alive for the graph's lifetime,
-// so references handed out earlier never dangle. Ids are append-only and
-// stable: removal never re-numbers anything, it only flips the job's `live`
-// bit (the runtime layers own the actual quiesce/retire of mailboxes and
-// ingestion).
+// Dynamic multi-tenancy: the topology is not frozen before execution.
+// Jobs, stages and operators live in three dense append-only id tables
+// (common/id_table.h), so workers route lock-free while a control thread
+// splices a new query in (AddQuery) or marks one retired (RemoveQuery).
+// Entries never move and live as long as the graph, so references handed
+// out earlier never dangle. Ids are stable: removal never re-numbers
+// anything, it only flips the job's `live` bit (the runtime layers own the
+// actual quiesce/retire of mailboxes and ingestion).
 //
-// Cost trade-off: every AddJob/AddStage/Connect/RemoveQuery publishes one
-// full topology copy that is retained for the graph's lifetime, so memory
-// under sustained churn grows O(mutations * topology size). That is fine at
-// this repo's scale (splicing a tenant is a handful of copies of a small
-// struct-of-vectors); a very-long-lived server would want epoch-based
-// reclamation of retired snapshots once no reader can still hold them.
+// Publication invariant: a table's count is published after its entry is
+// written, so every id below job_count()/operator_count() resolves. AddStage
+// and Connect then edit only the entries of the job being built (its stage
+// list and its stages' edges), and no worker reads those entries until
+// AddQuery returns -- the query's sources receive no traffic before then.
+// Readers of other jobs never see a half-built entry.
 #pragma once
 
 #include <atomic>
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/id_table.h"
 #include "common/ids.h"
 #include "common/time.h"
 #include "dataflow/operator.h"
@@ -184,37 +183,20 @@ class DataflowGraph {
   struct JobEntry {
     JobSpec spec;
     std::vector<StageId> stages;
-    bool live = true;
+    std::atomic<bool> live{true};
   };
-  /// One immutable topology snapshot. Snapshots are append-only relative to
-  /// their predecessor (plus `live` flips), so indices are stable across
-  /// publications.
-  struct Topology {
-    std::vector<JobEntry> jobs;
-    std::vector<StageInfo> stages;
-    std::vector<Operator*> operators;
-  };
-  /// Mutable state behind a unique_ptr so the graph stays movable despite
-  /// the atomic snapshot pointer.
+  /// Behind a unique_ptr so the graph stays movable despite the tables'
+  /// atomics and mutexes.
   struct State {
-    std::atomic<const Topology*> topo{nullptr};
-    std::mutex mutate_mu_;
-    std::vector<std::unique_ptr<Operator>> owned_operators;
-    std::vector<std::unique_ptr<const Topology>> retired;
-    // Round-robin routing cursors, the only mutable state Route() touches
-    // outside snapshot publication; guarded so concurrent workers can route.
+    std::mutex mutate_mu;  // serializes AddJob/AddStage/Connect
+    IdTable<JobId, JobEntry> jobs;
+    IdTable<StageId, StageInfo> stages;
+    IdTable<OperatorId, Operator> operators;
+    // Round-robin routing cursors, the only state Route() mutates; guarded
+    // so concurrent workers can route.
     std::mutex rr_mu;
     std::unordered_map<std::int64_t, std::size_t> rr_state;  // edge -> next
-    ~State() { delete topo.load(std::memory_order_acquire); }
   };
-
-  const Topology* topo() const {
-    return s_->topo.load(std::memory_order_acquire);
-  }
-  /// Copies the current snapshot, applies `fn`, publishes. Caller must not
-  /// hold mutate_mu_.
-  template <typename Fn>
-  void Mutate(Fn&& fn);
 
   const JobEntry& job_entry(JobId id) const;
   std::size_t NextReplica(std::int64_t edge, std::size_t replicas);

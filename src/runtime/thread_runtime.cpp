@@ -74,15 +74,14 @@ void ThreadRuntime::RegisterJobTables(JobId job) {
   converters_.InsertAll(ops, [&](OperatorId) {
     return std::make_unique<ContextConverter>(policy_.get(), options);
   });
-  std::vector<OperatorId> source_ops;
   for (OperatorId op : ops) {
     // Pre-create the profiler entry so hot-path Record/Estimate calls never
     // take its slow path concurrently.
     profiler_.Seed(op, 0);
-    if (graph_.Get(op).is_source()) source_ops.push_back(op);
+    if (graph_.Get(op).is_source()) {
+      sources_.GetOrCreate(op, [] { return std::make_unique<SourceState>(); });
+    }
   }
-  sources_.InsertAll(source_ops,
-                     [](OperatorId) { return std::make_unique<SourceState>(); });
   job_states_.GetOrCreate(job, [] { return std::make_unique<JobState>(); });
 }
 

@@ -12,10 +12,10 @@
 // Concurrency model (DESIGN.md §1): there is no global control-plane lock.
 //  - Scheduling state is sharded into lock-free per-operator mailboxes plus
 //    per-policy ready queues inside the Scheduler itself.
-//  - The converter table, cost profiler, graph topology and per-job runtime
-//    state all live behind copy-on-write snapshots (common/cow_index.h), so
-//    the per-message path is lock-free while AddQuery/RemoveQuery splice
-//    tenants in and out of the running system.
+//  - The converter table, source channels, cost profiler, graph topology and
+//    per-job runtime state all live in dense append-only id tables
+//    (common/id_table.h), so the per-message path is lock-free while
+//    AddQuery/RemoveQuery splice tenants in and out of the running system.
 //  - Latency metrics (processed volume included) are per-worker shards
 //    merged on read.
 //  - Drain() waits on an atomic in-flight message counter: every Enqueue
@@ -42,7 +42,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/cow_index.h"
+#include "common/id_table.h"
 #include "common/rng.h"
 #include "core/context_converter.h"
 #include "core/profiler.h"
@@ -165,10 +165,10 @@ class ThreadRuntime {
   DataflowGraph graph_;
   std::unique_ptr<SchedulingPolicy> policy_;
   std::unique_ptr<Scheduler> scheduler_;
-  // Copy-on-write tables: lock-free lookups, grown by AddQuery.
-  CowIndex<OperatorId, ContextConverter> converters_;
-  CowIndex<OperatorId, SourceState> sources_;
-  CowIndex<JobId, JobState> job_states_;
+  // Dense id tables: lock-free lookups, grown by AddQuery.
+  IdTable<OperatorId, ContextConverter> converters_;
+  IdTable<OperatorId, SourceState> sources_;
+  IdTable<JobId, JobState> job_states_;
   CostProfiler profiler_;
   ShardedLatencyRecorder latency_;
 

@@ -46,7 +46,7 @@
 #include <optional>
 #include <vector>
 
-#include "common/cow_index.h"
+#include "common/id_table.h"
 #include "common/ids.h"
 #include "common/pool.h"
 #include "common/ring_queue.h"
@@ -245,12 +245,11 @@ bool ReleaseMailbox(Mailbox& mb, PrepareFn&& prepare,
   }
 }
 
-/// Read-mostly OperatorId -> Mailbox map on the copy-on-write index. Lookups
-/// are lock-free against an immutable published snapshot; inserts (first
-/// message of a new operator, or a Reserve() batch) copy-and-publish under a
-/// mutex. Mailboxes are never destroyed or unmapped -- a retired operator's
-/// mailbox stays in the table parked at kRetired, so a stale id can never be
-/// resurrected with a fresh mailbox by a late Enqueue.
+/// OperatorId -> Mailbox on the dense id table. Lookups are lock-free; an
+/// insert (first message of a new operator) takes a mutex. Mailboxes are
+/// never destroyed or unmapped -- a retired operator's mailbox stays in the
+/// table parked at kRetired, so a stale id can never be resurrected with a
+/// fresh mailbox by a late Enqueue.
 class MailboxTable {
  public:
   explicit MailboxTable(MailboxOrder order) : order_(order) {}
@@ -267,16 +266,9 @@ class MailboxTable {
         op, [this] { return std::make_unique<Mailbox>(order_); });
   }
 
-  /// Pre-creates mailboxes for a known operator set in one snapshot rebuild
-  /// (the runtime calls this with the whole graph before Start()).
-  void Reserve(const std::vector<OperatorId>& ops) {
-    index_.InsertAll(
-        ops, [this](OperatorId) { return std::make_unique<Mailbox>(order_); });
-  }
-
  private:
   const MailboxOrder order_;
-  CowIndex<OperatorId, Mailbox> index_;
+  IdTable<OperatorId, Mailbox> index_;
 };
 
 }  // namespace cameo

@@ -110,13 +110,13 @@ void Cluster::RegisterJob(JobId job) {
   ConverterOptions options;
   options.use_query_semantics = options_.use_query_semantics;
   options.time_domain = spec.time_domain;
-  for (OperatorId op : graph_.OperatorsOf(job)) {
-    // Bound to the *owning shard's* policy instance: an operator's send path
-    // consults only its own machine's policy state (paper §5.3 -- contexts
-    // are built at the sender, no global scheduler state).
-    converters_.emplace(op, std::make_unique<ContextConverter>(
-                                runtime_->policy_of(op), options));
-  }
+  // Bound to the *owning shard's* policy instance: an operator's send path
+  // consults only its own machine's policy state (paper §5.3 -- contexts are
+  // built at the sender, no global scheduler state).
+  converters_.InsertAll(graph_.OperatorsOf(job), [&](OperatorId op) {
+    return std::make_unique<ContextConverter>(runtime_->policy_of(op),
+                                              options);
+  });
   latency_.RegisterJob(job, spec.latency_constraint, spec.output_window,
                        spec.output_slide);
   if (!options_.sim.seed_static_estimates) return;
@@ -133,7 +133,7 @@ void Cluster::RegisterJob(JobId job) {
           rc.valid = true;
           rc.cost_m = cp.cost.at(t);
           rc.cost_path = cp.path_below.at(t);
-          converters_.at(u)->SeedReply(t, rc);
+          converter(u).SeedReply(t, rc);
         }
       }
     }
@@ -141,9 +141,9 @@ void Cluster::RegisterJob(JobId job) {
 }
 
 ContextConverter& Cluster::converter(OperatorId op) {
-  auto it = converters_.find(op);
-  CAMEO_EXPECTS(it != converters_.end());
-  return *it->second;
+  ContextConverter* c = converters_.Find(op);
+  CAMEO_EXPECTS(c != nullptr);
+  return *c;
 }
 
 void Cluster::AddIngestion(StageId source_stage,
@@ -168,8 +168,7 @@ void Cluster::AddIngestion(StageId source_stage,
     }
     if (spec.token_rate_per_sec > 0) {
       auto budget = static_cast<std::int64_t>(spec.token_rate_per_sec);
-      token_buckets_.emplace(s.op, TokenBucket(std::max<std::int64_t>(
-                                       1, budget)));
+      s.tokens.emplace(std::max<std::int64_t>(1, budget));
     }
     sources_.push_back(std::move(s));
   }
@@ -250,9 +249,8 @@ void Cluster::PumpSource(std::size_t idx) {
     if (p <= src.last_logical) p = src.last_logical + 1;  // in-order channel
     src.last_logical = p;
     SourceEvent e{.p = p, .t = t};
-    auto tb = token_buckets_.find(src.op);
-    if (tb != token_buckets_.end()) {
-      TokenBucket::Token token = tb->second.TryAcquire(t);
+    if (src.tokens) {
+      TokenBucket::Token token = src.tokens->TryAcquire(t);
       e.has_token = token.granted;
       e.token_tag = token.tag;
       e.token_interval = token.interval_id;

@@ -30,10 +30,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "api/engine_options.h"
+#include "common/id_table.h"
 #include "common/rng.h"
 #include "core/context_converter.h"
 #include "core/message_step.h"
@@ -151,6 +151,8 @@ class Cluster {
     /// deterministic stream so attaching a sampler leaves `rng_` untouched.
     std::unique_ptr<KeySampler> sampler;
     Rng key_rng{0};
+    /// The job's ingestion share (§5.4); empty when the job has no tokens.
+    std::optional<TokenBucket> tokens;
   };
   struct ScheduledQuery {
     SimTime at = 0;
@@ -210,8 +212,7 @@ class Cluster {
   /// Workers are addressed globally (shard * workers + local); the
   /// runtime maps them onto each shard's scheduler.
   std::unique_ptr<shard::ShardRuntime> runtime_;
-  std::unordered_map<OperatorId, std::unique_ptr<ContextConverter>> converters_;
-  std::unordered_map<OperatorId, TokenBucket> token_buckets_;
+  IdTable<OperatorId, ContextConverter> converters_;
   CostProfiler profiler_;
   LatencyRecorder latency_;
   UtilizationTracker utilization_;

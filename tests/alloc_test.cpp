@@ -543,7 +543,8 @@ class StepLoop {
   static constexpr LogicalTime kWindow = 256;
   static constexpr LogicalTime kStride = 16;  // progress per source message
 
-  StepLoop(Partition edge, int replicas) {
+  /// `split` is the source edge's hot-key split factor (kKeyHash only).
+  StepLoop(Partition edge, int replicas, int split = 1) {
     const JobId job = graph_.AddJob({.name = "j",
                                      .latency_constraint = Millis(10),
                                      .time_domain = TimeDomain::kEventTime,
@@ -560,7 +561,7 @@ class StepLoop {
     const StageId sink = graph_.AddStage(job, "sink", 1, [](int) {
       return std::make_unique<SinkOp>("sink", CostModel{});
     });
-    graph_.Connect(src, agg, edge);
+    graph_.Connect(src, agg, edge, split);
     graph_.Connect(agg, sink, Partition::kShard);
     source_ = graph_.stage(src).operators[0];
     ConverterOptions options;
@@ -650,11 +651,11 @@ class StepLoop {
   LogicalTime p_ = 0;
 };
 
-TEST(ZeroAllocTest, ColumnarSourceMessageStepSteadyState) {
+void ExpectZeroAllocColumnarSteps(int split) {
   // The source forwards its batch by move: no column copy per message, and
   // every column set the step recycles is adopted again by the next
   // source batch or key-hash split, so the stash neither leaks nor drains.
-  StepLoop loop(Partition::kKeyHash, 2);
+  StepLoop loop(Partition::kKeyHash, 2, split);
   constexpr std::int64_t kRows = 64;
   loop.Run(2000, kRows);
 
@@ -673,6 +674,16 @@ TEST(ZeroAllocTest, ColumnarSourceMessageStepSteadyState) {
   }
 }
 
+TEST(ZeroAllocTest, ColumnarSourceMessageStepSteadyState) {
+  ExpectZeroAllocColumnarSteps(/*split=*/1);
+}
+
+TEST(ZeroAllocTest, ColumnarSourceMessageStepHotKeySplitSteadyState) {
+  // A split > 1 edge runs the hot-key frequency pass on every batch; its
+  // table is reused scratch, not a fresh store per routed batch.
+  ExpectZeroAllocColumnarSteps(/*split=*/2);
+}
+
 TEST(MessageStepTest, SourceForwardsItsInputUnchanged) {
   StepLoop loop(Partition::kOneToOne, 1);
   Message m = loop.SourceMsg(100);
@@ -687,6 +698,44 @@ TEST(MessageStepTest, SourceForwardsItsInputUnchanged) {
   EXPECT_EQ(got.times, want.times);
   EXPECT_EQ(got.progress, want.progress);
   EXPECT_EQ(got.synthetic_count, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Registration cost does not grow with the graph.
+// ---------------------------------------------------------------------------
+
+TEST(RegistrationAllocTest, AddStageAndConnectCostStaysFlat) {
+  // Splicing a stage into a large graph allocates no more than splicing one
+  // into a small graph: the tables grow in place instead of copying the
+  // topology per mutation, so registering N stages is linear in N.
+  DataflowGraph g;
+  const JobId job = g.AddJob({.name = "j"});
+  const OperatorFactory factory = [](int) {
+    return std::make_unique<SinkOp>("s", CostModel{});
+  };
+  StageId prev = g.AddStage(job, "s", 1, factory);
+  std::vector<std::int64_t> allocs;  // allocs[n - 1]: stage n
+  allocs.reserve(256);
+  for (int n = 1; n <= 256; ++n) {
+    const std::int64_t before = HeapAllocs();
+    const StageId next = g.AddStage(job, "s", 1, factory);
+    g.Connect(prev, next, Partition::kOneToOne);
+    allocs.push_back(HeapAllocs() - before);
+    prev = next;
+  }
+  ASSERT_EQ(g.stages_of(job).size(), 257u);
+  auto sum = [&](std::size_t first, std::size_t last) {
+    std::int64_t total = 0;
+    for (std::size_t n = first; n <= last; ++n) total += allocs[n - 1];
+    return total;
+  };
+  const std::int64_t early = sum(1, 16);
+  const std::int64_t late = sum(241, 256);
+  if (kCountingReliable) {
+    EXPECT_GT(early, 0);
+    EXPECT_LE(late, early) << "stages 241-256 allocated " << late
+                           << " blocks, stages 1-16 only " << early;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-// Unit tests for src/common: time helpers, ids, RNG distributions (including
+// Unit tests for src/common: time helpers, ids, the dense id table (including
+// lock-free reads under a concurrent writer), RNG distributions (including
 // the Zipf sampler's exact draws and its shared tables under threads), and
 // percentile statistics.
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -11,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
+#include "common/id_table.h"
 #include "common/ids.h"
 #include "common/rng.h"
 #include "common/time.h"
@@ -49,6 +53,111 @@ TEST(IdsTest, DistinctTagTypesDoNotMix) {
 TEST(IdsTest, Hashable) {
   std::hash<OperatorId> h;
   EXPECT_EQ(h(OperatorId{42}), h(OperatorId{42}));
+}
+
+std::unique_ptr<std::int64_t> Boxed(std::int64_t v) {
+  return std::make_unique<std::int64_t>(v);
+}
+
+TEST(IdTableTest, InvalidAndUnknownIdsFindNothing) {
+  IdTable<OperatorId, std::int64_t> t;
+  EXPECT_EQ(t.Find(OperatorId{}), nullptr);
+  EXPECT_EQ(t.Find(OperatorId{0}), nullptr);
+  t.GetOrCreate(OperatorId{5}, [] { return Boxed(5); });
+  EXPECT_EQ(t.Find(OperatorId{4}), nullptr) << "same segment, never inserted";
+  EXPECT_EQ(t.Find(OperatorId{6}), nullptr);
+  EXPECT_EQ(t.Find(OperatorId{1000}), nullptr) << "segment never allocated";
+  EXPECT_EQ(t.Find(OperatorId{-7}), nullptr);
+  EXPECT_EQ(t.Find(OperatorId{IdTable<OperatorId, int>::kMaxIds}), nullptr);
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(IdTableTest, SegmentBoundaryIdsRoundTrip) {
+  IdTable<OperatorId, std::int64_t> t;
+  const std::vector<std::int64_t> ids = {0, 1, 2, 3, 1023, 1024, 5000};
+  for (std::int64_t id : ids) {
+    t.GetOrCreate(OperatorId{id}, [id] { return Boxed(id * 10); });
+  }
+  EXPECT_EQ(t.size(), ids.size());
+  for (std::int64_t id : ids) {
+    const std::int64_t* v = t.Find(OperatorId{id});
+    ASSERT_NE(v, nullptr) << id;
+    EXPECT_EQ(*v, id * 10);
+  }
+  EXPECT_EQ(t.Find(OperatorId{1022}), nullptr);
+  EXPECT_EQ(t.Find(OperatorId{1025}), nullptr);
+}
+
+TEST(IdTableTest, AddressesSurviveLaterInserts) {
+  IdTable<JobId, std::int64_t> t;
+  std::vector<const std::int64_t*> addrs;
+  for (std::int64_t i = 0; i < 300; ++i) {
+    addrs.push_back(&t.GetOrCreate(JobId{i}, [i] { return Boxed(i); }));
+  }
+  for (std::int64_t i = 300; i < 3000; ++i) {
+    t.GetOrCreate(JobId{i}, [i] { return Boxed(i); });
+  }
+  for (std::int64_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(t.Find(JobId{i}), addrs[static_cast<std::size_t>(i)]) << i;
+    EXPECT_EQ(*addrs[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(IdTableTest, GetOrCreateOnPresentIdDoesNotMake) {
+  IdTable<OperatorId, std::int64_t> t;
+  std::int64_t& first = t.GetOrCreate(OperatorId{7}, [] { return Boxed(1); });
+  int makes = 0;
+  std::int64_t& again = t.GetOrCreate(OperatorId{7}, [&] {
+    ++makes;
+    return Boxed(2);
+  });
+  EXPECT_EQ(makes, 0);
+  EXPECT_EQ(&first, &again);
+  EXPECT_EQ(again, 1);
+}
+
+TEST(IdTableTest, InsertAllSkipsPresentIds) {
+  IdTable<OperatorId, std::int64_t> t;
+  t.GetOrCreate(OperatorId{2}, [] { return Boxed(-2); });
+  std::vector<std::int64_t> made;
+  const std::vector<OperatorId> ids = {OperatorId{1}, OperatorId{2},
+                                       OperatorId{3}, OperatorId{1}};
+  t.InsertAll(ids, [&](OperatorId id) {
+    made.push_back(id.value);
+    return Boxed(id.value);
+  });
+  EXPECT_EQ(made, (std::vector<std::int64_t>{1, 3}));
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(*t.Find(OperatorId{2}), -2);
+}
+
+TEST(IdTableTest, ReadersSeeEveryPublishedIdUnderAWriter) {
+  // One writer inserts ids in order and publishes each after its insert;
+  // readers Find every published id and must never miss one.
+  constexpr std::int64_t kIds = 20000;
+  IdTable<OperatorId, std::int64_t> t;
+  std::atomic<std::int64_t> published{0};
+  std::atomic<std::int64_t> misses{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      std::int64_t seen = 0;
+      while (seen < kIds) {
+        seen = published.load(std::memory_order_acquire);
+        for (std::int64_t id = 0; id < seen; id += 1 + id / 64) {
+          const std::int64_t* v = t.Find(OperatorId{id});
+          if (v == nullptr || *v != id) misses.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::int64_t id = 0; id < kIds; ++id) {
+    t.GetOrCreate(OperatorId{id}, [id] { return Boxed(id); });
+    published.store(id + 1, std::memory_order_release);
+  }
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(misses.load(), 0);
+  EXPECT_EQ(t.size(), static_cast<std::size_t>(kIds));
 }
 
 TEST(RngTest, Uniform01InRange) {

@@ -1,6 +1,11 @@
 // Unit tests for src/dataflow: event batches, graph construction, routing
-// partitions, and static critical-path analysis.
+// partitions (including routing under concurrent query splicing), and static
+// critical-path analysis.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "dataflow/critical_path.h"
 #include "dataflow/event_batch.h"
@@ -301,8 +306,8 @@ TEST(GraphTest, AddQuerySplicesAndRemoveQueryRetires) {
 }
 
 TEST(GraphTest, ReferencesSurviveLaterMutations) {
-  // Snapshot references handed out before a mutation must stay valid after
-  // it (retired snapshots are kept alive).
+  // References handed out before a mutation must stay valid after it
+  // (table entries never move).
   DataflowGraph g;
   JobId job = g.AddJob({.name = "j"});
   StageId s = g.AddStage(job, "src", 2, SourceFactory());
@@ -321,6 +326,76 @@ TEST(GraphTest, ReferencesSurviveLaterMutations) {
   EXPECT_EQ(before.operators.size(), 2u);
   EXPECT_EQ(op_before.name(), "src");
   EXPECT_EQ(g.job_count(), 9u);
+}
+
+TEST(GraphTest, WorkersRouteLiveJobWhileQueriesSplice) {
+  // Workers route, Get and stage() a live job while a control thread splices
+  // 200 queries in: the live job's entries never change under them and the
+  // growing tables never move them.
+  DataflowGraph g;
+  JobId live = g.AddJob({.name = "live"});
+  StageId src = g.AddStage(live, "src", 1, SourceFactory());
+  StageId agg = g.AddStage(live, "agg", 4, AggFactory());
+  StageId sink = g.AddStage(live, "sink", 2, SinkFactory());
+  g.Connect(src, agg, Partition::kKeyHash, /*split=*/2);
+  g.Connect(agg, sink, Partition::kRoundRobin);
+  const OperatorId sender = g.stage(src).operators[0];
+  const OperatorId agg0 = g.stage(agg).operators[0];
+
+  std::atomic<int> started{0};
+  std::atomic<bool> done{false};
+  std::atomic<std::int64_t> errors{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 3; ++w) {
+    workers.emplace_back([&, w] {
+      std::vector<DataflowGraph::Delivery> out;
+      std::int64_t round = 0;
+      while (!done.load(std::memory_order_acquire) || round < 50) {
+        EventBatch batch;
+        batch.progress = ++round;
+        for (std::int64_t i = 0; i < 64; ++i) {
+          batch.Append(i % 4 == 0 ? 7 : w * 1000 + i, 1.0, round);
+        }
+        out.clear();
+        g.Route(sender, 0, std::move(batch), out);
+        std::int64_t rows = 0;
+        for (const auto& d : out) {
+          rows += d.batch.size();
+          if (g.Get(d.target).stage() != agg) errors.fetch_add(1);
+        }
+        if (out.size() != 4 || rows != 64) errors.fetch_add(1);
+        out.clear();
+        g.Route(agg0, 0, EventBatch::Synthetic(1, round), out);
+        if (out.size() != 1 || g.Get(out[0].target).stage() != sink) {
+          errors.fetch_add(1);
+        }
+        const StageInfo& s = g.stage(agg);
+        if (s.operators.size() != 4 || s.downstream.size() != 1 ||
+            !g.query_live(live)) {
+          errors.fetch_add(1);
+        }
+        if (round == 1) started.fetch_add(1);
+      }
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  for (int q = 0; q < 200; ++q) {
+    g.AddQuery([](DataflowGraph& gr) {
+      JobId t = gr.AddJob({.name = "t"});
+      StageId a = gr.AddStage(t, "src", 2, SourceFactory());
+      StageId b = gr.AddStage(t, "agg", 3, AggFactory());
+      StageId c = gr.AddStage(t, "sink", 1, SinkFactory());
+      gr.Connect(a, b, Partition::kKeyHash);
+      gr.Connect(b, c, Partition::kShard);
+      return JobHandles{.job = t, .source = a, .sink = c};
+    });
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : workers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(g.job_count(), 201u);
+  EXPECT_EQ(g.operator_count(), 7u + 200u * 6u);
+  EXPECT_EQ(g.OperatorsOf(JobId{200}).size(), 6u);
 }
 
 TEST(CriticalPathTest, LinearPipelineSumsDownstream) {
