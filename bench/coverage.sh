@@ -16,7 +16,9 @@
 # nothing instantiates, so dead template code is in neither count; the note
 # says so. Each perfbench leg's JSON is kept in build-coverage/legs/; a leg
 # that reports "correct": false still counts toward reach, and the note names
-# it. The script reports and does not gate. Builds are incremental; counters
+# it. Before the summary line, stderr gets the 20 src/ files with the most
+# unreached lines, most first, one per line as `path unreached/instrumented`.
+# The script reports and does not gate. Builds are incremental; counters
 # start from zero on every run. Build and run logs go to stderr.
 #
 # Usage: bench/coverage.sh
@@ -83,6 +85,19 @@ for directory, _, names in os.walk(out):
                 key = (path, line["line_number"])
                 reached[key] = reached.get(key, False) or line["count"] > 0
 unreached = sum(1 for hit in reached.values() if not hit)
+
+by_file = {}  # path -> [unreached, instrumented]
+for (path, _), hit in reached.items():
+    counts = by_file.setdefault(path, [0, 0])
+    counts[0] += not hit
+    counts[1] += 1
+ranked = sorted(by_file.items(), key=lambda kv: (-kv[1][0], kv[0]))
+print("src/ files with the most unreached lines:", file=sys.stderr)
+for path, (missed, total) in ranked[:20]:
+    if missed == 0:
+        break
+    rel = os.path.relpath(path, os.path.dirname(src))
+    print(f"  {rel} {missed}/{total}", file=sys.stderr)
 
 # The result is the last stdout line of each perfbench leg.
 invalid = []

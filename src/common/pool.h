@@ -1,232 +1,31 @@
-// Typed object pool for the steady-state message path: a per-type freelist
-// with thread-local caches and a mutex-guarded global spillover, backed by
-// slab allocation. Once warm, Acquire/Release touch only the calling
-// thread's cache -- no heap traffic and no shared-state contention per
-// message (the global lock is taken once per kTransferBatch cache refills or
-// flushes).
+// The recycling primitive for the steady-state message path: a pool of
+// *live* reusable objects, for types whose value carries the thing worth
+// recycling -- vectors with grown capacity (the EventBatch column buffers,
+// the simulator's DispatchBatch, wire frames) or a heap node parked behind a
+// std::unique_ptr (the mailbox and inproc-transport inbox nodes). Parked
+// objects stay fully constructed; Take hands one back as-is.
 //
-// Reclamation contract (what makes recycling storage safe in the lock-free
-// structures that use it):
-//  - A slot is Released only by code that holds *exclusive ownership* of the
-//    object -- the mailbox consumer after it drained the inbox with a single
-//    atomic exchange, or the worker that completed a dispatched batch. No
-//    other thread can still hold a pointer to the object at that point, so
-//    reuse can never alias a live reference.
-//  - The one lock-free structure that traverses pooled nodes is the mailbox
-//    inbox (a Treiber push stack). Its producers only ever *push*: the CAS
-//    `head == expected` remains correct even if `expected` was freed and
-//    recycled in between (classic ABA), because a recycled node that became
-//    head again *is* genuinely the current head -- the push links in front
-//    of it either way. Consumers detach the whole chain with one exchange
-//    and are the sole owners afterwards. There is therefore no unsafe
-//    window, and no deferred/epoch reclamation queue is needed; the epoch
-//    the mailbox state word carries (see sched/mailbox.h) already fences
-//    cross-session reuse of the *operator*, and the pool only ever recycles
-//    *storage*.
-//  - Slabs are never returned to the OS during a run; the global pool is a
-//    leaked singleton (reachable from a static, so LeakSanitizer stays
-//    quiet) which makes teardown order irrelevant: thread-local caches
-//    flush into it from thread-exit destructors at any time.
+// Shape: a thread-local cache with a mutex-guarded global spillover, so
+// objects made on one thread and retired on another keep both threads'
+// caches fed. Once warm, Put/Take touch only the calling thread's cache; the
+// global lock is taken once per kTransfer objects moved. Each cache flushes
+// into the spillover at thread exit (elastic workers come and go), and the
+// global stash is a leaked singleton (reachable from a static, so
+// LeakSanitizer stays quiet), which makes teardown order irrelevant.
+//
+// A caller Puts an object only once it owns it exclusively; see
+// sched/mailbox.h for why that holds for nodes detached from a Treiber
+// inbox.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <mutex>
-#include <new>
 #include <optional>
 #include <utility>
 #include <vector>
 
 namespace cameo {
 
-/// Aggregate counters for tests and the allocation microbench.
-struct PoolStats {
-  /// Slabs requested from the system allocator (the only heap traffic).
-  std::uint64_t slabs = 0;
-  /// Objects handed out / taken back over the pool's lifetime.
-  std::uint64_t acquired = 0;
-  std::uint64_t released = 0;
-  /// Total slots carved out of slabs (capacity high-water mark).
-  std::uint64_t slots = 0;
-};
-
-template <typename T>
-class Pool {
- public:
-  /// Slots handed from slabs and moved between the thread cache and the
-  /// global spillover in batches of this size.
-  static constexpr std::size_t kTransferBatch = 64;
-  /// A thread cache flushes down to kTransferBatch once it exceeds this.
-  static constexpr std::size_t kTlsMax = 2 * kTransferBatch;
-
-  /// The process-wide pool for T. Deliberately leaked (see header comment).
-  static Pool& Global() {
-    static Pool* pool = new Pool();
-    return *pool;
-  }
-
-  Pool(const Pool&) = delete;
-  Pool& operator=(const Pool&) = delete;
-
-  /// Constructs a T in pooled storage (thread-cache fast path).
-  template <typename... Args>
-  T* New(Args&&... args) {
-    Slot* s = AcquireSlot();
-    T* obj = ::new (static_cast<void*>(s->storage)) T(std::forward<Args>(args)...);
-    return obj;
-  }
-
-  /// Destroys `obj` and recycles its storage. The caller must be the
-  /// exclusive owner (see reclamation contract above).
-  void Delete(T* obj) {
-    obj->~T();
-    ReleaseSlot(reinterpret_cast<Slot*>(obj));
-  }
-
-  PoolStats stats() const {
-    PoolStats s;
-    s.slabs = slabs_allocated_.load(std::memory_order_relaxed);
-    for (const StatShard& sh : acquired_) {
-      s.acquired += sh.v.load(std::memory_order_relaxed);
-    }
-    for (const StatShard& sh : released_) {
-      s.released += sh.v.load(std::memory_order_relaxed);
-    }
-    s.slots = s.slabs * kTransferBatch;
-    return s;
-  }
-
- private:
-  // Singleton-only: the thread-local cache is keyed per *type*, so a second
-  // Pool<T> instance would interleave its slots with Global()'s cache and
-  // dangle them when it died. Global() is the only constructor caller.
-  Pool() = default;
-
-  /// A freelist link and the object storage share the slot. The union makes
-  /// the round-trip T* <-> Slot* exact (members share the slot's address).
-  union Slot {
-    Slot* next;
-    alignas(alignof(T)) unsigned char storage[sizeof(T)];
-  };
-
-  /// Intrusive singly-linked chain with O(1) splice.
-  struct Chain {
-    Slot* head = nullptr;
-    Slot* tail = nullptr;
-    std::size_t count = 0;
-
-    void Push(Slot* s) {
-      s->next = head;
-      head = s;
-      if (tail == nullptr) tail = s;
-      ++count;
-    }
-    Slot* Pop() {
-      Slot* s = head;
-      head = s->next;
-      if (head == nullptr) tail = nullptr;
-      --count;
-      return s;
-    }
-  };
-
-  /// Thread-local cache. Destroyed at thread exit (elastic workers come and
-  /// go), flushing every cached slot back to the global spillover.
-  struct TlsCache {
-    Chain chain;
-    Pool* owner = nullptr;
-
-    ~TlsCache() {
-      if (owner != nullptr && chain.count > 0) owner->FlushToGlobal(chain);
-    }
-  };
-
-  Slot* AcquireSlot() {
-    acquired_[ThisShard()].v.fetch_add(1, std::memory_order_relaxed);
-    TlsCache& tls = Tls();
-    if (tls.chain.count == 0) Refill(tls.chain);
-    return tls.chain.Pop();
-  }
-
-  void ReleaseSlot(Slot* s) {
-    released_[ThisShard()].v.fetch_add(1, std::memory_order_relaxed);
-    TlsCache& tls = Tls();
-    tls.chain.Push(s);
-    if (tls.chain.count > kTlsMax) {
-      // Keep the hot kTransferBatch most-recently-released slots local and
-      // spill the rest in one splice.
-      Chain spill;
-      while (tls.chain.count > kTransferBatch) spill.Push(tls.chain.Pop());
-      FlushToGlobal(spill);
-    }
-  }
-
-  TlsCache& Tls() {
-    static thread_local TlsCache tls;
-    tls.owner = this;  // singleton per T: one owner for the thread's lifetime
-    return tls;
-  }
-
-  void Refill(Chain& chain) {
-    {
-      std::lock_guard lock(mu_);
-      for (std::size_t i = 0; i < kTransferBatch && global_.count > 0; ++i) {
-        chain.Push(global_.Pop());
-      }
-    }
-    if (chain.count > 0) return;
-    // Global dry too: carve a fresh slab. The slab vector keeps the memory
-    // reachable (and owned) for its whole life.
-    auto slab = std::make_unique<Slot[]>(kTransferBatch);
-    for (std::size_t i = 0; i < kTransferBatch; ++i) chain.Push(&slab[i]);
-    slabs_allocated_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard lock(mu_);
-    slabs_.push_back(std::move(slab));
-  }
-
-  void FlushToGlobal(Chain& chain) {
-    std::lock_guard lock(mu_);
-    if (global_.head == nullptr) {
-      global_ = chain;
-    } else {
-      chain.tail->next = global_.head;
-      global_.head = chain.head;
-      global_.count += chain.count;
-    }
-    chain = Chain{};
-  }
-
-  // Stats shards: the per-message counters must not become the one cacheline
-  // every worker writes -- that would hand back the contention the
-  // thread-local caches remove. Each thread bumps a (mostly) private slot.
-  static constexpr std::size_t kStatShards = 32;  // power of two
-  struct alignas(64) StatShard {
-    std::atomic<std::uint64_t> v{0};
-  };
-  static std::size_t ThisShard() {
-    static std::atomic<std::size_t> next{0};
-    thread_local std::size_t mine = next.fetch_add(1, std::memory_order_relaxed);
-    return mine & (kStatShards - 1);
-  }
-
-  std::mutex mu_;
-  Chain global_;
-  std::vector<std::unique_ptr<Slot[]>> slabs_;
-  std::atomic<std::uint64_t> slabs_allocated_{0};
-  StatShard acquired_[kStatShards];
-  StatShard released_[kStatShards];
-};
-
-/// A pool of *live* reusable objects, for types whose value carries the
-/// thing worth recycling (e.g. vectors with grown capacity -- the EventBatch
-/// column buffers). Unlike Pool<T>, which recycles raw storage and would
-/// clobber a live object with its freelist link, a RecycleStash keeps parked
-/// objects fully constructed. Same shape otherwise: a thread-local cache
-/// with a mutex-guarded global spillover (so batches built on one worker and
-/// retired on another keep both threads' caches fed), flushed on thread
-/// exit, leaked global singleton.
 template <typename T>
 class RecycleStash {
  public:
@@ -260,7 +59,9 @@ class RecycleStash {
   }
 
  private:
-  // Singleton-only, same reasoning as Pool<T>: one per-type thread cache.
+  // Singleton-only: the thread-local cache is keyed per *type*, so a second
+  // instance would interleave its objects with Global()'s cache and leave
+  // them parked in a dead owner. Global() is the only constructor caller.
   RecycleStash() = default;
 
   struct Tls {

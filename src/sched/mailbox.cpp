@@ -28,7 +28,7 @@ Mailbox::~Mailbox() {
   Node* n = inbox_.load(std::memory_order_acquire);
   while (n != nullptr) {
     Node* next = n->next;
-    NodePool::Global().Delete(n);
+    delete n;
     n = next;
   }
 }
@@ -41,7 +41,10 @@ bool Mailbox::Push(Message m) {
   // Size first: the release protocol's post-kIdle re-check must observe this
   // increment whenever our later state read sees kActive (SC total order).
   size_.fetch_add(1, std::memory_order_seq_cst);
-  Node* n = NodePool::Global().New(std::move(m));
+  std::unique_ptr<Node> node = NodeStash::Global().Take().value_or(nullptr);
+  if (node == nullptr) node = std::make_unique<Node>();
+  node->msg = std::move(m);
+  Node* n = node.release();
   Node* head = inbox_.load(std::memory_order_relaxed);
   do {
     n->next = head;
@@ -72,7 +75,7 @@ void Mailbox::DrainInbox() {
       std::push_heap(heap_.begin(), heap_.end(), LocalOrderGreater{});
     }
     Node* next = fifo->next;
-    NodePool::Global().Delete(fifo);
+    NodeStash::Global().Put(std::unique_ptr<Node>(fifo));
     fifo = next;
   }
 }

@@ -37,6 +37,23 @@
 // operator in any earlier session can never be claimed again; the word never
 // leaves kRetired except for a transient purge reclaim when a racing push
 // slipped in between the flag and the final store.
+//
+// Inbox reclamation. Inbox nodes are recycled as live objects through a
+// RecycleStash (common/pool.h) instead of the heap: Push takes one from the
+// pushing thread's cache, and the draining owner parks each node in its own
+// cache after moving the message out, so a steady-state message costs zero
+// allocations. Recycling needs no deferred or epoch reclamation queue:
+//  - Producers only ever *push*. The CAS `head == expected` stays correct
+//    even if `expected` was drained and recycled in between (classic ABA),
+//    because a recycled node that became head again *is* genuinely the
+//    current head -- the push links in front of it either way.
+//  - DrainInbox detaches the whole chain with one exchange, after which the
+//    drainer is the sole owner of every node in it; no other thread can
+//    still hold a pointer to a node it parks, so reuse never aliases a live
+//    reference.
+// The epoch in the state word fences cross-session reuse of the *operator*;
+// node recycling only ever reuses the link. The inproc transport's frame
+// inbox (shard/inproc_transport.cpp) relies on the same argument.
 #pragma once
 
 #include <atomic>
@@ -171,18 +188,13 @@ class Mailbox {
   bool TryLowerRegisteredPri(Priority p);
 
  private:
-  /// Inbox link. Nodes come from the process-wide Pool<Node> (common/pool.h)
-  /// instead of the heap: Push acquires from the pushing thread's cache and
-  /// the draining owner releases into its own, so a steady-state message
-  /// costs zero allocations. Recycling is safe because DrainInbox takes the
-  /// whole chain with one exchange -- the drainer is the exclusive owner of
-  /// every node it frees (see the pool's reclamation contract).
+  /// Inbox link, recycled through NodeStash (see "Inbox reclamation" in
+  /// the header comment).
   struct Node {
-    explicit Node(Message m) : msg(std::move(m)) {}
     Message msg;
     Node* next = nullptr;
   };
-  using NodePool = Pool<Node>;
+  using NodeStash = RecycleStash<std::unique_ptr<Node>>;
 
   /// True when the run's head, not the heap's, is the best message.
   bool RunFirst() const;

@@ -25,10 +25,10 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/ring_queue.h"
 #include "dataflow/context.h"
@@ -125,6 +125,24 @@ struct ReadyEntry {
   std::uint64_t epoch = 0;
 };
 
+/// State kept per dense id (worker or operator) in a vector indexed by the
+/// id: the entry for `id`, or nullptr if `id` is invalid or past the end.
+template <typename V, typename Tag>
+auto* DenseFind(V& by_id, Id<Tag> id) {
+  const auto i = static_cast<std::size_t>(id.value);
+  return id.valid() && i < by_id.size() ? &by_id[i] : nullptr;
+}
+
+/// The entry for `id`, growing the vector to cover it (callers hold the lock
+/// that guards the vector).
+template <typename T, typename Tag>
+T& DenseAt(std::vector<T>& by_id, Id<Tag> id) {
+  CAMEO_EXPECTS(id.valid());
+  const auto i = static_cast<std::size_t>(id.value);
+  if (i >= by_id.size()) by_id.resize(i + 1);
+  return by_id[i];
+}
+
 /// FIFO: operators extracted in registration order.
 class FifoReadyQueue {
  public:
@@ -164,7 +182,7 @@ class OrleansReadyState {
  public:
   void PushLocal(WorkerId producer, OperatorId op, std::uint64_t epoch) {
     std::lock_guard lock(mu_);
-    bags_[producer].push_back(ReadyEntry{op, epoch});
+    DenseAt(bags_, producer).push_back(ReadyEntry{op, epoch});
   }
 
   void PushGlobal(OperatorId op, std::uint64_t epoch) {
@@ -188,11 +206,12 @@ class OrleansReadyState {
   std::optional<OperatorId> Take(WorkerId w, TryClaimFn&& try_claim) {
     std::lock_guard lock(mu_);
     // 1. Own bag, LIFO (ConcurrentBag's same-thread fast path).
-    std::vector<ReadyEntry>& mine = bags_[w];
-    while (!mine.empty()) {
-      ReadyEntry e = mine.back();
-      mine.pop_back();
-      if (try_claim(e.op, e.epoch)) return e.op;
+    if (std::vector<ReadyEntry>* mine = DenseFind(bags_, w)) {
+      while (!mine->empty()) {
+        ReadyEntry e = mine->back();
+        mine->pop_back();
+        if (try_claim(e.op, e.epoch)) return e.op;
+      }
     }
     // 2. Global queue, FIFO.
     while (!global_.empty()) {
@@ -205,10 +224,11 @@ class OrleansReadyState {
       steal_cursor_ = (steal_cursor_ + 1) % worker_order_.size();
       WorkerId victim = worker_order_[steal_cursor_];
       if (victim == w) continue;
-      std::vector<ReadyEntry>& bag = bags_[victim];
-      while (!bag.empty()) {
-        ReadyEntry e = bag.front();
-        bag.erase(bag.begin());
+      std::vector<ReadyEntry>* bag = DenseFind(bags_, victim);
+      if (bag == nullptr) continue;
+      while (!bag->empty()) {
+        ReadyEntry e = bag->front();
+        bag->erase(bag->begin());
         if (try_claim(e.op, e.epoch)) return e.op;
       }
     }
@@ -218,7 +238,7 @@ class OrleansReadyState {
   void EraseOps(const std::unordered_set<OperatorId>& ops) {
     std::lock_guard lock(mu_);
     auto in_ops = [&](const ReadyEntry& e) { return ops.count(e.op) > 0; };
-    for (auto& [w, bag] : bags_) {
+    for (std::vector<ReadyEntry>& bag : bags_) {
       bag.erase(std::remove_if(bag.begin(), bag.end(), in_ops), bag.end());
     }
     global_.erase_if(in_ops);
@@ -226,18 +246,19 @@ class OrleansReadyState {
 
   /// Worker shrink: moves the bags of workers with index >= `workers` to the
   /// global queue so their entries stay reachable after those threads exit.
+  /// Bags are flushed in worker index order.
   void FlushBagsBeyond(int workers) {
     std::lock_guard lock(mu_);
-    for (auto& [w, bag] : bags_) {
-      if (w.value < workers) continue;
-      for (ReadyEntry& e : bag) global_.push_back(e);
-      bag.clear();
+    for (std::size_t w = static_cast<std::size_t>(workers); w < bags_.size();
+         ++w) {
+      for (ReadyEntry& e : bags_[w]) global_.push_back(e);
+      bags_[w].clear();
     }
   }
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<WorkerId, std::vector<ReadyEntry>> bags_;
+  std::vector<std::vector<ReadyEntry>> bags_;  // indexed by worker id
   RingQueue<ReadyEntry> global_;
   std::vector<WorkerId> worker_order_;
   std::size_t steal_cursor_ = 0;
@@ -248,47 +269,48 @@ class SlotReadyQueues {
  public:
   void Push(WorkerId w, OperatorId op, std::uint64_t epoch) {
     std::lock_guard lock(mu_);
-    queues_[w].push_back(ReadyEntry{op, epoch});
+    DenseAt(queues_, w).push_back(ReadyEntry{op, epoch});
   }
 
   std::optional<ReadyEntry> Pop(WorkerId w) {
     std::lock_guard lock(mu_);
-    auto it = queues_.find(w);
-    if (it == queues_.end() || it->second.empty()) return std::nullopt;
-    ReadyEntry e = it->second.front();
-    it->second.pop_front();
+    RingQueue<ReadyEntry>* q = DenseFind(queues_, w);
+    if (q == nullptr || q->empty()) return std::nullopt;
+    ReadyEntry e = q->front();
+    q->pop_front();
     return e;
   }
 
   bool empty(WorkerId w) const {
     std::lock_guard lock(mu_);
-    auto it = queues_.find(w);
-    return it == queues_.end() || it->second.empty();
+    const RingQueue<ReadyEntry>* q = DenseFind(queues_, w);
+    return q == nullptr || q->empty();
   }
 
   void EraseOps(const std::unordered_set<OperatorId>& ops) {
     std::lock_guard lock(mu_);
-    for (auto& [w, q] : queues_) {
+    for (RingQueue<ReadyEntry>& q : queues_) {
       q.erase_if([&](const ReadyEntry& e) { return ops.count(e.op) > 0; });
     }
   }
 
   /// Worker shrink: removes and returns every entry queued for a worker with
-  /// index >= `workers`, so the caller can re-pin and re-push them.
+  /// index >= `workers`, so the caller can re-pin and re-push them. Slots
+  /// are drained in worker index order.
   std::vector<ReadyEntry> DrainSlotsBeyond(int workers) {
     std::lock_guard lock(mu_);
     std::vector<ReadyEntry> out;
-    for (auto& [w, q] : queues_) {
-      if (w.value < workers) continue;
-      out.insert(out.end(), q.begin(), q.end());
-      q.clear();
+    for (std::size_t w = static_cast<std::size_t>(workers);
+         w < queues_.size(); ++w) {
+      out.insert(out.end(), queues_[w].begin(), queues_[w].end());
+      queues_[w].clear();
     }
     return out;
   }
 
  private:
   mutable std::mutex mu_;
-  std::unordered_map<WorkerId, RingQueue<ReadyEntry>> queues_;
+  std::vector<RingQueue<ReadyEntry>> queues_;  // indexed by worker id
 };
 
 }  // namespace cameo

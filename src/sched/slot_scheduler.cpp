@@ -13,16 +13,13 @@ SlotScheduler::SlotScheduler(int num_workers, SchedulerConfig config)
 void SlotScheduler::Assign(OperatorId op, WorkerId worker) {
   std::lock_guard lock(assign_mu_);
   CAMEO_EXPECTS(worker.valid() && worker.value < num_workers_);
-  assignment_[op] = worker;
+  DenseAt(assignment_, op) = worker;
 }
 
 WorkerId SlotScheduler::SlotOf(OperatorId op) {
   std::lock_guard lock(assign_mu_);
-  auto it = assignment_.find(op);
-  if (it != assignment_.end()) return it->second;
-  WorkerId w{next_slot_ % num_workers_};
-  ++next_slot_;
-  assignment_[op] = w;
+  WorkerId& w = DenseAt(assignment_, op);
+  if (!w.valid()) w = WorkerId{next_slot_++ % num_workers_};
   return w;
 }
 
@@ -31,8 +28,9 @@ void SlotScheduler::SetWorkerTarget(int num_workers) {
   {
     std::lock_guard lock(assign_mu_);
     num_workers_ = num_workers;
-    // Re-pin stranded operators round-robin over the surviving slots.
-    for (auto& [op, w] : assignment_) {
+    // Re-pin stranded operators round-robin over the surviving slots, in
+    // operator id order.
+    for (WorkerId& w : assignment_) {
       if (w.value >= num_workers) {
         w = WorkerId{next_slot_ % num_workers};
         ++next_slot_;

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <mutex>
-#include <unordered_map>
+#include <vector>
 
 #include "sched/mailbox.h"
 #include "sched/ready_queue.h"
@@ -50,7 +50,7 @@ class SlotScheduler final
   std::mutex assign_mu_;
   int num_workers_;
   std::int64_t next_slot_ = 0;
-  std::unordered_map<OperatorId, WorkerId> assignment_;
+  std::vector<WorkerId> assignment_;  // by operator id; invalid = unpinned
 };
 
 }  // namespace cameo

@@ -8,9 +8,10 @@
 
 namespace cameo::shard {
 
-/// One shipped frame. Pool-backed; the Treiber inbox relies on Pool's
-/// reclamation contract (common/pool.h): producers only push, the consumer
-/// detaches the whole chain with one exchange and is the sole owner after.
+/// One shipped frame, recycled through a RecycleStash. The Treiber inbox
+/// relies on the mailbox's reclamation argument (sched/mailbox.h, "Inbox
+/// reclamation"): producers only push, the consumer detaches the whole chain
+/// with one exchange and is the sole owner after.
 struct InprocTransport::FrameNode {
   WireFrame frame;
   std::uint64_t seq = 0;
@@ -51,10 +52,10 @@ InprocTransport::~InprocTransport() {
     FrameNode* n = ch->inbox.exchange(nullptr, std::memory_order_acquire);
     while (n != nullptr) {
       FrameNode* next = n->next;
-      Pool<FrameNode>::Global().Delete(n);
+      delete n;
       n = next;
     }
-    for (FrameNode* p : ch->pending) Pool<FrameNode>::Global().Delete(p);
+    for (FrameNode* p : ch->pending) delete p;
   }
 }
 
@@ -85,7 +86,11 @@ InprocTransport::Channel& InprocTransport::ChannelAt(int from, int to) {
 
 SimTime InprocTransport::Send(int from, int to, SimTime now, WireFrame frame) {
   Channel& ch = ChannelAt(from, to);
-  FrameNode* node = Pool<FrameNode>::Global().New();
+  std::unique_ptr<FrameNode> owned =
+      RecycleStash<std::unique_ptr<FrameNode>>::Global().Take().value_or(
+          nullptr);
+  if (owned == nullptr) owned = std::make_unique<FrameNode>();
+  FrameNode* node = owned.release();
   node->frame = std::move(frame);
   {
     std::lock_guard lock(ch.send_mu);
@@ -102,7 +107,8 @@ SimTime InprocTransport::Send(int from, int to, SimTime now, WireFrame frame) {
   ch.bytes.fetch_add(node->frame.bytes.size(), std::memory_order_relaxed);
   ch.sent.fetch_add(1, std::memory_order_relaxed);
   const SimTime deliver_at = node->frame.deliver_at;
-  // Treiber push; see Pool's reclamation contract for why ABA is benign.
+  // Treiber push; sched/mailbox.h ("Inbox reclamation") says why ABA is
+  // benign.
   FrameNode* head = ch.inbox.load(std::memory_order_relaxed);
   do {
     node->next = head;
@@ -144,7 +150,8 @@ bool InprocTransport::Receive(int to, SimTime now, WireFrame& out,
     ch.pending.pop_back();
     ++ch.next_deliver_seq;
     out = std::move(head->frame);
-    Pool<FrameNode>::Global().Delete(head);
+    RecycleStash<std::unique_ptr<FrameNode>>::Global().Put(
+        std::unique_ptr<FrameNode>(head));
     ch.received.fetch_add(1, std::memory_order_relaxed);
     from_out = from;
     return true;

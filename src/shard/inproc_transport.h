@@ -3,10 +3,11 @@
 //
 // Each directed (from, to) shard pair owns an independent channel:
 //
-//  - **Lock-free enqueue.** Producers push Pool-backed frame nodes onto a
-//    Treiber stack (same pattern and reclamation contract as the scheduler
-//    mailboxes, sched/mailbox.h); the consumer detaches the whole chain with
-//    one exchange and reverses it into send order. Multiple worker threads
+//  - **Lock-free enqueue.** Producers push recycled frame nodes onto a
+//    Treiber stack (same pattern and reclamation argument as the scheduler
+//    mailboxes: "Inbox reclamation" in sched/mailbox.h); the consumer
+//    detaches the whole chain with one exchange and orders it by sequence
+//    number (see Sequencing). Multiple worker threads
 //    can therefore ship frames to the same destination without contending on
 //    anything but the channel head CAS.
 //  - **Modeled delay.** Send stamps deliver_at = max(prev_deliver_at,

@@ -1,5 +1,5 @@
 // Counting-allocator proof of the zero-allocation hot path, plus property
-// tests for the object pools.
+// tests for the recycle stash.
 //
 // The test binary overrides global operator new/delete with counting
 // wrappers; each steady-state test warms the relevant pool/caches, snapshots
@@ -12,6 +12,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <new>
 #include <set>
 #include <string>
@@ -739,72 +742,125 @@ TEST(RegistrationAllocTest, AddStageAndConnectCostStaysFlat) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool property tests.
+// RecycleStash property tests, over the std::unique_ptr<T> shape the mailbox
+// and transport inbox nodes recycle through.
 // ---------------------------------------------------------------------------
 
 struct Payload {
-  explicit Payload(std::int64_t v) : value(v) { canary = ~v; }
-  std::int64_t value;
-  std::int64_t canary;
+  std::int64_t value = 0;
+  std::int64_t canary = 0;
+  void Set(std::int64_t v) {
+    value = v;
+    canary = ~v;
+  }
 };
 
-TEST(PoolTest, LiveObjectsNeverAlias) {
-  auto& pool = Pool<Payload>::Global();
-  std::vector<Payload*> live;
-  std::set<const void*> addresses;
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    Payload* p = pool.New(i);
-    ASSERT_TRUE(addresses.insert(p).second) << "pool handed out a live slot";
-    live.push_back(p);
-  }
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    EXPECT_EQ(live[static_cast<std::size_t>(i)]->value, i);
-    EXPECT_EQ(live[static_cast<std::size_t>(i)]->canary, ~i);
-  }
-  for (Payload* p : live) pool.Delete(p);
+/// Takes a parked object, or makes one on a miss (what Mailbox::Push does).
+template <typename T>
+std::unique_ptr<T> TakeOrMake(std::atomic<std::int64_t>* made = nullptr) {
+  std::unique_ptr<T> p = RecycleStash<std::unique_ptr<T>>::Global().Take()
+                             .value_or(nullptr);
+  if (p != nullptr) return p;
+  if (made != nullptr) made->fetch_add(1, std::memory_order_relaxed);
+  return std::make_unique<T>();
 }
 
-TEST(PoolTest, RecycleAfterRetireReusesStorageSafely) {
-  auto& pool = Pool<Payload>::Global();
-  // Retire a batch, then reacquire: values must come from the constructor,
-  // never from a stale live reference (ASan would flag a use-after-free if
-  // Delete freed instead of recycling, and the canary catches torn reuse).
-  std::vector<Payload*> first;
-  for (std::int64_t i = 0; i < 128; ++i) first.push_back(pool.New(i));
-  for (Payload* p : first) pool.Delete(p);
-  std::vector<Payload*> second;
-  for (std::int64_t i = 1000; i < 1128; ++i) second.push_back(pool.New(i));
-  for (std::size_t i = 0; i < second.size(); ++i) {
-    EXPECT_EQ(second[i]->value, 1000 + static_cast<std::int64_t>(i));
-    EXPECT_EQ(second[i]->canary, ~(1000 + static_cast<std::int64_t>(i)));
+TEST(RecycleStashTest, TakenObjectsArePairwiseDistinct) {
+  auto& stash = RecycleStash<std::unique_ptr<Payload>>::Global();
+  // Two rounds: the first mostly makes fresh objects, the second takes back
+  // the ones the first parked. Neither may hand out an object twice.
+  for (int round = 0; round < 2; ++round) {
+    std::vector<std::unique_ptr<Payload>> live;
+    std::set<const Payload*> addresses;
+    for (std::int64_t i = 0; i < 1000; ++i) {
+      std::unique_ptr<Payload> p = TakeOrMake<Payload>();
+      ASSERT_TRUE(addresses.insert(p.get()).second)
+          << "stash handed out a live object (round " << round << ")";
+      p->Set(i);
+      live.push_back(std::move(p));
+    }
+    for (std::int64_t i = 0; i < 1000; ++i) {
+      EXPECT_EQ(live[static_cast<std::size_t>(i)]->value, i);
+      EXPECT_EQ(live[static_cast<std::size_t>(i)]->canary, ~i);
+    }
+    for (std::unique_ptr<Payload>& p : live) stash.Put(std::move(p));
   }
-  for (Payload* p : second) pool.Delete(p);
 }
 
-TEST(PoolTest, CrossThreadRecyclingBalances) {
-  // Producer threads acquire, a consumer thread releases: slots must flow
-  // back through the global spillover without loss or aliasing. (The TSan
-  // suite leg checks the handoff for races.)
-  auto& pool = Pool<Payload>::Global();
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  std::atomic<std::int64_t> sum{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (std::int64_t i = 0; i < kPerThread; ++i) {
-        Payload* p = pool.New(t * kPerThread + i);
-        sum.fetch_add(p->value, std::memory_order_relaxed);
-        pool.Delete(p);
+struct HandoffPayload : Payload {};
+
+TEST(RecycleStashTest, OneWayHandoffRecyclesWithinABoundedSet) {
+  // The mailbox's shape: one thread only Takes (making an object on a
+  // miss) and hands each object to a second thread that only Puts. Objects
+  // must flow back through the global spillover: none is live twice, and
+  // the number ever made is bounded by what can be parked or in flight, not
+  // by the number handed over.
+  using Stash = RecycleStash<std::unique_ptr<HandoffPayload>>;
+  constexpr std::int64_t kCount = 100000;
+  constexpr std::size_t kWindow = 256;  // in-flight objects, at most
+  std::mutex mu;
+  std::deque<HandoffPayload*> window;    // FIFO; guarded by mu
+  std::set<const HandoffPayload*> live;  // guarded by mu
+  std::atomic<std::int64_t> made{0};
+  std::atomic<bool> aliased{false};
+  std::atomic<bool> torn{false};
+
+  std::thread producer([&] {
+    for (std::int64_t i = 0; i < kCount;) {
+      bool full = false;
+      {
+        std::lock_guard lock(mu);
+        full = window.size() >= kWindow;
       }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  const std::int64_t n = static_cast<std::int64_t>(kThreads) * kPerThread;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+      if (full) {
+        std::this_thread::yield();
+        continue;
+      }
+      std::unique_ptr<HandoffPayload> p = TakeOrMake<HandoffPayload>(&made);
+      p->Set(i);
+      std::lock_guard lock(mu);
+      if (!live.insert(p.get()).second) aliased = true;
+      window.push_back(p.release());
+      ++i;
+    }
+  });
+  std::thread consumer([&] {
+    for (std::int64_t i = 0; i < kCount;) {
+      HandoffPayload* p = nullptr;
+      {
+        std::lock_guard lock(mu);
+        if (!window.empty()) {
+          p = window.front();
+          window.pop_front();
+          live.erase(p);
+        }
+      }
+      if (p == nullptr) {
+        std::this_thread::yield();
+        continue;
+      }
+      if (p->value != i || p->canary != ~i) torn = true;
+      Stash::Global().Put(std::unique_ptr<HandoffPayload>(p));
+      ++i;
+    }
+  });
+  producer.join();
+  consumer.join();
+
+  EXPECT_FALSE(aliased.load()) << "an object was live twice";
+  EXPECT_FALSE(torn.load()) << "a handed-over object changed in flight";
+  // A miss means the producer's cache and the spillover were both dry, so
+  // every object then existing sat in the window, in the consumer's hand or
+  // in the consumer's cache (at most kTlsMax; a Put at the cap spills
+  // kTransfer first).
+  const std::int64_t bound =
+      static_cast<std::int64_t>(kWindow + Stash::kTlsMax) + 2;
+  EXPECT_GT(made.load(), 0);
+  EXPECT_LE(made.load(), bound) << "made " << made.load() << " objects for "
+                                << kCount << " handovers";
 }
 
-TEST(PoolTest, RecycledBatchColumnsDoNotAliasLiveBatches) {
+TEST(RecycleStashTest, RecycledBatchColumnsDoNotAliasLiveBatches) {
   // A live columnar batch and a recycled-then-adopted one must never share
   // buffers: mutate one, verify the other.
   EventBatch a;
