@@ -2,7 +2,7 @@
 //  - recycled vs heap node round-trips (what Mailbox::Push saves per
 //    message),
 //  - the mailbox push -> drain -> pop cycle,
-//  - the allocation-free sim event loop (calendar queue + inline closures).
+//  - the allocation-free sim event loop (key heap + inline closures).
 // Simple chrono loops rather than google-benchmark: scenarios share one
 // process-wide google-benchmark registry, and fig12 owns it.
 #include <chrono>
@@ -85,7 +85,7 @@ void Run(bench::BenchContext& ctx) {
   const double mailbox_ns = NsPerOp(t0, t1, kIters);
 
   // Sim event loop cycle: schedule + run one inline closure per iteration
-  // (self-rescheduling chain, spread over bucket widths).
+  // (staggered times, so a few events are pending at once).
   EventQueue q;
   std::int64_t ran = 0;
   t0 = clock_type::now();

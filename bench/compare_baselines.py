@@ -4,6 +4,7 @@
 Usage:
     compare_baselines.py --results <dir> [--baselines <dir>]
                          [--threshold 0.15] [--list]
+    compare_baselines.py --results <dir> --identical-to <dir>
 
 For every BENCH_<name>.json in --results that has at least one baseline
 BENCH_<name>.<tag>.json checked in, the newest baseline (highest tag in
@@ -29,7 +30,17 @@ better). Other success-rate/throughput metrics are deliberately not gated
 here (workload-semantics changes move them legitimately); the replay golden
 tests gate semantics.
 
-Exit status: 0 when no gated metric regressed, 1 otherwise, 2 on usage
+--identical-to <dir> replaces the gate with an exact comparison, for
+changes that must not move any output (refactors, deletions): every
+BENCH_*.json in --results must have a same-named file in <dir>, and every
+numeric metric must be present on both sides with the same value, except
+the wall-clock ones (`is_wall_clock`: WALL_SUFFIXES, `.min` companions,
+`runner.wall_sec`, `.speedup`, `overhead_frac.*`, `runtime_scaling.*`).
+Typical use: run `cameo_bench --smoke --out <dir>` in a checkout of the
+parent commit and in the change, then compare the two directories.
+
+Exit status: 0 when no gated metric regressed (or, with --identical-to,
+when every non-wall-clock metric matches), 1 otherwise, 2 on usage
 errors. Intended to run as the `bench_compare_baselines` ctest (label
 bench-smoke) after the per-figure smoke tests have produced their JSONs.
 """
@@ -51,6 +62,19 @@ ALLOC_SUFFIXES = ("_allocs_per_msg",)
 # better, so the gate fires on a relative decrease instead of an increase.
 MET_SUFFIXES = ("_met_rate",)
 WALL_SLACK = 3.0
+
+
+# Metrics that measure the host's wall clock, so two runs of one build
+# differ in them; --identical-to skips exactly these.
+WALL_CLOCK_KEYS = ("runner.wall_sec",)
+WALL_CLOCK_PREFIXES = ("overhead_frac.", "runtime_scaling.")
+WALL_CLOCK_SUFFIXES = WALL_SUFFIXES + (".min", ".speedup")
+
+
+def is_wall_clock(key: str) -> bool:
+    return (key in WALL_CLOCK_KEYS
+            or any(key.startswith(p) for p in WALL_CLOCK_PREFIXES)
+            or any(key.endswith(s) for s in WALL_CLOCK_SUFFIXES))
 
 
 def is_alloc_metric(key: str) -> bool:
@@ -102,6 +126,37 @@ def newest_baseline(baseline_dir: Path, bench: str):
     return tag, path
 
 
+def compare_identical(results_dir: Path, reference_dir: Path) -> int:
+    """Fails on any missing file or any differing non-wall-clock metric."""
+    failures = []
+    result_paths = sorted(results_dir.glob("BENCH_*.json"))
+    if not result_paths:
+        print(f"error: no BENCH_*.json in {results_dir}", file=sys.stderr)
+        return 2
+    for result_path in result_paths:
+        reference_path = reference_dir / result_path.name
+        if not reference_path.is_file():
+            failures.append(f"{result_path.name}: missing from {reference_dir}")
+            continue
+        fresh = load_metrics(result_path)
+        ref = load_metrics(reference_path)
+        keys = sorted(k for k in set(fresh) | set(ref) if not is_wall_clock(k))
+        differing = [k for k in keys if fresh.get(k) != ref.get(k)]
+        print(f"== {result_path.stem[len('BENCH_'):]}: {len(keys)} metrics, "
+              f"{len(differing)} differing")
+        for k in differing:
+            failures.append(f"{result_path.name}:{k} {ref.get(k, 'missing')} "
+                            f"-> {fresh.get(k, 'missing')}")
+    if failures:
+        print(f"\n{len(failures)} difference(s):")
+        for f in failures:
+            print(f"  {f}")
+        return 1
+    print(f"\nall {len(result_paths)} result file(s) identical apart from "
+          f"wall-clock metrics")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--results", required=True,
@@ -114,16 +169,21 @@ def main() -> int:
                     help="print every gated comparison, not just regressions")
     ap.add_argument("--gate-wall", action="store_true",
                     help="also gate wall-clock ns/op metrics (same-box only)")
+    ap.add_argument("--identical-to", metavar="DIR",
+                    help="instead of gating, require every non-wall-clock "
+                         "metric to equal the same-named JSON in DIR")
     args = ap.parse_args()
 
     results_dir = Path(args.results)
-    baseline_dir = Path(args.baselines)
+    baseline_dir = Path(args.identical_to or args.baselines)
     if not results_dir.is_dir():
         print(f"error: results dir {results_dir} does not exist", file=sys.stderr)
         return 2
     if not baseline_dir.is_dir():
         print(f"error: baselines dir {baseline_dir} does not exist", file=sys.stderr)
         return 2
+    if args.identical_to is not None:
+        return compare_identical(results_dir, baseline_dir)
 
     regressions = []
     compared_any = False

@@ -58,12 +58,12 @@ struct EngineOptions {
     Duration switch_cost = Micros(20);
     /// Fig. 16: N(0, sigma) noise on profiled cost estimates.
     Duration profiler_perturbation = 0;
-    /// Rare execution stragglers (GC pauses, page faults, JIT).
+    /// Rare execution stragglers (GC pauses, page faults, JIT); a straggler
+    /// runs kStragglerFactor (sim/cluster.cpp) times its sampled cost.
     double straggler_prob = 0.003;
-    double straggler_factor = 15.0;
-    /// Seed profiler and Reply Contexts from static critical-path analysis.
+    /// Seed profiler and Reply Contexts from static critical-path analysis
+    /// (at kSeedNominalTuples tuples per message, sim/cluster.cpp).
     bool seed_static_estimates = true;
-    std::int64_t seed_nominal_tuples = 1000;
     bool enable_timeline = false;
     /// Reliable-delivery session layer over the shard transport
     /// (shard/session.h). Auto-enabled when `shard_faults` injects

@@ -38,7 +38,6 @@ struct ConverterOptions {
   /// scheduler is topology-aware but not query-semantics-aware (Fig. 15).
   bool use_query_semantics = true;
   TimeDomain time_domain = TimeDomain::kIngestionTime;
-  std::size_t progress_fit_window = 64;
 };
 
 /// An external event arriving at a source operator.
@@ -57,7 +56,7 @@ class ContextConverter {
   ContextConverter(SchedulingPolicy* policy, ConverterOptions options)
       : policy_(policy),
         options_(options),
-        progress_map_(options.time_domain, options.progress_fit_window) {
+        progress_map_(options.time_domain) {
     CAMEO_EXPECTS(policy != nullptr);
   }
 

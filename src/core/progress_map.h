@@ -19,8 +19,11 @@ namespace cameo {
 
 class ProgressMap {
  public:
-  explicit ProgressMap(TimeDomain domain, std::size_t fit_window = 64)
-      : domain_(domain), model_(fit_window) {}
+  /// Observations in the event-time fit's running window.
+  static constexpr std::size_t kFitWindow = 64;
+
+  explicit ProgressMap(TimeDomain domain)
+      : domain_(domain), model_(kFitWindow) {}
 
   /// Feeds an observed (logical, physical) pair; no-op for ingestion time.
   void Update(LogicalTime p, SimTime t);

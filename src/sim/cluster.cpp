@@ -4,7 +4,6 @@
 #include <bitset>
 
 #include "common/check.h"
-#include "common/pool.h"
 #include "dataflow/critical_path.h"
 
 namespace cameo {
@@ -15,6 +14,14 @@ namespace {
 /// timers (retransmits, delayed acks) and drains parked frames when no
 /// receive event is otherwise scheduled.
 constexpr Duration kChaosPumpTick = Millis(2);
+
+/// A straggler (EngineOptions::sim.straggler_prob) runs this many times its
+/// sampled cost.
+constexpr double kStragglerFactor = 15.0;
+
+/// Tuples per message assumed by the static critical-path cost seeds
+/// (EngineOptions::sim.seed_static_estimates).
+constexpr std::int64_t kSeedNominalTuples = 1000;
 
 }  // namespace
 
@@ -121,8 +128,7 @@ void Cluster::RegisterJob(JobId job) {
                        spec.output_slide);
   if (!options_.sim.seed_static_estimates) return;
   // Cold-start seeds from static critical-path analysis.
-  CriticalPathResult cp =
-      ComputeCriticalPath(graph_, job, options_.sim.seed_nominal_tuples);
+  CriticalPathResult cp = ComputeCriticalPath(graph_, job, kSeedNominalTuples);
   for (const auto& [op, cost] : cp.cost) profiler_.Seed(op, cost);
   for (StageId sid : graph_.stages_of(job)) {
     const StageInfo& stage = graph_.stage(sid);
@@ -368,73 +374,38 @@ void Cluster::TryDispatch(WorkerId w) {
   // claim, and an empty DequeueBatch changes no scheduler state (Orleans's
   // steal order is fixed at construction, see OrleansScheduler).
   if (sched.pending() == 0) return;
-  batch_scratch_.clear();
-  exec_scratch_.clear();
-  if (sched.DequeueBatch(runtime_->LocalWorker(w), events_.now(),
-                         batch_scratch_) == 0) {
+  if (sched.DequeueBatch(runtime_->LocalWorker(w), events_.now(), ws.msgs) ==
+      0) {
     return;
   }
 
   // The whole activation (claim-and-drain batch, one operator) executes as
   // one busy period: per-message costs are sampled up front in dispatch
   // order, the operator switch cost is charged once.
-  const OperatorId target = batch_scratch_.front().target;
+  const OperatorId target = ws.msgs.front().target;
   const Operator& op = graph_.Get(target);
   Duration total = 0;
-  for (Message& m : batch_scratch_) {
+  for (Message& m : ws.msgs) {
     Duration exec = op.cost_model().Sample(m.batch.size(), rng_);
     if (options_.sim.straggler_prob > 0 &&
         rng_.Chance(options_.sim.straggler_prob)) {
       exec = static_cast<Duration>(static_cast<double>(exec) *
-                                   options_.sim.straggler_factor);
+                                   kStragglerFactor);
     }
-    exec_scratch_.push_back(exec);
+    ws.execs.push_back(exec);
     total += exec;
   }
   if (!(ws.last_op == target)) total += options_.sim.switch_cost;
   ws.busy = true;
   ws.last_op = target;
   utilization_.AddBusy(w, total);
-  for (const Message& m : batch_scratch_) {
+  for (const Message& m : ws.msgs) {
     timeline_.Record(
         {events_.now(), target, op.stage(), op.job(), m.progress()});
   }
-  const SimTime dispatch_time = events_.now();
-  if (batch_scratch_.size() == 1) {
-    // Single-message fast path: the Message rides inline in the event
-    // closure (fits EventQueue's inline buffer -- no allocation) and the
-    // schedule is bit-identical to the pre-batching dispatcher.
-    auto done = [this, w, m = std::move(batch_scratch_.front()),
-                 dispatch_time, exec = exec_scratch_.front()]() mutable {
-      const OperatorId t = m.target;
-      CompleteMessage(w, std::move(m), dispatch_time, exec);
-      FinishActivation(w, t);
-    };
-    static_assert(sizeof(done) <= EventQueue::kActionCapacity,
-                  "completion closure outgrew the inline event buffer; the "
-                  "common sim path would heap-allocate every event");
-    events_.Schedule(events_.now() + total, std::move(done));
-    return;
-  }
-  // Batched path: the messages move into a pooled DispatchBatch whose
-  // vectors are recycled activation to activation.
-  DispatchBatch b =
-      RecycleStash<DispatchBatch>::Global().Take().value_or(DispatchBatch{});
-  b.msgs.clear();
-  b.execs.clear();
-  std::swap(b.msgs, batch_scratch_);
-  std::swap(b.execs, exec_scratch_);
   events_.Schedule(events_.now() + total,
-                   [this, w, b = std::move(b), dispatch_time]() mutable {
-                     const OperatorId t = b.msgs.front().target;
-                     for (std::size_t i = 0; i < b.msgs.size(); ++i) {
-                       CompleteMessage(w, std::move(b.msgs[i]), dispatch_time,
-                                       b.execs[i]);
-                     }
-                     b.msgs.clear();
-                     b.execs.clear();
-                     RecycleStash<DispatchBatch>::Global().Put(std::move(b));
-                     FinishActivation(w, t);
+                   [this, w, dispatch_time = events_.now()] {
+                     CompleteActivation(w, dispatch_time);
                    });
 }
 
@@ -446,10 +417,17 @@ void Cluster::CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                  m, converter(m.target), *runtime_->policy_of(m.target));
 }
 
-void Cluster::FinishActivation(WorkerId w, OperatorId op) {
+void Cluster::CompleteActivation(WorkerId w, SimTime dispatch_time) {
+  WorkerState& ws = workers_[static_cast<std::size_t>(w.value)];
+  // Read the target before the loop below moves the messages out.
+  const OperatorId op = ws.msgs.front().target;
+  for (std::size_t i = 0; i < ws.msgs.size(); ++i) {
+    CompleteMessage(w, std::move(ws.msgs[i]), dispatch_time, ws.execs[i]);
+  }
+  ws.msgs.clear();
+  ws.execs.clear();
   runtime_->scheduler(runtime_->ShardOfWorker(w))
       .OnComplete(op, runtime_->LocalWorker(w), events_.now());
-  WorkerState& ws = workers_[static_cast<std::size_t>(w.value)];
   ws.busy = false;
   TryDispatch(w);
 }

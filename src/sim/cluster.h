@@ -141,6 +141,11 @@ class Cluster {
     bool busy = false;
     bool kicked = false;  // in a pending wake-up sweep (KickIdleWorkers)
     OperatorId last_op;
+    /// The activation in flight (at most one, guarded by `busy`): the
+    /// drained messages and their sampled costs, held from dispatch to
+    /// completion. Their capacity is reused activation to activation.
+    std::vector<Message> msgs;
+    std::vector<Duration> execs;
   };
   struct SourceState {
     OperatorId op;
@@ -162,14 +167,6 @@ class Cluster {
     Duration event_time_delay = 0;
     std::optional<JobId> job;  // set once the arrival executes
   };
-  /// A multi-message activation in flight between dispatch and completion.
-  /// Instances are recycled through a RecycleStash so their vectors' capacity
-  /// survives across activations.
-  struct DispatchBatch {
-    std::vector<Message> msgs;
-    std::vector<Duration> execs;
-  };
-
   /// Hooks into the shared per-message step (core/message_step.h).
   struct StepHooks;
 
@@ -193,15 +190,16 @@ class Cluster {
   /// wire, drains the shard's own inbox, and re-arms itself until the run
   /// horizon.
   void SessionPump(int shard);
-  /// Claims an operator via the batched dispatch contract and schedules one
-  /// busy period covering the whole drained batch.
+  /// Claims an operator via the batched dispatch contract into the worker's
+  /// activation and schedules one busy period covering the whole batch.
   void TryDispatch(WorkerId w);
   /// The per-message half of a completed activation: the shared message
   /// step (invoke, route outputs, ack upstream, record metrics, recycle).
   void CompleteMessage(WorkerId w, Message m, SimTime dispatch_time,
                        Duration cost);
-  /// The per-activation half: releases the operator claim and redispatches.
-  void FinishActivation(WorkerId w, OperatorId op);
+  /// Completion event of the worker's activation: runs every message's step
+  /// in dispatch order, releases the operator claim and redispatches.
+  void CompleteActivation(WorkerId w, SimTime dispatch_time);
   MessageId NextMessageId() { return MessageId{next_message_id_++}; }
 
   EngineOptions options_;
@@ -233,10 +231,6 @@ class Cluster {
   std::vector<bool> pump_active_;
   /// SessionPump scratch for (peer, deliver_at) pairs (capacity reuse).
   std::vector<std::pair<int, SimTime>> pump_deliveries_;
-  // TryDispatch scratch (never live across an event boundary); members so
-  // their capacity is reused by every dispatch.
-  std::vector<Message> batch_scratch_;
-  std::vector<Duration> exec_scratch_;
   /// Outputs of the invocation in progress and their routed deliveries
   /// (message-step scratch).
   std::vector<EmittedBatch> emitted_;

@@ -6,199 +6,45 @@ namespace cameo {
 
 namespace {
 
-/// THE event order: (time, seq) ascending. Every ordered structure in this
-/// file -- the overflow heap, bucket activation sort, and mid-drain ordered
-/// insert -- must agree on it, or fixed-seed replays stop being
-/// bit-identical; they all call this one helper.
-template <typename Ev>
-bool EventLess(const Ev& a, const Ev& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
-
-/// Min-heap adapter: std heap algorithms build max-heaps, so "later" on top.
+/// Min-heap order on (time, seq): std heap algorithms build max-heaps, so
+/// the later key compares "less" and the earliest sits on top.
 struct Later {
-  template <typename Ev>
-  bool operator()(const Ev& a, const Ev& b) const {
-    return EventLess(b, a);
+  template <typename Key>
+  bool operator()(const Key& a, const Key& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
   }
 };
 
 }  // namespace
 
-std::size_t EventQueue::FindOccupiedFrom(std::size_t from) const {
-  // Scan [from, end) then [0, from): ring order starting at the base slot,
-  // i.e. ascending absolute bucket order.
-  for (std::size_t pass = 0; pass < 2; ++pass) {
-    std::size_t begin = pass == 0 ? from : 0;
-    std::size_t end = pass == 0 ? kBuckets : from;
-    std::size_t word = begin >> 6;
-    while (begin < end) {
-      std::uint64_t bits = bitmap_[word];
-      // Mask off bits below `begin` within its word (first word only).
-      bits &= ~0ull << (begin & 63);
-      // And bits at/after `end` within its word (last word only).
-      if ((end >> 6) == word && (end & 63) != 0) {
-        bits &= (1ull << (end & 63)) - 1;
-      }
-      if (bits != 0) {
-        return (word << 6) +
-               static_cast<std::size_t>(__builtin_ctzll(bits));
-      }
-      ++word;
-      begin = word << 6;
-    }
-  }
-  return kBuckets;  // wheel empty
-}
-
-void EventQueue::PushOverflow(Event ev) const {
-  overflow_.push_back(std::move(ev));
-  std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-}
-
-EventQueue::Event EventQueue::PopOverflow() const {
-  std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-  Event ev = std::move(overflow_.back());
-  overflow_.pop_back();
-  return ev;
-}
-
-void EventQueue::RefillFromOverflow() const {
-  const std::uint64_t horizon = base_abs_ + kBuckets;
-  while (!overflow_.empty() && AbsOf(overflow_.front().time) < horizon) {
-    Event ev = PopOverflow();
-    const std::uint64_t abs = AbsOf(ev.time);
-    InsertWheel(abs, std::move(ev));
-  }
-}
-
-void EventQueue::RebaseDown(std::uint64_t new_base) const {
-  // Evict buckets that the lower anchor pushes past the far edge. Only
-  // whole, untouched buckets can be here (partial consumption pins now_ --
-  // and therefore every later Schedule -- at or above the old base).
-  const std::uint64_t horizon = new_base + kBuckets;
-  for (std::size_t w = 0; w < kBitmapWords; ++w) {
-    std::uint64_t bits = bitmap_[w];
-    while (bits != 0) {
-      const std::size_t ring =
-          (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
-      bits &= bits - 1;
-      Bucket& b = wheel_[ring];
-      if (b.abs < horizon) continue;
-      CAMEO_EXPECTS(b.cursor == 0 && b.live == b.events.size());
-      for (Event& ev : b.events) PushOverflow(std::move(ev));
-      ResetBucket(b);
-    }
-  }
-  base_abs_ = new_base;
-}
-
-void EventQueue::InsertWheel(std::uint64_t abs, Event ev) const {
-  Bucket& b = wheel_[RingOf(abs)];
-  if (b.live == 0) {
-    CAMEO_EXPECTS(b.events.empty());
-    b.abs = abs;
-    SetBit(RingOf(abs));
-  }
-  CAMEO_EXPECTS(b.abs == abs);
-  b.events.push_back(std::move(ev));
-  ++b.live;
-  if (!b.activated) return;
-  // Ordered insert into the unconsumed tail; the new event's (time, seq) is
-  // >= every consumed entry (time >= now_, fresh seq), so restricting the
-  // search to [cursor, end) preserves the total order.
-  const auto idx = static_cast<std::uint32_t>(b.events.size() - 1);
-  auto pos = std::upper_bound(
-      b.order.begin() + static_cast<std::ptrdiff_t>(b.cursor), b.order.end(),
-      idx, [&](std::uint32_t a, std::uint32_t c) {
-        return EventLess(b.events[a], b.events[c]);
-      });
-  b.order.insert(pos, idx);
-}
-
-void EventQueue::Activate(Bucket& b) const {
-  CAMEO_EXPECTS(b.live == b.events.size());  // nothing consumed yet
-  b.order.clear();
-  for (std::uint32_t i = 0; i < b.events.size(); ++i) b.order.push_back(i);
-  std::sort(b.order.begin(), b.order.end(),
-            [&](std::uint32_t a, std::uint32_t c) {
-              return EventLess(b.events[a], b.events[c]);
-            });
-  b.cursor = 0;
-  b.activated = true;
-}
-
-void EventQueue::ResetBucket(Bucket& b) const {
-  b.events.clear();  // capacity retained
-  b.order.clear();
-  b.cursor = 0;
-  b.live = 0;
-  b.activated = false;
-  ClearBit(RingOf(b.abs));
-}
-
-EventQueue::Bucket* EventQueue::EnsureNext() const {
-  if (size_ == 0) return nullptr;
-  if (WheelCount() == 0) {
-    // Wheel drained, overflow pending: jump the anchor to the overflow
-    // minimum and pull the newly covered span in.
-    base_abs_ = AbsOf(overflow_.front().time);
-    RefillFromOverflow();
-  }
-  const std::size_t ring = FindOccupiedFrom(RingOf(base_abs_));
-  CAMEO_EXPECTS(ring < kBuckets);
-  Bucket& b = wheel_[ring];
-  if (!b.activated) Activate(b);
-  return &b;
-}
-
 void EventQueue::Schedule(SimTime t, Action fn) {
   CAMEO_EXPECTS(t >= now_);
   CAMEO_EXPECTS(static_cast<bool>(fn));
-  Event ev{t, seq_++, std::move(fn)};
-  ++size_;
-  const std::uint64_t abs = AbsOf(t);
-  if (WheelCount() == 1 && overflow_.empty()) {
-    // This event is the only pending one: re-anchoring is free, and keeps a
-    // sparse queue from ever touching the overflow heap.
-    base_abs_ = abs;
-  } else if (abs < base_abs_) {
-    // Possible only after an empty-wheel jump parked the anchor in the
-    // future; pull it back to cover this earlier event.
-    RebaseDown(abs);
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
   }
-  if (abs >= base_abs_ + kBuckets) {
-    PushOverflow(std::move(ev));
-    return;
-  }
-  InsertWheel(abs, std::move(ev));
-}
-
-SimTime EventQueue::NextTime() const {
-  Bucket* b = EnsureNext();
-  CAMEO_EXPECTS(b != nullptr);
-  return b->events[b->order[b->cursor]].time;
+  heap_.push_back(Key{t, seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 void EventQueue::RunNext() {
-  Bucket* b = EnsureNext();
-  CAMEO_EXPECTS(b != nullptr);
-  Event& slot = b->events[b->order[b->cursor]];
-  ++b->cursor;
-  --b->live;
-  --size_;
-  now_ = slot.time;
+  CAMEO_EXPECTS(!heap_.empty());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  now_ = key.time;
   ++executed_;
-  // Detach the action before touching the wheel again: the bucket may be
-  // reset below and the action may schedule freely (including into the very
-  // same bucket window).
-  Action fn = std::move(slot.fn);
-  if (b->live == 0) ResetBucket(*b);
-  if (const std::uint64_t abs = AbsOf(now_); abs > base_abs_) {
-    base_abs_ = abs;
-    RefillFromOverflow();
-  }
+  // Move the action out and free its slot before running it: the action may
+  // schedule freely, including into the slot it just left.
+  Action fn = std::move(slots_[key.slot]);
+  free_slots_.push_back(key.slot);
   fn();
 }
 

@@ -2,27 +2,14 @@
 // timestamps run in scheduling order (stable sequence numbers), which makes
 // whole-cluster simulations deterministic for a fixed seed.
 //
-// Implementation: a two-level bucketed calendar queue instead of a binary
-// heap of std::function.
-//  - Level 1 is a timing wheel of kBuckets ring slots, each kBucketWidth
-//    nanoseconds wide, covering [base, base + kBuckets * width). Scheduling
-//    into the wheel is a push_back into the target bucket; a bucket is
-//    sorted by (time, seq) once, lazily, when it becomes the minimum
-//    ("activation"), and later same-bucket arrivals are ordered-inserted
-//    into the unconsumed tail. A two-level occupancy bitmap finds the next
-//    non-empty bucket in O(1).
-//  - Level 2 is an overflow heap for events beyond the wheel horizon
-//    (source arrival chains scheduled seconds ahead). As the wheel's base
-//    advances, newly eligible overflow events migrate into their buckets.
-//  - Actions are small-buffer-optimized InlineFn closures stored in the
-//    bucket vectors themselves. Steady state, Schedule/RunNext perform no
-//    heap allocation: bucket and heap vectors retain their capacity, and
-//    the common closure sizes fit the inline buffer.
-// Total order is exactly the old heap's (time, then sequence number), so
-// fixed-seed replays are bit-identical across the two implementations.
+// Implementation: a binary min-heap of small (time, seq, slot) keys over a
+// slot vector of InlineFn actions. Only the 24-byte keys sift; an action
+// stays put in its slot from Schedule until RunNext moves it out. Freed
+// slots are reused last-in first-out, so steady state, Schedule/RunNext
+// perform no heap allocation: the key heap, slot vector and free list retain
+// their capacity, and the common closure sizes fit the inline buffer.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -34,19 +21,22 @@ namespace cameo {
 
 class EventQueue {
  public:
-  /// Inline closure budget: sized for the simulator's largest common event
-  /// (a completion/delivery closure carrying one Message by value). Larger
-  /// closures still work via InlineFn's boxed fallback -- they just pay the
-  /// allocation the common path avoids.
+  /// Inline closure budget: sized for the simulator's largest event, the
+  /// intra-shard delivery closure carrying one Message by value (see
+  /// Cluster::StepHooks::Deliver). Larger closures still work via InlineFn's
+  /// boxed fallback -- they just pay the allocation the common path avoids.
   static constexpr std::size_t kActionCapacity = 256;
   using Action = InlineFn<kActionCapacity>;
 
   /// Schedules `fn` at absolute time `t` (>= now).
   void Schedule(SimTime t, Action fn);
 
-  bool empty() const { return size_ == 0; }
+  bool empty() const { return heap_.empty(); }
   SimTime now() const { return now_; }
-  SimTime NextTime() const;
+  SimTime NextTime() const {
+    CAMEO_EXPECTS(!heap_.empty());
+    return heap_.front().time;
+  }
 
   /// Pops and runs the earliest event; advances now().
   void RunNext();
@@ -57,76 +47,15 @@ class EventQueue {
   std::uint64_t executed() const { return executed_; }
 
  private:
-  struct Event {
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    Action fn;
+    std::uint32_t slot;  // index into slots_
   };
 
-  static constexpr int kBucketBits = 9;  // 512 ring slots
-  static constexpr std::uint64_t kBuckets = 1ull << kBucketBits;
-  static constexpr int kWidthShift = 18;  // 2^18 ns ~ 262 us per bucket
-  static constexpr std::uint64_t kBitmapWords = kBuckets / 64;
-
-  /// One wheel slot. Holds the events of exactly one absolute bucket id at
-  /// a time; consumed events stay as moved-out husks until the bucket
-  /// empties (so indices in `order` stay stable), then everything is
-  /// cleared with capacity retained.
-  struct Bucket {
-    std::uint64_t abs = 0;  // absolute bucket id of the current contents
-    std::vector<Event> events;
-    std::vector<std::uint32_t> order;  // (time, seq)-sorted indices
-    std::size_t cursor = 0;            // next position in `order`
-    std::size_t live = 0;              // events not yet consumed
-    bool activated = false;            // `order` built and maintained
-  };
-
-  static std::uint64_t AbsOf(SimTime t) {
-    return static_cast<std::uint64_t>(t) >> kWidthShift;
-  }
-  static std::size_t RingOf(std::uint64_t abs) {
-    return static_cast<std::size_t>(abs & (kBuckets - 1));
-  }
-
-  std::size_t WheelCount() const { return size_ - overflow_.size(); }
-
-  void SetBit(std::size_t ring) const {
-    bitmap_[ring >> 6] |= 1ull << (ring & 63);
-  }
-  void ClearBit(std::size_t ring) const {
-    bitmap_[ring >> 6] &= ~(1ull << (ring & 63));
-  }
-  /// First occupied ring slot at or after `from` in ring order (wrapping),
-  /// which -- because every occupied slot's abs lies in [base_abs_,
-  /// base_abs_ + kBuckets) -- is the slot with the smallest absolute bucket.
-  std::size_t FindOccupiedFrom(std::size_t from) const;
-
-  // The helpers below only reorganize the mutable wheel/overflow state --
-  // they never change which events are pending -- so they are const and
-  // usable from NextTime().
-  void PushOverflow(Event ev) const;
-  Event PopOverflow() const;
-  /// Moves every overflow event inside the wheel horizon into its bucket.
-  void RefillFromOverflow() const;
-  /// Re-anchors the wheel at `new_base` (< base_abs_), evicting buckets
-  /// that fall off the far edge back into the overflow heap. Only reachable
-  /// while no bucket is mid-consumption (see Schedule).
-  void RebaseDown(std::uint64_t new_base) const;
-  void InsertWheel(std::uint64_t abs, Event ev) const;
-  void Activate(Bucket& b) const;
-  void ResetBucket(Bucket& b) const;
-  /// The bucket holding the minimum event, activated; nullptr when empty.
-  Bucket* EnsureNext() const;
-
-  // The wheel, bitmap, base and overflow heap are an *organization* of the
-  // logically-const pending-event set: NextTime() may migrate/sort without
-  // changing which events exist, hence mutable.
-  mutable std::array<Bucket, kBuckets> wheel_;
-  mutable std::array<std::uint64_t, kBitmapWords> bitmap_{};
-  mutable std::uint64_t base_abs_ = 0;
-  mutable std::vector<Event> overflow_;  // min-heap on (time, seq)
-
-  std::size_t size_ = 0;  // pending events, both levels
+  std::vector<Key> heap_;  // min-heap on (time, seq)
+  std::vector<Action> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -193,8 +193,8 @@ TEST(ZeroAllocTest, EventQueueSteadyState) {
   EventQueue q;
   std::int64_t ran = 0;
   std::int64_t scheduled = 0;
-  // Warm every ring slot (the wheel wraps once per kBuckets * width of
-  // simulated time) and the overflow heap.
+  // Warm the key heap, the action slots and the free-slot list to their
+  // peak depth, with near and far-ahead events interleaved.
   auto drive = [&](int iters) {
     for (int i = 0; i < iters; ++i) {
       q.Schedule(q.now() + (i % 7) * Micros(60), [&ran] { ++ran; });

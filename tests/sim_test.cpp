@@ -3,6 +3,7 @@
 // accounting, and failure-injection behaviour.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <queue>
 #include <random>
 
@@ -59,16 +60,16 @@ TEST(EventQueueTest, RunUntilStopsAtDeadline) {
   EXPECT_FALSE(q.empty());
 }
 
-// Regression (calendar-queue rewrite): equal timestamps must run in schedule
-// order even when the batch spans calendar buckets, lives in the overflow
-// level, or is scheduled *while* events at the same timestamp are running.
+// Equal timestamps must run in schedule order even when they are scheduled
+// far ahead amid earlier traffic, or *while* events at the same timestamp are
+// running.
 TEST(EventQueueTest, EqualTimesDeterministicAcrossLevels) {
   EventQueue q;
   std::vector<int> order;
-  const SimTime t = Seconds(3);  // beyond the wheel horizon at schedule time
+  const SimTime t = Seconds(3);  // far ahead of the interleaved traffic
   for (int i = 0; i < 8; ++i) {
     q.Schedule(t, [&order, i] { order.push_back(i); });
-    q.Schedule(Millis(i), [] {});  // interleave earlier wheel traffic
+    q.Schedule(Millis(i), [] {});  // interleave earlier traffic
   }
   // An event at the same timestamp scheduled mid-run must run after every
   // already-scheduled peer (larger sequence number), not starve or jump.
@@ -80,8 +81,8 @@ TEST(EventQueueTest, EqualTimesDeterministicAcrossLevels) {
   EXPECT_EQ(q.now(), t);
 }
 
-// The calendar queue must replay the exact (time, seq) total order of a
-// reference heap under randomized schedule/run interleavings, including
+// The queue must replay the exact (time, seq) total order of a reference
+// priority queue under randomized schedule/run interleavings, including
 // events that schedule more events and long empty-queue jumps.
 TEST(EventQueueTest, MatchesReferenceModelUnderRandomInterleaving) {
   struct RefEvent {
@@ -109,11 +110,11 @@ TEST(EventQueueTest, MatchesReferenceModelUnderRandomInterleaving) {
   auto random_delay = [&]() -> SimTime {
     switch (rng() % 4) {
       case 0:
-        return static_cast<SimTime>(rng() % Micros(50));     // same buckets
+        return static_cast<SimTime>(rng() % Micros(50));     // dense ties
       case 1:
-        return static_cast<SimTime>(rng() % Millis(5));      // near wheel
+        return static_cast<SimTime>(rng() % Millis(5));      // near
       case 2:
-        return static_cast<SimTime>(rng() % Seconds(2));     // overflow
+        return static_cast<SimTime>(rng() % Seconds(2));     // far
       default:
         return 0;                                            // immediate
     }
@@ -142,6 +143,74 @@ TEST(EventQueueTest, MatchesReferenceModelUnderRandomInterleaving) {
   }
   EXPECT_TRUE(ref.empty());
   EXPECT_EQ(got, want);
+}
+
+// An action's closure dies right after it runs: RunNext moves it out of its
+// slot, so the freed slot does not keep its captures alive.
+TEST(EventQueueTest, ActionDestroyedRightAfterItRuns) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  q.Schedule(Millis(1), [token] { EXPECT_EQ(*token, 7); });
+  EXPECT_EQ(token.use_count(), 2);
+  q.RunNext();
+  EXPECT_EQ(token.use_count(), 1);
+  // The freed slot is reused by the next event without ever holding a stale
+  // copy of the first closure.
+  q.Schedule(Millis(2), [] {});
+  q.RunNext();
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// A running action may schedule into the slot it just left (free slots are
+// reused last-in first-out): its own captures stay alive until it returns,
+// and the successor's captures live exactly as long as the successor.
+TEST(EventQueueTest, RunningActionMayRetakeItsOwnSlot) {
+  EventQueue q;
+  auto token = std::make_shared<int>(1);
+  long seen_inside = 0;
+  q.Schedule(Millis(1), [&q, &seen_inside, token] {
+    q.Schedule(q.now() + Millis(1), [token] { EXPECT_EQ(*token, 1); });
+    // The successor now occupies this action's old slot; this closure (and
+    // its copy of `token`) must be untouched by that.
+    seen_inside = token.use_count();
+    EXPECT_EQ(*token, 1);
+  });
+  q.RunNext();
+  EXPECT_EQ(seen_inside, 3);  // test + running action + successor
+  EXPECT_EQ(token.use_count(), 2);  // the successor alone
+  q.RunNext();
+  EXPECT_EQ(token.use_count(), 1);
+
+  // A self-rescheduling chain holds exactly one live closure at a time.
+  int hops = 0;
+  std::function<void()> hop = [&] {
+    EXPECT_EQ(token.use_count(), 2);
+    if (++hops < 100) {
+      q.Schedule(q.now() + Micros(10), [&hop, token] { hop(); });
+    }
+  };
+  q.Schedule(q.now(), [&hop, token] { hop(); });
+  while (!q.empty()) q.RunNext();
+  EXPECT_EQ(hops, 100);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// Actions still pending when the queue dies are destroyed exactly once, and
+// freed slots (actions already run) destroy nothing.
+TEST(EventQueueTest, PendingActionsDestroyedOnceWithQueue) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventQueue q;
+    for (int i = 0; i < 6; ++i) {
+      q.Schedule(Millis(i), [token] { ++*token; });
+    }
+    EXPECT_EQ(token.use_count(), 7);
+    q.RunNext();
+    q.RunNext();
+    EXPECT_EQ(token.use_count(), 5);
+  }
+  EXPECT_EQ(*token, 2);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 // ---------------- Cluster behaviour ----------------
