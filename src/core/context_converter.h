@@ -17,6 +17,13 @@
 // path, and source converters additionally face external ingest threads. A
 // per-converter mutex (contended only between one producer and one acking
 // worker of a single operator, never globally) makes every method safe.
+//
+// The Reply-Context view is a hash map from downstream target to the latest
+// RC it sent. A flat vector of slots found by linear scan was measured
+// against it (one conversion, 1 to 64 seeded targets): the map held 25-27 ns
+// at every fan-out, the scan read 27-30 ns up to 8 targets and 35 ns at 32,
+// and KeyBy stages reach 32 targets (DESIGN.md §4, "Context conversion
+// cost").
 #pragma once
 
 #include <mutex>

@@ -7,7 +7,7 @@ namespace cameo {
 
 void ProgressMap::Update(LogicalTime p, SimTime t) {
   if (domain_ == TimeDomain::kIngestionTime) return;
-  model_.Observe(static_cast<double>(p), static_cast<double>(t));
+  model_.Observe(p, t);
 }
 
 SimTime ProgressMap::MapToTime(LogicalTime p_mf, SimTime t_fallback) const {

@@ -7,8 +7,10 @@
 //  - Event-time domain: the map is learned online as t = alpha * p + gamma
 //    over a running window of (p_M, t_M) observations (paper: "linear fit
 //    with running window of historical p_MF's towards their respective
-//    t_MF's"). Until the fit is ready the map falls back to the conservative
-//    estimate t_MF = t_M (treat windowed operators as regular, §4.3 end).
+//    t_MF's"), in O(1) per update and per query from exact running sums
+//    (core/linear_regression.h). Until the fit is ready the map falls back
+//    to the conservative estimate t_MF = t_M (treat windowed operators as
+//    regular, §4.3 end).
 #pragma once
 
 #include "common/time.h"
@@ -39,5 +41,8 @@ class ProgressMap {
   TimeDomain domain_;
   OnlineLinearRegression model_;
 };
+
+// The fit's exact __int128 sums are proven overflow-free up to this window.
+static_assert(ProgressMap::kFitWindow <= OnlineLinearRegression::kMaxWindow);
 
 }  // namespace cameo

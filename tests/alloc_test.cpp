@@ -25,6 +25,7 @@
 #include "common/check.h"
 #include "common/pool.h"
 #include "common/rng.h"
+#include "core/context_converter.h"
 #include "core/message_step.h"
 #include "ops/sink.h"
 #include "ops/source.h"
@@ -515,6 +516,56 @@ TEST(ZeroAllocTest, WindowAggSteadyState) {
   if (kCountingReliable) {
     EXPECT_EQ(after - before, 0)
         << "opening and closing windows must not touch the heap";
+  }
+}
+
+TEST(ZeroAllocTest, EventTimeConverterFanOutFourSteadyState) {
+  // An event-time converter feeding four windowed targets, so every
+  // conversion updates and queries the PROGRESSMAP fit. Once each target has
+  // replied once, converting, acking and preparing the upstream reply
+  // overwrite the same RC entries and the same fit ring.
+  LeastLaxityFirst llf;
+  ConverterOptions opts;
+  opts.time_domain = TimeDomain::kEventTime;
+  ContextConverter conv(&llf, opts);
+  SourceOp self("src", CostModel{});
+  self.Bind(OperatorId{0}, StageId{0}, JobId{0});
+  std::vector<std::unique_ptr<WindowAggOp>> targets;
+  for (int i = 0; i < 4; ++i) {
+    targets.push_back(std::make_unique<WindowAggOp>(
+        "agg", WindowSpec::Tumbling(Millis(100) * (i + 1)), CostModel{},
+        AggKind::kSum));
+    targets.back()->Bind(OperatorId{1 + i}, StageId{1}, JobId{0});
+  }
+  PriorityContext up;
+  up.job = JobId{0};
+  up.latency_constraint = Millis(800);
+  std::int64_t id = 0;
+  Duration path = 0;
+  auto drive = [&](int iters) {
+    for (int i = 0; i < iters; ++i, ++id) {
+      const Operator& target = *targets[static_cast<std::size_t>(id % 4)];
+      const LogicalTime p = Millis(1) * id;
+      conv.BuildCxtAtOperator(up, self, target, p, p + Millis(20),
+                              MessageId{id});
+      ReplyContext rc;
+      rc.valid = true;
+      rc.cost_m = Micros(id % 50);
+      rc.cost_path = Micros(id % 7);
+      conv.ProcessCtxFromReply(target.id(), rc);
+      path = conv.PrepareReply(Micros(3), 0, /*is_sink=*/false).cost_path;
+    }
+  };
+  drive(4);  // one reply per target
+
+  const std::int64_t before = HeapAllocs();
+  drive(4000);
+  const std::int64_t after = HeapAllocs();
+  EXPECT_TRUE(conv.progress_map().model().Ready());
+  EXPECT_GT(path, 0);
+  if (kCountingReliable) {
+    EXPECT_EQ(after - before, 0)
+        << "steady-state conversions and replies must not touch the heap";
   }
 }
 

@@ -3,9 +3,16 @@
 // the Algorithm 1 context converter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <deque>
+#include <limits>
+#include <map>
+#include <string>
 #include <utility>
 
+#include "common/rng.h"
 #include "core/context_converter.h"
 #include "core/linear_regression.h"
 #include "core/policies.h"
@@ -143,26 +150,33 @@ TEST(LinearRegressionTest, NanosecondScaleStability) {
   EXPECT_NEAR(r.Predict(base + 30e9), base + 32e9, 1e3);
 }
 
-/// The windowed fit over a std::deque, summing oldest to newest: the
-/// reference the ring buffer must match bit for bit.
+/// The classic windowed fit: two centred passes in double over a
+/// std::deque, summing oldest to newest. An independent closeness reference
+/// for the exact fit.
 struct DequeFit {
   bool ready = false;
   double alpha = 0, gamma = 0;
+  double mx = 0, my = 0;  // FitDeque only: the double means of x and y
 };
 
-DequeFit FitDeque(const std::deque<std::pair<double, double>>& pts) {
+using IntPoints = std::deque<std::pair<LogicalTime, SimTime>>;
+
+DequeFit FitDeque(const IntPoints& pts) {
   DequeFit f;
   const auto n = static_cast<double>(pts.size());
   if (pts.size() < 2) return f;
   double mx = 0, my = 0;
   for (const auto& [x, y] : pts) {
-    mx += x;
-    my += y;
+    mx += static_cast<double>(x);
+    my += static_cast<double>(y);
   }
   mx /= n;
   my /= n;
+  f.mx = mx;
+  f.my = my;
   double sxx = 0, sxy = 0;
-  for (const auto& [x, y] : pts) {
+  for (const auto& [xi, yi] : pts) {
+    const double x = static_cast<double>(xi), y = static_cast<double>(yi);
     sxx += (x - mx) * (x - mx);
     sxy += (x - mx) * (y - my);
   }
@@ -173,30 +187,211 @@ DequeFit FitDeque(const std::deque<std::pair<double, double>>& pts) {
   return f;
 }
 
-TEST(LinearRegressionTest, RingMatchesDequeReferenceBitExactly) {
-  // Random (p, t) streams at nanosecond scale, long enough to wrap each
-  // window several times; the fit is read after every observation, so each
-  // ring head position is compared.
-  Rng rng(2026);
-  for (std::size_t window : {2, 3, 7, 64}) {
-    OnlineLinearRegression ring(window);
-    std::deque<std::pair<double, double>> ref;
-    double p = 3.6e12;
-    for (std::size_t i = 0; i < 5 * window + 3; ++i) {
-      p += rng.Uniform(0, 2e9);
-      const double t = p + rng.Uniform(1e9, 3e9);
-      ring.Observe(p, t);
-      ref.emplace_back(p, t);
-      if (ref.size() > window) ref.pop_front();
-      const DequeFit want = FitDeque(ref);
-      ASSERT_EQ(ring.size(), ref.size());
-      ASSERT_EQ(ring.Ready(), want.ready) << "window " << window << " i " << i;
-      if (!want.ready) continue;
-      // EXPECT_EQ on doubles is exact: bit-identical, not merely close.
-      EXPECT_EQ(ring.alpha(), want.alpha) << "window " << window << " i " << i;
-      EXPECT_EQ(ring.gamma(), want.gamma) << "window " << window << " i " << i;
-    }
+/// The four sums recomputed from scratch in __int128, then the closed form
+/// OnlineLinearRegression::Fit applies: the exact fit the running sums must
+/// reproduce bit for bit. The slope's sums are taken over offsets from the
+/// oldest point, a different shift from the ring's anchor; both sides of the
+/// quotient are shift-invariant integers, so any shift that cannot overflow
+/// gives the same bits.
+DequeFit RecomputeExact(const IntPoints& pts) {
+  DequeFit f;
+  if (pts.empty()) return f;
+  const __int128 x0 = pts.front().first, y0 = pts.front().second;
+  __int128 sx = 0, sy = 0, sxx = 0, sxy = 0, sum_x = 0, sum_y = 0;
+  for (const auto& [x, y] : pts) {
+    const __int128 dx = x - x0, dy = y - y0;
+    sx += dx;
+    sy += dy;
+    sxx += dx * dx;
+    sxy += dx * dy;
+    sum_x += x;
+    sum_y += y;
   }
+  const auto n = static_cast<__int128>(pts.size());
+  const __int128 den = n * sxx - sx * sx;
+  if (den <= 0) return f;
+  const __int128 num = n * sxy - sx * sy;
+  const auto nd = static_cast<double>(n);
+  f.alpha = static_cast<double>(num) / static_cast<double>(den);
+  f.gamma = static_cast<double>(sum_y) / nd -
+            f.alpha * (static_cast<double>(sum_x) / nd);
+  f.ready = true;
+  return f;
+}
+
+TEST(LinearRegressionTest, IncrementalSumsMatchRecomputeBitExactly) {
+  // Random integer (p, t) streams long enough to wrap each window several
+  // times; the fit is read after every observation, so each ring head
+  // position is compared. Four regimes: nanosecond-scale progress with a
+  // lag, x drawn from three values (degenerate windows), magnitudes within
+  // 2^20 of ±2^53 with random signs, and Unix-epoch nanoseconds on both
+  // axes whose steps carry the stream many times 2^53 past its first point
+  // while each window spans less than 2^53 (so the ring re-anchors and must
+  // keep every point). Every regime also repeats the previous x a third of
+  // the time.
+  constexpr std::int64_t kMax = OnlineLinearRegression::kMaxOffset - 1;
+  constexpr std::int64_t kEpochNs = 1'760'000'000'000'000'000;
+  Rng rng(2026);
+  for (int regime = 0; regime < 4; ++regime) {
+    double worst_alpha = 0, worst_gamma = 0;
+    for (std::size_t window : {2, 3, 7, 64}) {
+      OnlineLinearRegression ring(window);
+      IntPoints ref;
+      LogicalTime p = regime == 3 ? kEpochNs : 3'600'000'000'000;
+      const std::int64_t epoch_step =
+          kMax / static_cast<std::int64_t>(window);
+      for (std::size_t i = 0; i < 5 * window + 3; ++i) {
+        SimTime t = 0;
+        if (regime == 0) {
+          if (!rng.Chance(1.0 / 3)) p += rng.UniformInt(0, 2'000'000'000);
+          t = p + rng.UniformInt(1'000'000'000, 3'000'000'000);
+        } else if (regime == 1) {
+          if (!rng.Chance(1.0 / 3)) p = rng.UniformInt(-1, 1) * Seconds(7);
+          t = rng.UniformInt(-Seconds(1000), Seconds(1000));
+        } else if (regime == 2) {
+          if (!rng.Chance(1.0 / 3)) {
+            p = (kMax - rng.UniformInt(0, (1 << 20) - 1)) *
+                (rng.Chance(0.5) ? 1 : -1);
+          }
+          t = (kMax - rng.UniformInt(0, (1 << 20) - 1)) *
+              (rng.Chance(0.5) ? 1 : -1);
+        } else {
+          if (!rng.Chance(1.0 / 3)) {
+            p += rng.UniformInt(epoch_step / 2, epoch_step - 1);
+          }
+          t = p + rng.UniformInt(0, Seconds(1));
+        }
+        ring.Observe(p, t);
+        ref.emplace_back(p, t);
+        if (ref.size() > window) ref.pop_front();
+        const DequeFit want = RecomputeExact(ref);
+        const std::string where = "regime " + std::to_string(regime) +
+                                  " window " + std::to_string(window) +
+                                  " i " + std::to_string(i);
+        ASSERT_EQ(ring.size(), ref.size());
+        ASSERT_EQ(ring.Ready(), want.ready) << where;
+        if (!want.ready) continue;
+        // EXPECT_EQ on doubles is exact: bit-identical, not merely close.
+        EXPECT_EQ(ring.alpha(), want.alpha) << where;
+        EXPECT_EQ(ring.gamma(), want.gamma) << where;
+
+        const DequeFit two_pass = FitDeque(ref);
+        ASSERT_TRUE(two_pass.ready) << where;
+        // γ is the difference ȳ − α·x̄; measure its error against the size
+        // of those terms, which is what double rounding scales with.
+        const double gamma_scale = std::max(
+            1.0, std::abs(two_pass.my) + std::abs(want.alpha * two_pass.mx));
+        worst_alpha = std::max(
+            worst_alpha, std::abs(two_pass.alpha - want.alpha) /
+                             std::max(std::abs(want.alpha), 1e-300));
+        worst_gamma = std::max(
+            worst_gamma, std::abs(two_pass.gamma - want.gamma) / gamma_scale);
+      }
+    }
+    std::printf("regime %d: largest relative difference vs the two-pass "
+                "fit: alpha %.3g, gamma %.3g\n",
+                regime, worst_alpha, worst_gamma);
+    // Near ±2^53 the two-pass fit is the inexact one: its double mean of
+    // same-sign points rounds away bits their 2^20 spread needs, while the
+    // integer sums lose nothing (FullWindowAtMaxMagnitudeStaysExact).
+    // At epoch scale its double means carry 256 ns rounding against spreads
+    // of 2^40 ns and more.
+    const double bound = regime == 2 ? 1e-3 : regime == 3 ? 1e-9 : 1e-12;
+    EXPECT_LT(worst_alpha, bound) << "regime " << regime;
+    EXPECT_LT(worst_gamma, bound) << "regime " << regime;
+  }
+}
+
+TEST(LinearRegressionTest, FullWindowAtMaxMagnitudeStaysExact) {
+  // The stated bound at its edge: 1,024 points with |p| = |t| = 2^53 − 1,
+  // twice round the ring. The reference sums are accumulated with
+  // overflow-checked __int128 arithmetic, so an overflow anywhere in the
+  // closed form fails here rather than producing a plausible fit.
+  constexpr std::size_t kWindow = OnlineLinearRegression::kMaxWindow;
+  static_assert(kWindow == 1024);
+  constexpr std::int64_t kMax = OnlineLinearRegression::kMaxOffset - 1;
+  Rng rng(53);
+  OnlineLinearRegression r(kWindow);
+  IntPoints ref;
+  for (int lap = 0; lap < 2; ++lap) {
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      const LogicalTime p = rng.Chance(0.5) ? kMax : -kMax;
+      const SimTime t = rng.Chance(0.7) ? p : -p;
+      r.Observe(p, t);
+      ref.emplace_back(p, t);
+      if (ref.size() > kWindow) ref.pop_front();
+    }
+    __int128 sx = 0, sy = 0, sxx = 0, sxy = 0;
+    auto add = [](__int128& acc, __int128 v) {
+      ASSERT_FALSE(__builtin_add_overflow(acc, v, &acc));
+    };
+    auto mul = [](__int128 a, __int128 b) {
+      __int128 out = 0;
+      EXPECT_FALSE(__builtin_mul_overflow(a, b, &out));
+      return out;
+    };
+    for (const auto& [x, y] : ref) {
+      add(sx, x);
+      add(sy, y);
+      add(sxx, mul(x, x));
+      add(sxy, mul(x, y));
+    }
+    const auto n = static_cast<__int128>(ref.size());
+    __int128 den = mul(n, sxx), num = mul(n, sxy);
+    ASSERT_FALSE(__builtin_sub_overflow(den, mul(sx, sx), &den));
+    ASSERT_FALSE(__builtin_sub_overflow(num, mul(sx, sy), &num));
+    ASSERT_GT(den, 0);
+
+    using LD = long double;
+    const LD ln = static_cast<LD>(ref.size());
+    const LD alpha = static_cast<LD>(num) / static_cast<LD>(den);
+    const LD mx = static_cast<LD>(sx) / ln, my = static_cast<LD>(sy) / ln;
+    const LD gamma = my - alpha * mx;
+    constexpr double kEps = std::numeric_limits<double>::epsilon();
+    ASSERT_TRUE(r.Ready());
+    EXPECT_NEAR(r.alpha(), static_cast<double>(alpha),
+                4 * kEps * std::abs(static_cast<double>(alpha)))
+        << "lap " << lap;
+    EXPECT_NEAR(r.gamma(), static_cast<double>(gamma),
+                4 * kEps * static_cast<double>(std::abs(my) +
+                                               std::abs(alpha * mx)))
+        << "lap " << lap;
+  }
+}
+
+TEST(LinearRegressionTest, FarJumpRestartsTheWindow) {
+  // Progress near zero, then Unix-epoch nanoseconds: the new point is more
+  // than 2^53 from every old one, so it anchors a window of its own.
+  constexpr std::int64_t kEpochNs = 1'760'000'000'000'000'000;
+  OnlineLinearRegression r(8);
+  for (int i = 0; i < 8; ++i) r.Observe(Seconds(i), Seconds(i) + Millis(5));
+  ASSERT_TRUE(r.Ready());
+  r.Observe(kEpochNs, Seconds(9));
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_FALSE(r.Ready());
+
+  IntPoints ref{{kEpochNs, Seconds(9)}};
+  for (int i = 1; i < 20; ++i) {
+    const LogicalTime p = kEpochNs + Seconds(i);
+    const SimTime t = Seconds(9 + i) + Millis(i % 3);
+    r.Observe(p, t);
+    ref.emplace_back(p, t);
+    if (ref.size() > 8) ref.pop_front();
+    const DequeFit want = RecomputeExact(ref);
+    ASSERT_EQ(r.size(), ref.size()) << "i " << i;
+    ASSERT_TRUE(r.Ready()) << "i " << i;
+    EXPECT_EQ(r.alpha(), want.alpha) << "i " << i;
+    EXPECT_EQ(r.gamma(), want.gamma) << "i " << i;
+  }
+  EXPECT_NEAR(r.alpha(), 1.0, 1e-3);
+  EXPECT_NEAR(r.Predict(static_cast<double>(kEpochNs + Seconds(30))),
+              static_cast<double>(Seconds(39)),
+              static_cast<double>(Millis(10)));
+
+  // A jump on the t axis alone restarts the window too.
+  r.Observe(kEpochNs + Seconds(20), -kEpochNs);
+  EXPECT_EQ(r.size(), 1u);
+  EXPECT_FALSE(r.Ready());
 }
 
 // ---------------- ProgressMap ----------------
@@ -707,6 +902,62 @@ TEST_F(ConverterTest, SeedDoesNotOverrideRealReply) {
   conv.ProcessCtxFromReply(OperatorId{10}, MakeRc(Millis(7), 0));
   conv.SeedReply(OperatorId{10}, MakeRc(Millis(99), 0));
   EXPECT_EQ(conv.RcFor(OperatorId{10}).cost_m, Millis(7));
+}
+
+TEST_F(ConverterTest, ReplyViewMatchesMapReferenceAtFanOut64) {
+  // 64 downstream targets; a random mix of valid replies, invalid replies
+  // (ignored) and seeds (applied only before a target's first reply or
+  // seed), replayed against a std::map. Every step checks the touched
+  // target's RC and PrepareReply's critical-path max; every 64th step checks
+  // all targets, including ones never heard from.
+  constexpr int kTargets = 64;
+  ContextConverter conv(&llf_, EventTimeOptions());
+  std::map<OperatorId, ReplyContext> ref;
+  Rng rng(64);
+  auto expect_rc = [&](OperatorId op, const std::string& where) {
+    const auto it = ref.find(op);
+    const ReplyContext want = it == ref.end() ? ReplyContext{} : it->second;
+    const ReplyContext got = conv.RcFor(op);
+    EXPECT_EQ(got.valid, want.valid) << where;
+    EXPECT_EQ(got.cost_m, want.cost_m) << where;
+    EXPECT_EQ(got.cost_path, want.cost_path) << where;
+    EXPECT_EQ(got.queueing_delay, want.queueing_delay) << where;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const OperatorId op{100 + rng.UniformInt(0, kTargets - 1)};
+    ReplyContext rc = MakeRc(rng.UniformInt(0, Millis(50)),
+                             rng.UniformInt(0, Millis(50)));
+    rc.queueing_delay = rng.UniformInt(0, Millis(5));
+    const std::int64_t kind = rng.UniformInt(0, 9);
+    if (kind < 6) {
+      conv.ProcessCtxFromReply(op, rc);
+      ref[op] = rc;
+    } else if (kind < 8) {
+      rc.valid = false;
+      conv.ProcessCtxFromReply(op, rc);
+    } else {
+      conv.SeedReply(op, rc);
+      ref.emplace(op, rc);
+    }
+    const std::string where = "step " + std::to_string(step);
+    expect_rc(op, where);
+    Duration best = 0;
+    for (const auto& [id, down] : ref) {
+      best = std::max(best, down.cost_m + down.cost_path);
+    }
+    const ReplyContext up = conv.PrepareReply(Millis(3), Millis(1), false);
+    EXPECT_TRUE(up.valid);
+    EXPECT_EQ(up.cost_m, Millis(3));
+    EXPECT_EQ(up.queueing_delay, Millis(1));
+    EXPECT_EQ(up.cost_path, best) << where;
+    EXPECT_EQ(conv.PrepareReply(Millis(3), 0, true).cost_path, 0);
+    if (step % kTargets == 0) {
+      for (int t = 0; t < kTargets + 4; ++t) {
+        expect_rc(OperatorId{100 + t}, where);
+      }
+    }
+  }
+  EXPECT_EQ(ref.size(), static_cast<std::size_t>(kTargets));
 }
 
 TEST_F(ConverterTest, TokenStateInheritedDownstream) {

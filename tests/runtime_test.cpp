@@ -69,6 +69,40 @@ TEST(ThreadRuntimeTest, ColumnarResultsAreCorrect) {
   EXPECT_DOUBLE_EQ(sink.last_value(), 50.0) << "10 + 32 + 8";
 }
 
+TEST(ThreadRuntimeTest, EpochScaleEventTimesAreCorrect) {
+  // Progress and event times in Unix-epoch nanoseconds, far above 2^53: the
+  // event-time PROGRESSMAP fit sees them on every conversion.
+  constexpr LogicalTime kEpochNs = 1'760'000'000'000'000'000;
+  DataflowGraph graph;
+  QuerySpec spec = MakeLatencySensitiveSpec("LS0");
+  spec.sources = 1;
+  spec.aggs = 1;
+  spec.domain = TimeDomain::kEventTime;
+  JobHandles h = BuildAggregationJob(graph, spec);
+  OperatorId src = graph.stage(h.source).operators[0];
+  OperatorId sink_op = graph.stage(h.sink).operators[0];
+
+  ThreadRuntime rt(FastConfig(), std::move(graph));
+  rt.Start();
+  for (int k = 1; k <= 4; ++k) {
+    const LogicalTime end = kEpochNs + Seconds(k);
+    EventBatch mid;
+    mid.progress = end - Millis(500);
+    mid.Append(1, 10.0, end - Millis(600));
+    ASSERT_TRUE(rt.IngestBatch(src, std::move(mid)));
+    EventBatch boundary;
+    boundary.progress = end;  // closes window (end - 1s, end]
+    boundary.Append(2, static_cast<double>(k), end);
+    ASSERT_TRUE(rt.IngestBatch(src, std::move(boundary)));
+  }
+  rt.Drain();
+  rt.Stop();
+
+  auto& sink = dynamic_cast<SinkOp&>(rt.graph().Get(sink_op));
+  EXPECT_EQ(sink.outputs(), 4u);
+  EXPECT_DOUBLE_EQ(sink.last_value(), 14.0) << "10 + 4";
+}
+
 TEST(ThreadRuntimeTest, DrainWaitsForDownstreamWork) {
   DataflowGraph graph;
   QuerySpec spec = MakeLatencySensitiveSpec("LS0");

@@ -276,7 +276,7 @@ struct MapReference {
 void ExpectMatchesMapReference(WindowSpec window, std::uint64_t seed,
                                int batches) {
   KeyedCounterOp counter("c", window, {});
-  MapReference ref{window};
+  MapReference ref{window, {}, {}};
   TestEmitter emitter;
   Rng rng(seed);
   Rng op_rng(1);

@@ -273,7 +273,9 @@ TEST(TenantChurnTest, ScriptIsDeterministicAndOrdered) {
     EXPECT_EQ(a.tenants[i].arrive, b.tenants[i].arrive);
     EXPECT_EQ(a.tenants[i].depart, b.tenants[i].depart);
     EXPECT_EQ(a.tenants[i].tenant, static_cast<int>(i));
-    if (i > 0) EXPECT_GE(a.tenants[i].arrive, a.tenants[i - 1].arrive);
+    if (i > 0) {
+      EXPECT_GE(a.tenants[i].arrive, a.tenants[i - 1].arrive);
+    }
     EXPECT_GE(a.tenants[i].depart - a.tenants[i].arrive, spec.min_lifetime);
   }
   EXPECT_GT(a.tenants.size(), 20u) << "0.5/s over 120s";
