@@ -52,8 +52,10 @@ void Run(bench::BenchContext& ctx) {
       }
     }
     if (best_workers < 0) {
-      PrintRow(ToString(kind), {">" + std::to_string(max_workers), "-", "-",
-                                "-"});
+      // Appended, not ">" + ...: GCC 12 -O3 warns -Wrestrict on that.
+      PrintRow(ToString(kind),
+               {std::string(">").append(std::to_string(max_workers)), "-",
+                "-", "-"});
       ctx.Metric(ToString(kind) + ".min_workers", -1);
       continue;
     }

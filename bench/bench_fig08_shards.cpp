@@ -68,7 +68,8 @@ void Run(bench::BenchContext& ctx) {
     served.push_back(tps);
     met.push_back(met_rate);
 
-    const std::string tag = "s" + std::to_string(shards);
+    // Appended, not "s" + ...: GCC 12 -O3 warns -Wrestrict on that.
+    const std::string tag = std::string("s").append(std::to_string(shards));
     char mb[32];
     std::snprintf(mb, sizeof(mb), "%.2f",
                   static_cast<double>(r.wire_bytes) / (1024.0 * 1024.0));

@@ -26,7 +26,9 @@ int main() {
 
   std::vector<QueryHandle> tenants;
   for (std::size_t i = 0; i < token_rates.size(); ++i) {
-    QuerySpec spec = MakeLatencySensitiveSpec("J" + std::to_string(i + 1));
+    // Appended, not "J" + ...: GCC 12 -O3 warns -Wrestrict on that.
+    QuerySpec spec = MakeLatencySensitiveSpec(
+        std::string("J").append(std::to_string(i + 1)));
     spec.sources = 2;
     spec.aggs = 2;
     spec.token_rate_per_sec = token_rates[i];

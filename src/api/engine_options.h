@@ -3,8 +3,13 @@
 // The shared knobs (workers, scheduler, policy, semantics, seed) live at the
 // top level; knobs only one backend can honour live in the `sim` and
 // `wallclock` sub-structs, so it is explicit which settings survive a
-// backend swap. `sim::Cluster` reads these options directly, and the scenario
-// builders (bench_util/scenarios.h) embed them, so a knob is spelled once.
+// backend swap. `sim::Cluster` and its `shard::ShardRuntime` read these
+// options directly, and the scenario builders (bench_util/scenarios.h) embed
+// them, so a knob is spelled once.
+//
+// A value that no scenario, example or benchmark varies is a documented
+// constant beside its code instead (e.g. kNetworkDelay in sim/cluster.cpp,
+// shard::kDefaultLink, the SessionLayer timers; DESIGN.md §2 lists them).
 #pragma once
 
 #include <cstddef>
@@ -47,12 +52,6 @@ struct EngineOptions {
 
   /// Knobs only the simulated backend can honour.
   struct SimOptions {
-    Duration network_delay = kMillisecond;  // VM-to-VM hop
-    /// Cross-shard link delay model (only meaningful with shards > 1):
-    /// delay = base + jitter * U[0,1), per-channel monotone, seeded from the
-    /// run seed (deterministic replays).
-    Duration shard_link_delay = kMillisecond;
-    Duration shard_link_jitter = Micros(100);
     /// Charged when a worker switches operators (cache refill, activation
     /// swap); drives the Fig. 14 quantum trade-off.
     Duration switch_cost = Micros(20);
@@ -87,16 +86,13 @@ struct EngineOptions {
 };
 
 /// Aborts naming the offending field when `o` cannot be honoured: worker and
-/// shard bounds, negative delays or costs (which would otherwise surface as
-/// an event scheduled in the past), a straggler probability outside [0, 1],
+/// shard bounds, a negative switch cost (which would otherwise surface as an
+/// event scheduled in the past), a straggler probability outside [0, 1],
 /// or an unknown policy name (printed with the roster). Called by every
 /// constructor that consumes EngineOptions.
 inline void ValidateEngineOptions(const EngineOptions& o) {
   CAMEO_EXPECTS(o.workers >= 1 && o.workers <= Scheduler::kMaxWorkers);
   CAMEO_EXPECTS(o.shards >= 1);
-  CAMEO_EXPECTS(o.sim.network_delay >= 0);
-  CAMEO_EXPECTS(o.sim.shard_link_delay >= 0);
-  CAMEO_EXPECTS(o.sim.shard_link_jitter >= 0);
   CAMEO_EXPECTS(o.sim.switch_cost >= 0);
   CAMEO_EXPECTS(o.sim.straggler_prob >= 0 && o.sim.straggler_prob <= 1);
   CheckPolicyName(o.policy);

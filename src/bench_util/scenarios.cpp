@@ -144,7 +144,9 @@ TokenScenarioResult RunTokenScenario(const TokenScenarioOptions& opt) {
 
   std::vector<QueryHandle> handles;
   for (std::size_t i = 0; i < opt.token_rates.size(); ++i) {
-    QuerySpec spec = MakeLatencySensitiveSpec("J" + std::to_string(i + 1));
+    // Appended, not "J" + ...: GCC 12 -O3 warns -Wrestrict on that.
+    QuerySpec spec = MakeLatencySensitiveSpec(
+        std::string("J").append(std::to_string(i + 1)));
     spec.sources = opt.sources_per_job;
     spec.aggs = 2;
     spec.token_rate_per_sec = opt.token_rates[i];
@@ -200,7 +202,8 @@ ChurnScenarioResult RunChurnScenario(const ChurnScenarioOptions& opt) {
   ChurnScenarioResult out;
   out.script = GenerateTenantChurn(opt.churn, churn_rng);
   for (const TenantInterval& ti : out.script.tenants) {
-    QuerySpec spec = MakeLatencySensitiveSpec("T" + std::to_string(ti.tenant));
+    QuerySpec spec = MakeLatencySensitiveSpec(
+        std::string("T").append(std::to_string(ti.tenant)));
     spec.sources = opt.tenant_sources;
     spec.aggs = opt.tenant_aggs;
     spec.latency_constraint = opt.tenant_constraint;

@@ -70,7 +70,7 @@ void StrideFair::AssignPriority(PriorityContext& pc, const ReplyContext& /*rc*/,
     // Stride join rule: start at the global pass floor so a late tenant
     // neither monopolizes workers (pass too low) nor starves (too high).
     js.pass = pass_floor_;
-    js.stride = kStrideScale / std::max<std::int64_t>(1, opts_.tickets);
+    js.stride = kStrideScale / kTickets;
     ++joins_;
   }
   pc.pri_global = js.pass;
@@ -91,9 +91,8 @@ void LotteryFair::AssignPriority(PriorityContext& pc,
   // Exponential race: min-of-exponentials wins proportionally to tickets,
   // so ordering pending messages by this draw is a ticket-weighted lottery.
   double u = std::max(rng_.Uniform01(), 1e-12);
-  double tickets =
-      static_cast<double>(std::max<std::int64_t>(1, opts_.tickets));
-  pc.pri_global = static_cast<Priority>(-std::log(u) * kLotteryScale / tickets);
+  pc.pri_global = static_cast<Priority>(-std::log(u) * kLotteryScale /
+                                        static_cast<double>(kTickets));
   ++draws_;
 }
 
@@ -114,7 +113,7 @@ void MultiLevelFeedback::AssignPriority(PriorityContext& pc,
 void MultiLevelFeedback::OnInvoked(OperatorId op, JobId /*job*/,
                                    Duration measured, SimTime now) {
   std::lock_guard lock(mu_);
-  if (now - last_boost_ >= opts_.mlfq_boost_period) {
+  if (now - last_boost_ >= kMlfqBoostPeriod) {
     // Periodic boost: everyone back to the top level (starvation escape).
     for (auto& [id, st] : ops_) st = OpState{};
     last_boost_ = now;
@@ -122,7 +121,7 @@ void MultiLevelFeedback::OnInvoked(OperatorId op, JobId /*job*/,
   }
   OpState& st = ops_[op];
   st.consumed += measured;
-  if (st.level < opts_.mlfq_levels - 1 && st.consumed >= AllotmentLocked(st.level)) {
+  if (st.level < kMlfqLevels - 1 && st.consumed >= AllotmentLocked(st.level)) {
     ++st.level;
     st.consumed = 0;
     ++demotions_;
@@ -168,16 +167,16 @@ constexpr PolicyRegistration kRegistry[] = {
        return std::make_unique<TokenFair>();
      }},
     {"Stride",
-     [](const PolicyOptions& o) -> std::unique_ptr<SchedulingPolicy> {
-       return std::make_unique<StrideFair>(o);
+     [](const PolicyOptions&) -> std::unique_ptr<SchedulingPolicy> {
+       return std::make_unique<StrideFair>();
      }},
     {"Lottery",
      [](const PolicyOptions& o) -> std::unique_ptr<SchedulingPolicy> {
        return std::make_unique<LotteryFair>(o);
      }},
     {"MLFQ",
-     [](const PolicyOptions& o) -> std::unique_ptr<SchedulingPolicy> {
-       return std::make_unique<MultiLevelFeedback>(o);
+     [](const PolicyOptions&) -> std::unique_ptr<SchedulingPolicy> {
+       return std::make_unique<MultiLevelFeedback>();
      }},
 };
 

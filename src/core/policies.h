@@ -15,7 +15,7 @@
 //                  unprofiled operators run first, FIFO by message id
 //   TokenFair:     token timestamp, or the floor when untokened (§5.4)
 //   Stride:        deterministic fair share — each job advances a pass value
-//                  by stride = kStrideScale / tickets per assigned message;
+//                  by stride = kStrideScale / kTickets per assigned message;
 //                  new jobs join at the global pass floor
 //   Lottery:       randomized fair share — an exponential-race draw per
 //                  message from a PRNG seeded off the run seed, so
@@ -59,15 +59,17 @@ class CostReader;  // core/profiler.h
 /// any future randomized policy) so a fixed-seed run replays bit-identically.
 struct PolicyOptions {
   std::uint64_t seed = 1;
-  /// Tickets per job for the fair-share policies (equal shares by default;
-  /// relative values only matter once per-job weights are plumbed through).
-  std::int64_t tickets = 100;
-  /// MLFQ: number of levels, level-0 service allotment (doubles per level),
-  /// and the periodic boost interval that returns every operator to level 0.
-  int mlfq_levels = 4;
-  Duration mlfq_quantum = Millis(10);
-  Duration mlfq_boost_period = Seconds(1);
 };
+
+/// Tickets per job for the fair-share policies (Stride, Lottery): every job
+/// holds the same count until per-job weights are plumbed through.
+inline constexpr std::int64_t kTickets = 100;
+
+/// MLFQ: number of levels, level-0 service allotment (doubles per level),
+/// and the periodic boost interval that returns every operator to level 0.
+inline constexpr int kMlfqLevels = 4;
+inline constexpr Duration kMlfqQuantum = Millis(10);
+inline constexpr Duration kMlfqBoostPeriod = Seconds(1);
 
 /// One named per-policy statistic (demotions, boosts, cold starts, ...),
 /// surfaced through RunResult::policy_counters and the fig11 tournament.
@@ -152,14 +154,13 @@ class TokenFair final : public SchedulingPolicy {
 
 /// Deterministic stride fair sharing across jobs: job J's messages carry its
 /// pass value as PRI_global, and each assignment advances the pass by
-/// stride(J) = kStrideScale / tickets(J). With equal tickets the cluster
+/// stride(J) = kStrideScale / kTickets. With equal tickets the cluster
 /// round-robins messages across jobs regardless of offered load. A job's
 /// first message joins at the global pass floor (the largest pass already
 /// handed out), so a late joiner cannot monopolize workers while it catches
 /// up — the classic stride-scheduling join rule.
 class StrideFair final : public SchedulingPolicy {
  public:
-  explicit StrideFair(const PolicyOptions& opts) : opts_(opts) {}
 
   void AssignPriority(PriorityContext& pc, const ReplyContext& rc,
                       OperatorId target) override;
@@ -174,7 +175,6 @@ class StrideFair final : public SchedulingPolicy {
     std::int64_t stride = 0;
   };
 
-  PolicyOptions opts_;
   mutable std::mutex mu_;
   std::unordered_map<JobId, JobState> jobs_;
   std::int64_t pass_floor_ = 0;  // max pass assigned so far (monotone)
@@ -182,14 +182,14 @@ class StrideFair final : public SchedulingPolicy {
 };
 
 /// Randomized lottery fair sharing: every message draws PRI_global from an
-/// exponential race (pri = −ln(U) · kScale / tickets), so dispatch order is
-/// a ticket-weighted lottery among pending messages. The PRNG is seeded
-/// from PolicyOptions::seed — the draw sequence, and therefore the whole
-/// schedule, replays bit-identically for a fixed seed.
+/// exponential race (pri = −ln(U) · kLotteryScale / kTickets), so dispatch
+/// order is a ticket-weighted lottery among pending messages. The PRNG is
+/// seeded from PolicyOptions::seed — the draw sequence, and therefore the
+/// whole schedule, replays bit-identically for a fixed seed.
 class LotteryFair final : public SchedulingPolicy {
  public:
   explicit LotteryFair(const PolicyOptions& opts)
-      : opts_(opts), rng_(opts.seed ^ 0xA5A5A5A55A5A5A5AULL) {}
+      : rng_(opts.seed ^ 0xA5A5A5A55A5A5A5AULL) {}
 
   void AssignPriority(PriorityContext& pc, const ReplyContext& rc,
                       OperatorId target) override;
@@ -199,7 +199,6 @@ class LotteryFair final : public SchedulingPolicy {
   static constexpr double kLotteryScale = 1e9;
 
  private:
-  PolicyOptions opts_;
   mutable std::mutex mu_;
   Rng rng_;
   std::int64_t draws_ = 0;
@@ -207,16 +206,14 @@ class LotteryFair final : public SchedulingPolicy {
 
 /// Multi-level feedback queue over operators: every operator starts at level
 /// 0 (most urgent); when its consumed service since the last level change
-/// exceeds the level's allotment (mlfq_quantum · 2^level) it is demoted one
-/// level, and every mlfq_boost_period all operators are boosted back to
+/// exceeds the level's allotment (kMlfqQuantum · 2^level) it is demoted one
+/// level, and every kMlfqBoostPeriod all operators are boosted back to
 /// level 0 (starvation escape). PRI_global = level · kLevelBand + a
 /// monotone sequence number, so dispatch is strict level order with FIFO
 /// inside each level. Demotion is driven by OnInvoked feedback (measured
 /// invocation cost), i.e. by service actually consumed, not estimates.
 class MultiLevelFeedback final : public SchedulingPolicy {
  public:
-  explicit MultiLevelFeedback(const PolicyOptions& opts) : opts_(opts) {}
-
   void AssignPriority(PriorityContext& pc, const ReplyContext& rc,
                       OperatorId target) override;
   void OnInvoked(OperatorId op, JobId job, Duration measured,
@@ -238,10 +235,9 @@ class MultiLevelFeedback final : public SchedulingPolicy {
   };
 
   Duration AllotmentLocked(int level) const {
-    return opts_.mlfq_quantum << level;
+    return kMlfqQuantum << level;
   }
 
-  PolicyOptions opts_;
   mutable std::mutex mu_;
   std::unordered_map<OperatorId, OpState> ops_;
   std::int64_t seq_ = 0;

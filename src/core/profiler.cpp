@@ -17,8 +17,8 @@ void CostProfiler::Record(OperatorId op, Duration measured) {
   if (e.count == 0) {
     e.ewma = static_cast<double>(measured);
   } else {
-    e.ewma = smoothing_ * static_cast<double>(measured) +
-             (1.0 - smoothing_) * e.ewma;
+    e.ewma = kSmoothing * static_cast<double>(measured) +
+             (1.0 - kSmoothing) * e.ewma;
   }
   ++e.count;
 }

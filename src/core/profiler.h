@@ -36,9 +36,10 @@ class CostReader {
 
 class CostProfiler : public CostReader {
  public:
-  /// `smoothing` is the EWMA weight of the newest sample, in (0, 1].
-  explicit CostProfiler(double smoothing = 0.25, std::uint64_t noise_seed = 7)
-      : smoothing_(smoothing), noise_rng_(noise_seed) {}
+  /// EWMA weight of the newest sample.
+  static constexpr double kSmoothing = 0.25;
+  /// `noise_seed` seeds the perturbation noise (SetPerturbation).
+  explicit CostProfiler(std::uint64_t noise_seed = 7) : noise_rng_(noise_seed) {}
 
   /// Records one measured invocation cost.
   void Record(OperatorId op, Duration measured);
@@ -57,7 +58,6 @@ class CostProfiler : public CostReader {
 
   /// Enables Fig. 16-style perturbation of reported estimates.
   void SetPerturbation(Duration sigma) { perturb_sigma_ = sigma; }
-  Duration perturbation() const { return perturb_sigma_; }
 
   std::uint64_t samples(OperatorId op) const;
 
@@ -69,7 +69,6 @@ class CostProfiler : public CostReader {
 
   Entry& entry(OperatorId op);
 
-  double smoothing_;
   Duration perturb_sigma_ = 0;
   IdTable<OperatorId, Entry> entries_;
   mutable Rng noise_rng_;

@@ -8,10 +8,14 @@
 // tokened traffic is pending.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "common/check.h"
 #include "common/time.h"
+#include "core/context_converter.h"
+#include "dataflow/graph.h"
 
 namespace cameo {
 
@@ -47,14 +51,36 @@ class TokenBucket {
     return t;
   }
 
-  std::int64_t budget() const { return budget_; }
-  Duration interval() const { return interval_; }
-
  private:
   std::int64_t budget_;
   Duration interval_;
   std::int64_t current_interval_ = -1;
   std::int64_t used_ = 0;
+};
+
+/// One source replica's share of its job's token rate (at least 1 token per
+/// second), or none when the job sets no rate. Both backends stamp every
+/// source event through one, so a rate means the same on either.
+class SourceTokens {
+ public:
+  SourceTokens() = default;
+  explicit SourceTokens(const JobSpec& spec) {
+    if (spec.token_rate_per_sec <= 0) return;
+    bucket_.emplace(std::max<std::int64_t>(
+        1, static_cast<std::int64_t>(spec.token_rate_per_sec)));
+  }
+
+  /// Stamps `e` with the token granted at its arrival `e.t`, if any.
+  void Fill(SourceEvent& e) {
+    if (!bucket_) return;
+    const TokenBucket::Token t = bucket_->TryAcquire(e.t);
+    e.has_token = t.granted;
+    e.token_tag = t.tag;
+    e.token_interval = t.interval_id;
+  }
+
+ private:
+  std::optional<TokenBucket> bucket_;
 };
 
 }  // namespace cameo

@@ -112,7 +112,7 @@ AggKernel::AggKernel(AggKind kind, bool per_key, AggParams params)
 LogHistogram& AggKernel::Sketch(AggWindowState& w) const {
   if (w.sketch == nullptr) {
     w.sketch = std::make_unique<LogHistogram>(
-        params_.sketch_min, params_.sketch_base, params_.sketch_buckets);
+        kSketchMin, kSketchBase, kSketchBuckets);
   }
   return *w.sketch;
 }

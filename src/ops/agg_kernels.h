@@ -49,11 +49,13 @@ enum class AggKind { kSum, kCount, kMax, kTopK, kPercentile, kOhlc };
 struct AggParams {
   int top_k = 3;           // kTopK: number of keys emitted per window
   double quantile = 95.0;  // kPercentile: q in [0, 100]
-  // kPercentile sketch shape (LogHistogram buckets; relative error ~base-1).
-  double sketch_min = 1e-6;
-  double sketch_base = 1.05;
-  std::size_t sketch_buckets = 512;
 };
+
+/// kPercentile sketch shape: LogHistogram buckets from kSketchMin growing by
+/// kSketchBase (relative error ~kSketchBase - 1), kSketchBuckets of them.
+inline constexpr double kSketchMin = 1e-6;
+inline constexpr double kSketchBase = 1.05;
+inline constexpr std::size_t kSketchBuckets = 512;
 
 /// One pass of window assignment over a batch's time column: rows grouped by
 /// their *first* window end, ceil(t/S)*S (inclusive-right window model, see

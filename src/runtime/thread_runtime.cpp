@@ -79,7 +79,8 @@ void ThreadRuntime::RegisterJobTables(JobId job) {
     // take its slow path concurrently.
     profiler_.Seed(op, 0);
     if (graph_.Get(op).is_source()) {
-      sources_.GetOrCreate(op, [] { return std::make_unique<SourceState>(); });
+      sources_.GetOrCreate(
+          op, [&] { return std::make_unique<SourceState>(spec); });
     }
   }
   job_states_.GetOrCreate(job, [] { return std::make_unique<JobState>(); });
@@ -245,7 +246,8 @@ bool ThreadRuntime::IngestBatch(OperatorId source, EventBatch batch) {
     batch.progress = src->last_progress + 1;
   }
   src->last_progress = batch.progress;
-  const SourceEvent e{.p = batch.progress, .t = t};
+  SourceEvent e{.p = batch.progress, .t = t};
+  src->tokens.Fill(e);
   Message m = SourceMessage(latency_, converter(source), op, spec, e,
                             NextMessageId(), std::move(batch));
   // The guard increment above already counted this message for the job;

@@ -46,6 +46,7 @@
 #include "common/rng.h"
 #include "core/context_converter.h"
 #include "core/profiler.h"
+#include "core/token_bucket.h"
 #include "dataflow/graph.h"
 #include "metrics/sharded_latency.h"
 #include "sched/scheduler.h"
@@ -134,8 +135,10 @@ class ThreadRuntime {
 
  private:
   struct alignas(64) SourceState {
-    std::mutex mu;  // per-channel in-order guarantee
+    explicit SourceState(const JobSpec& spec) : tokens(spec) {}
+    std::mutex mu;  // per-channel in-order guarantee; guards the fields below
     LogicalTime last_progress = 0;
+    SourceTokens tokens;  // the job's ingestion share (§5.4)
   };
   /// Per-job in-flight accounting and the ingest gate. The guard protocol:
   /// Ingest increments `inflight` *before* reading `live`, and RemoveQuery

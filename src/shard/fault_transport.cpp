@@ -104,7 +104,7 @@ SimTime FaultInjectingTransport::Send(int from, int to, SimTime now,
   SimTime send_at = now;
   if (plan_.delay_rate > 0 && ch.rng.Chance(plan_.delay_rate)) {
     delayed_.fetch_add(1, std::memory_order_relaxed);
-    send_at += plan_.delay_spike;
+    send_at += kDelaySpike;
   }
   if (plan_.corrupt_rate > 0 && ch.rng.Chance(plan_.corrupt_rate) &&
       !frame.bytes.empty()) {

@@ -13,7 +13,7 @@
 //    later on the FIFO inner channel and must be deduped by seq.
 //  - **Corrupt**: one byte is flipped in flight; the codec checksum catches
 //    it at the receiver, which sees a hole where the seq should have been.
-//  - **Delay spike**: the frame is sent as if `delay_spike` later. The inner
+//  - **Delay spike**: the frame is sent as if `kDelaySpike` later. The inner
 //    transport's monotone clamp turns this into head-of-line blocking for
 //    the whole channel -- the same stall a retransmitting TCP link shows.
 //  - **Reorder**: the frame is held back and shipped after the channel's
@@ -58,6 +58,10 @@ struct StallWindow {
   SimTime end = 0;
 };
 
+/// Extra latency a delay-spiked frame (and, via the inner transport's
+/// monotone clamp, everything behind it) suffers.
+inline constexpr Duration kDelaySpike = Millis(20);
+
 /// The fault schedule. All rates are per-frame probabilities in [0, 1],
 /// drawn independently per (from, to) channel from a seeded Rng.
 struct FaultPlan {
@@ -66,9 +70,6 @@ struct FaultPlan {
   double corrupt_rate = 0;
   double delay_rate = 0;
   double reorder_rate = 0;
-  /// Extra latency a delay-spiked frame (and, via the inner transport's
-  /// monotone clamp, everything behind it) suffers.
-  Duration delay_spike = Millis(20);
   std::vector<PartitionWindow> partitions;
   std::vector<StallWindow> stalls;
   std::uint64_t seed = 1;

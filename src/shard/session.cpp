@@ -91,15 +91,14 @@ struct SessionLayer::RecvState {
   /// Hands seq next_expected to the app, stamped with the channel's
   /// monotone release time, and arms the delayed ack. Returns whether the
   /// every-N threshold calls for an ack now.
-  bool Deliver(WireFrame f, WireFrame& out, SimTime now,
-               const SessionConfig& cfg) {
+  bool Deliver(WireFrame f, WireFrame& out, SimTime now) {
     const std::uint64_t seq = next_expected;
     Advance();
-    ack_deadline = MinTime(ack_deadline, now + cfg.ack_delay);
+    ack_deadline = MinTime(ack_deadline, now + kAckDelay);
     release_clock = std::max(release_clock, f.deliver_at);
     f.deliver_at = release_clock;
     out = std::move(f);
-    return seq - last_acked >= static_cast<std::uint64_t>(cfg.ack_every);
+    return seq - last_acked >= static_cast<std::uint64_t>(kAckEvery);
   }
 };
 
@@ -112,8 +111,6 @@ SessionLayer::SessionLayer(SessionConfig cfg, Transport* transport)
     : cfg_(cfg), transport_(transport) {
   CAMEO_EXPECTS(transport_ != nullptr);
   CAMEO_EXPECTS(cfg_.window >= 1);
-  CAMEO_EXPECTS(cfg_.rto_initial > 0 && cfg_.rto_max >= cfg_.rto_initial);
-  CAMEO_EXPECTS(cfg_.rto_backoff >= 1.0);
 }
 
 SessionLayer::~SessionLayer() {
@@ -136,8 +133,8 @@ void SessionLayer::Start(int num_shards) {
   for (int from = 0; from < num_shards; ++from) {
     for (int to = 0; to < num_shards; ++to) {
       auto ch = std::make_unique<Channel>();
-      ch->send.rto = cfg_.rto_initial;
-      ch->send.rto_current = cfg_.rto_initial;
+      ch->send.rto = kRtoInitial;
+      ch->send.rto_current = kRtoInitial;
       ch->send.rng = Rng(cfg_.seed * 0xA24BAED4963EE407ULL +
                          static_cast<std::uint64_t>(from) * 0x10001ULL +
                          static_cast<std::uint64_t>(to));
@@ -189,7 +186,7 @@ void SessionLayer::ArmRtoLocked(SendState& ss, SimTime now) const {
       ss.unacked.empty()
           ? kTimeMax
           : now + ss.rto_current +
-                static_cast<Duration>(static_cast<double>(cfg_.rto_jitter) *
+                static_cast<Duration>(static_cast<double>(kRtoJitter) *
                                       ss.rng.Uniform01());
 }
 
@@ -284,8 +281,8 @@ void SessionLayer::ProcessAck(int self, int peer, AckSnapshot a, SimTime now,
       ss.rttvar = (3 * ss.rttvar + err) / 4;
       ss.srtt = (7 * ss.srtt + r) / 8;
     }
-    ss.rto = std::clamp(ss.srtt + std::max(cfg_.ack_delay, 4 * ss.rttvar),
-                        Duration{1}, cfg_.rto_max);
+    ss.rto = std::clamp(ss.srtt + std::max(kAckDelay, 4 * ss.rttvar),
+                        Duration{1}, kRtoMax);
     ss.rto_current = ss.rto;
   }
 
@@ -362,7 +359,7 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
         WireFrame& slot = rs.ring[rs.next_expected % window];
         WireFrame f = std::move(slot);
         slot.bytes.clear();
-        ack_now = rs.Deliver(std::move(f), out, now, cfg_);
+        ack_now = rs.Deliver(std::move(f), out, now);
       }
       if (ack_now) SendStandaloneAck(to, src, now, nullptr);
       delivered_.fetch_add(1, std::memory_order_relaxed);
@@ -412,7 +409,7 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
         rs.ack_deadline = MinTime(rs.ack_deadline, now);
         ReleaseFrame(std::move(f));
       } else if (seq == ne) {
-        ack_now = rs.Deliver(std::move(f), out, now, cfg_);
+        ack_now = rs.Deliver(std::move(f), out, now);
         deliver = true;
       } else {
         // Out of order: hold it. The sender never has more than `window`
@@ -428,7 +425,7 @@ bool SessionLayer::Receive(int to, SimTime now, WireFrame& out, int& from) {
           rs.Publish();
         }
         out_of_order_.fetch_add(1, std::memory_order_relaxed);
-        rs.ack_deadline = MinTime(rs.ack_deadline, now + cfg_.ack_delay);
+        rs.ack_deadline = MinTime(rs.ack_deadline, now + kAckDelay);
         ack_now = std::popcount(rs.sack) <= kDupThresh;
       }
     }
@@ -469,8 +466,8 @@ SimTime SessionLayer::Service(int shard, SimTime now,
         if (deliveries != nullptr) deliveries->emplace_back(p, at);
         ss.rto_current = std::min(
             static_cast<Duration>(static_cast<double>(ss.rto_current) *
-                                  cfg_.rto_backoff),
-            cfg_.rto_max);
+                                  kRtoBackoff),
+            kRtoMax);
         ArmRtoLocked(ss, now);
       } else if (ss.rto_deadline <= now) {
         ss.rto_deadline = kTimeMax;  // everything acked meanwhile
@@ -489,24 +486,6 @@ SimTime SessionLayer::Service(int shard, SimTime now,
     {
       std::lock_guard lock(rs.mu);
       next = MinTime(next, rs.ack_deadline);
-    }
-  }
-  return next;
-}
-
-SimTime SessionLayer::NextDeadline(int shard) const {
-  SimTime next = kTimeMax;
-  for (int p = 0; p < num_shards_; ++p) {
-    if (p == shard) continue;
-    const Channel& out_ch = ChannelAt(shard, p);
-    const Channel& in_ch = ChannelAt(p, shard);
-    {
-      std::lock_guard lock(out_ch.send.mu);
-      next = MinTime(next, out_ch.send.rto_deadline);
-    }
-    {
-      std::lock_guard lock(in_ch.recv.mu);
-      next = MinTime(next, in_ch.recv.ack_deadline);
     }
   }
   return next;

@@ -23,9 +23,9 @@
 //    kDupThresh (3) sacked frames above it is a hole: it is re-sent at once,
 //    once per hole, about one round trip after the loss.
 //  - **RTT-fitted retransmit timer.** The timer follows RFC 6298: SRTT and
-//    RTTVAR from measured round trips, RTO = SRTT + max(ack_delay,
-//    4 RTTVAR) capped at rto_max, exponential backoff with seeded jitter
-//    between expiries, and `rto_initial` only until the first sample. A
+//    RTTVAR from measured round trips, RTO = SRTT + max(kAckDelay,
+//    4 RTTVAR) capped at kRtoMax, exponential backoff with seeded jitter
+//    between expiries, and `kRtoInitial` only until the first sample. A
 //    sample comes only from a frame's first evidence of receipt -- its SACK
 //    bit, or a cumulative ack with no hole below it -- for a seq the
 //    receiver's previous ack already covered, and never from a
@@ -73,18 +73,6 @@ struct SessionConfig {
   /// Max stamped-and-transmitted frames per channel awaiting a cumulative
   /// ack; also the receiver's reorder-ring size.
   int window = 64;
-  /// Retransmit timer: the value used until the first RTT sample, the cap,
-  /// the backoff multiplier, and the width of the seeded uniform jitter
-  /// added to every arming.
-  Duration rto_initial = Millis(10);
-  Duration rto_max = Millis(500);
-  double rto_backoff = 2.0;
-  Duration rto_jitter = Millis(2);
-  /// Standalone-ack fallback for in-order arrivals: a delayed-ack timer,
-  /// plus an immediate ack once this many deliveries are unacknowledged.
-  /// The retransmit timer never fires sooner than one ack_delay past SRTT.
-  Duration ack_delay = Millis(3);
-  int ack_every = 8;
   std::uint64_t seed = 1;
 };
 
@@ -94,6 +82,20 @@ class SessionLayer {
   static constexpr int kDupThresh = 3;
   /// Seqs after the cumulative ack that one SACK bitmap covers.
   static constexpr int kSackBits = 16;
+  /// Retransmit timer: the value used until the first RTT sample, the cap,
+  /// the backoff multiplier, and the width of the seeded uniform jitter
+  /// added to every arming.
+  static constexpr Duration kRtoInitial = Millis(10);
+  static constexpr Duration kRtoMax = Millis(500);
+  static constexpr double kRtoBackoff = 2.0;
+  static constexpr Duration kRtoJitter = Millis(2);
+  /// Standalone-ack fallback for in-order arrivals: a delayed-ack timer,
+  /// plus an immediate ack once this many deliveries are unacknowledged.
+  /// The retransmit timer never fires sooner than one kAckDelay past SRTT.
+  static constexpr Duration kAckDelay = Millis(3);
+  static constexpr int kAckEvery = 8;
+  static_assert(kRtoInitial > 0 && kRtoMax >= kRtoInitial);
+  static_assert(kRtoBackoff >= 1.0);
 
   /// `transport` is not owned and must already be Start()ed by the caller
   /// before traffic flows.
@@ -121,11 +123,8 @@ class SessionLayer {
   SimTime Service(int shard, SimTime now,
                   std::vector<std::pair<int, SimTime>>* deliveries);
 
-  /// Earliest pending timer for `shard` without firing anything.
-  SimTime NextDeadline(int shard) const;
-
   /// Current retransmit timeout of the (from, to) channel, without backoff
-  /// or jitter: `rto_initial` until the first RTT sample.
+  /// or jitter: `kRtoInitial` until the first RTT sample.
   Duration CurrentRto(int from, int to) const;
 
   /// Session counters only (retransmits and their fast/timeout split,

@@ -5,45 +5,47 @@
 
 namespace cameo::shard {
 
-ShardRuntime::ShardRuntime(ShardRuntimeOptions opts)
-    : opts_(std::move(opts)),
-      placement_(opts_.num_shards, opts_.seed),
-      transport_(std::move(opts_.transport)) {
-  CAMEO_EXPECTS(opts_.num_shards >= 1);
-  CAMEO_EXPECTS(opts_.workers_per_shard >= 1 &&
-                opts_.workers_per_shard <= Scheduler::kMaxWorkers);
-  shards_.reserve(static_cast<std::size_t>(opts_.num_shards));
-  for (int s = 0; s < opts_.num_shards; ++s) {
+ShardRuntime::ShardRuntime(const EngineOptions& options,
+                           std::unique_ptr<Transport> transport)
+    : num_shards_(options.shards),
+      workers_per_shard_(options.workers),
+      admission_limit_(options.sim.admission_limit),
+      placement_(options.shards, options.seed),
+      transport_(std::move(transport)) {
+  ValidateEngineOptions(options);
+  shards_.reserve(static_cast<std::size_t>(num_shards_));
+  for (int s = 0; s < num_shards_; ++s) {
     Shard sh;
-    // Same constructor arguments for every shard -- and, at num_shards == 1,
+    // Same constructor arguments for every shard -- and, at one shard,
     // exactly the arguments the pre-shard runtime passed, which is half of
     // the bit-identity argument (the other half: no cross-shard edges).
-    sh.policy = MakePolicy(opts_.policy, PolicyOptions{.seed = opts_.seed});
+    sh.policy = MakePolicy(options.policy, PolicyOptions{.seed = options.seed});
     sh.scheduler =
-        MakeScheduler(opts_.scheduler, opts_.workers_per_shard, opts_.sched);
+        MakeScheduler(options.scheduler, workers_per_shard_, options.sched);
     shards_.push_back(std::move(sh));
   }
   if (transport_ == nullptr) {
-    transport_ = std::make_unique<InprocTransport>(opts_.link, opts_.seed);
+    transport_ = std::make_unique<InprocTransport>(kDefaultLink, options.seed);
   }
   // Chaos wiring: an armed fault plan wraps the transport in the injecting
   // decorator and force-enables the session layer (raw faults without
   // reliable delivery would break the watermark contract). Default seeds are
   // re-keyed to the run seed so `seed` alone reproduces a chaos run.
   wire_ = transport_.get();
-  if (opts_.faults.any()) {
-    if (opts_.faults.seed == 1) opts_.faults.seed = opts_.seed;
+  SessionConfig session = options.sim.shard_session;
+  if (options.sim.shard_faults.any()) {
+    FaultPlan faults = options.sim.shard_faults;
+    if (faults.seed == 1) faults.seed = options.seed;
     fault_transport_ =
-        std::make_unique<FaultInjectingTransport>(transport_.get(),
-                                                  opts_.faults);
+        std::make_unique<FaultInjectingTransport>(transport_.get(), faults);
     wire_ = fault_transport_.get();
-    opts_.session.enabled = true;
+    session.enabled = true;
   }
-  wire_->Start(opts_.num_shards);
-  if (opts_.session.enabled) {
-    if (opts_.session.seed == 1) opts_.session.seed = opts_.seed;
-    session_ = std::make_unique<SessionLayer>(opts_.session, wire_);
-    session_->Start(opts_.num_shards);
+  wire_->Start(num_shards_);
+  if (session.enabled) {
+    if (session.seed == 1) session.seed = options.seed;
+    session_ = std::make_unique<SessionLayer>(session, wire_);
+    session_->Start(num_shards_);
   }
 }
 
@@ -52,11 +54,11 @@ void ShardRuntime::BindCostReader(const CostReader* reader) {
 }
 
 bool ShardRuntime::ShouldShed(const Shard& sh, const Message& m) const {
-  if (opts_.admission_limit == 0) return false;
+  if (admission_limit_ == 0) return false;
   const std::size_t pending = sh.scheduler->pending();
-  if (pending < opts_.admission_limit) return false;
+  if (pending < admission_limit_) return false;
   // Hard limit: refuse everything rather than grow without bound.
-  if (pending >= 2 * opts_.admission_limit) return true;
+  if (pending >= 2 * admission_limit_) return true;
   // Soft band: refuse work less urgent (larger PRI_global) than what the
   // shard has been admitting, so deadline-critical messages still get in
   // while background work absorbs the shedding.
@@ -72,7 +74,7 @@ int ShardRuntime::Enqueue(Message m, WorkerId global_producer, SimTime now) {
     m.batch.Recycle();  // shedding must not leak pooled columns
     return shard;
   }
-  if (opts_.admission_limit > 0) {
+  if (admission_limit_ > 0) {
     // EWMA in x16 fixed point with alpha = 1/16.
     const std::int64_t pri = m.pc.pri_global * 16;
     std::int64_t ewma = sh.admit_pri_ewma.load(std::memory_order_relaxed);
@@ -147,12 +149,6 @@ SimTime ShardRuntime::ServiceSession(
   return session_->Service(shard, now, deliveries);
 }
 
-SimTime ShardRuntime::NextSessionDeadline(int shard) const {
-  if (session_ == nullptr) return kTimeMax;
-  Idx(shard);  // bounds check
-  return session_->NextDeadline(shard);
-}
-
 SchedulerStats ShardRuntime::MergedSchedStats() const {
   SchedulerStats total;
   for (const Shard& sh : shards_) {
@@ -192,12 +188,12 @@ std::size_t ShardRuntime::TotalPending() const {
 }
 
 std::int64_t ShardRuntime::RetireOperators(const std::vector<OperatorId>& ops) {
-  if (opts_.num_shards == 1) {
+  if (num_shards_ == 1) {
     return shards_[0].scheduler->RetireOperators(ops);
   }
   std::int64_t purged = 0;
   std::vector<OperatorId> local;
-  for (int s = 0; s < opts_.num_shards; ++s) {
+  for (int s = 0; s < num_shards_; ++s) {
     local.clear();
     for (OperatorId op : ops) {
       if (ShardOf(op) == s) local.push_back(op);

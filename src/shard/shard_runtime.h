@@ -34,9 +34,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
+#include "api/engine_options.h"
 #include "core/policies.h"
 #include "sched/scheduler.h"
 #include "shard/fault_transport.h"
@@ -48,45 +48,30 @@
 
 namespace cameo::shard {
 
-struct ShardRuntimeOptions {
-  int num_shards = 1;
-  int workers_per_shard = 4;
-  SchedulerKind scheduler = SchedulerKind::kCameo;
-  SchedulerConfig sched;
-  std::string policy = "LLF";
-  std::uint64_t seed = 1;
-  /// Cross-shard link delay model (InprocTransport only).
-  DelayModel link;
-  /// Injected transport (tests, fault injection). Defaults to an
-  /// InprocTransport built from `link` and `seed`.
-  std::unique_ptr<Transport> transport;
-  /// Reliable-delivery session layer (session.h). Auto-enabled when `faults`
-  /// injects anything; off by default so the clean path stays bit-identical
-  /// to the PR 9 goldens. A default seed (1) is re-keyed to `seed`.
-  SessionConfig session;
-  /// Chaos schedule (fault_transport.h). When any fault is armed the
-  /// transport is wrapped in a FaultInjectingTransport and the session layer
-  /// turns on. A default seed (1) is re-keyed to `seed`.
-  FaultPlan faults;
-  /// Overload protection: when > 0, Enqueue sheds work once a shard's
-  /// pending backlog crosses this limit -- lowest-priority (largest
-  /// PRI_global) messages first in a soft band [limit, 2*limit), everything
-  /// at >= 2*limit. 0 disables shedding.
-  std::size_t admission_limit = 0;
-};
+/// The cross-shard link of the default InprocTransport: 1 ms one-way plus
+/// up to 100 us of uniform jitter, per-channel monotone and seeded from the
+/// run seed (deterministic replays).
+inline constexpr DelayModel kDefaultLink{.base = kMillisecond,
+                                         .jitter = Micros(100)};
 
 /// What one Receive() call produced.
 enum class ReceiveKind { kNone, kMessage, kReply };
 
 class ShardRuntime {
  public:
-  explicit ShardRuntime(ShardRuntimeOptions opts);
+  /// `options.workers` is per shard. `transport` replaces the default
+  /// InprocTransport over kDefaultLink (the test seam). Armed
+  /// `sim.shard_faults` wrap the transport in a FaultInjectingTransport and
+  /// turn the session layer on; a default seed (1) of the plan or the
+  /// session is re-keyed to `options.seed`. With `sim.admission_limit` > 0,
+  /// Enqueue sheds a shard's work past that backlog: the least urgent
+  /// first in [limit, 2*limit), everything beyond.
+  explicit ShardRuntime(const EngineOptions& options,
+                        std::unique_ptr<Transport> transport = nullptr);
 
-  int num_shards() const { return opts_.num_shards; }
-  int workers_per_shard() const { return opts_.workers_per_shard; }
-  int total_workers() const {
-    return opts_.num_shards * opts_.workers_per_shard;
-  }
+  int num_shards() const { return num_shards_; }
+  int workers_per_shard() const { return workers_per_shard_; }
+  int total_workers() const { return num_shards_ * workers_per_shard_; }
 
   // ---- placement & id mapping ----
 
@@ -94,17 +79,16 @@ class ShardRuntime {
 
   int ShardOfWorker(WorkerId global) const {
     CAMEO_EXPECTS(global.valid() && global.value < total_workers());
-    return static_cast<int>(global.value / opts_.workers_per_shard);
+    return static_cast<int>(global.value / workers_per_shard_);
   }
 
   WorkerId LocalWorker(WorkerId global) const {
     CAMEO_EXPECTS(global.valid() && global.value < total_workers());
-    return WorkerId{global.value % opts_.workers_per_shard};
+    return WorkerId{global.value % workers_per_shard_};
   }
 
   WorkerId GlobalWorker(int shard, WorkerId local) const {
-    return WorkerId{static_cast<std::int64_t>(shard) *
-                        opts_.workers_per_shard +
+    return WorkerId{static_cast<std::int64_t>(shard) * workers_per_shard_ +
                     local.value};
   }
 
@@ -158,9 +142,6 @@ class ShardRuntime {
   SimTime ServiceSession(int shard, SimTime now,
                          std::vector<std::pair<int, SimTime>>* deliveries);
 
-  /// Earliest pending session timer for `shard` without firing anything.
-  SimTime NextSessionDeadline(int shard) const;
-
   bool session_enabled() const { return session_ != nullptr; }
 
   // ---- merged read-side views ----
@@ -207,14 +188,16 @@ class ShardRuntime {
   };
 
   std::size_t Idx(int shard) const {
-    CAMEO_EXPECTS(shard >= 0 && shard < opts_.num_shards);
+    CAMEO_EXPECTS(shard >= 0 && shard < num_shards_);
     return static_cast<std::size_t>(shard);
   }
 
   /// True when admission control decides `m` should be refused at `shard`.
   bool ShouldShed(const Shard& sh, const Message& m) const;
 
-  ShardRuntimeOptions opts_;
+  int num_shards_;
+  int workers_per_shard_;
+  std::size_t admission_limit_;
   ShardPlacement placement_;
   std::vector<Shard> shards_;
   std::unique_ptr<Transport> transport_;

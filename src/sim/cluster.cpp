@@ -10,6 +10,10 @@ namespace cameo {
 
 namespace {
 
+/// The intra-shard hop (VM to VM): every delivery and reply ack between two
+/// operators of one shard lands this long after it was sent.
+constexpr Duration kNetworkDelay = kMillisecond;
+
 /// Chaos-mode timer pump cadence: how often each shard services its session
 /// timers (retransmits, delayed acks) and drains parked frames when no
 /// receive event is otherwise scheduled.
@@ -55,8 +59,7 @@ struct Cluster::StepHooks {
       static_assert(sizeof(deliver) <= EventQueue::kActionCapacity,
                     "delivery closure outgrew the inline event buffer; the "
                     "common sim path would heap-allocate every delivery");
-      c.events_.Schedule(c.events_.now() + c.options_.sim.network_delay,
-                         std::move(deliver));
+      c.events_.Schedule(c.events_.now() + kNetworkDelay, std::move(deliver));
       return;
     }
     // Cross-shard hop: serialize through the wire codec and ship on the
@@ -69,7 +72,7 @@ struct Cluster::StepHooks {
   void Reply(OperatorId sender, OperatorId from, const ReplyContext& rc) {
     const int dst = c.runtime_->ShardOf(sender);
     if (dst == shard) {
-      c.events_.Schedule(c.events_.now() + c.options_.sim.network_delay,
+      c.events_.Schedule(c.events_.now() + kNetworkDelay,
                          [cl = &c, sender, from, rc] {
                            cl->converter(sender).ProcessCtxFromReply(from, rc);
                          });
@@ -85,22 +88,11 @@ Cluster::Cluster(EngineOptions options, DataflowGraph graph)
     : options_(std::move(options)),
       graph_(std::move(graph)),
       rng_(options_.seed),
-      profiler_(/*smoothing=*/0.25, /*noise_seed=*/options_.seed ^ 0x9e3779b9) {
+      profiler_(/*noise_seed=*/options_.seed ^ 0x9e3779b9) {
   ValidateEngineOptions(options_);
   workers_.resize(static_cast<std::size_t>(options_.workers) *
                   static_cast<std::size_t>(options_.shards));
-  shard::ShardRuntimeOptions ro;
-  ro.num_shards = options_.shards;
-  ro.workers_per_shard = options_.workers;
-  ro.scheduler = options_.scheduler;
-  ro.sched = options_.sched;
-  ro.policy = options_.policy;
-  ro.seed = options_.seed;
-  ro.link = {options_.sim.shard_link_delay, options_.sim.shard_link_jitter};
-  ro.session = options_.sim.shard_session;
-  ro.faults = options_.sim.shard_faults;
-  ro.admission_limit = options_.sim.admission_limit;
-  runtime_ = std::make_unique<shard::ShardRuntime>(std::move(ro));
+  runtime_ = std::make_unique<shard::ShardRuntime>(options_);
   chaos_mode_ = runtime_->session_enabled();
   pump_active_.assign(static_cast<std::size_t>(options_.shards), false);
   profiler_.SetPerturbation(options_.sim.profiler_perturbation);
@@ -172,10 +164,7 @@ void Cluster::AddIngestion(StageId source_stage,
       s.key_rng = Rng(options_.seed * 0x9E3779B97F4A7C15ULL +
                       (sources_.size() + 1) * 0xD1B54A32D192ED03ULL);
     }
-    if (spec.token_rate_per_sec > 0) {
-      auto budget = static_cast<std::int64_t>(spec.token_rate_per_sec);
-      s.tokens.emplace(std::max<std::int64_t>(1, budget));
-    }
+    s.tokens = SourceTokens(spec);
     sources_.push_back(std::move(s));
   }
 }
@@ -255,12 +244,7 @@ void Cluster::PumpSource(std::size_t idx) {
     if (p <= src.last_logical) p = src.last_logical + 1;  // in-order channel
     src.last_logical = p;
     SourceEvent e{.p = p, .t = t};
-    if (src.tokens) {
-      TokenBucket::Token token = src.tokens->TryAcquire(t);
-      e.has_token = token.granted;
-      e.token_tag = token.tag;
-      e.token_interval = token.interval_id;
-    }
+    src.tokens.Fill(e);
     EventBatch batch;
     if (src.sampler) {
       batch.progress = p;

@@ -156,8 +156,8 @@ class Cluster {
     /// deterministic stream so attaching a sampler leaves `rng_` untouched.
     std::unique_ptr<KeySampler> sampler;
     Rng key_rng{0};
-    /// The job's ingestion share (§5.4); empty when the job has no tokens.
-    std::optional<TokenBucket> tokens;
+    /// The job's ingestion share (§5.4).
+    SourceTokens tokens;
   };
   struct ScheduledQuery {
     SimTime at = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -385,12 +386,13 @@ TEST(ConcurrencyTest, CrossShardConservationUnderChurnAndFlexing) {
   // fresh ids >= kSteadyOps, so a retired operator never sees another send.
   constexpr std::int64_t kSteadyOps = 16;
 
-  shard::ShardRuntimeOptions opts;
-  opts.num_shards = kShards;
-  opts.workers_per_shard = kWorkersPerShard;
+  EngineOptions opts;
+  opts.workers = kWorkersPerShard;
   opts.seed = 99;
-  opts.link = {};  // zero modeled delay: frames are due the moment they land
-  shard::ShardRuntime rt(std::move(opts));
+  opts.shards = kShards;
+  // Zero modeled delay: frames are due the moment they land.
+  shard::ShardRuntime rt(
+      opts, std::make_unique<shard::InprocTransport>(shard::DelayModel{}, 99));
 
   constexpr std::int64_t kProducerTotal =
       static_cast<std::int64_t>(kProducers) * kPerProducer;
@@ -556,15 +558,17 @@ TEST(ConcurrencyTest, ThreeShardChaosHammerDeliversExactlyOnce) {
   constexpr int kPerProducer = 1500;
   constexpr std::int64_t kSteadyOps = 12;
 
-  shard::ShardRuntimeOptions opts;
-  opts.num_shards = kShards;
-  opts.workers_per_shard = 2;
+  EngineOptions opts;
+  opts.workers = 2;
   opts.seed = 4242;
-  opts.link = {};  // zero modeled delay: frames are due when they land
-  opts.faults.drop_rate = 0.05;
-  opts.faults.dup_rate = 0.05;
-  opts.faults.corrupt_rate = 0.02;
-  shard::ShardRuntime rt(std::move(opts));
+  opts.shards = kShards;
+  opts.sim.shard_faults.drop_rate = 0.05;
+  opts.sim.shard_faults.dup_rate = 0.05;
+  opts.sim.shard_faults.corrupt_rate = 0.02;
+  // Zero modeled delay: frames are due when they land.
+  shard::ShardRuntime rt(
+      opts,
+      std::make_unique<shard::InprocTransport>(shard::DelayModel{}, 4242));
   ASSERT_TRUE(rt.session_enabled());  // faults auto-arm the session layer
 
   constexpr std::int64_t kTotal =

@@ -442,7 +442,7 @@ TEST(ProfilerTest, FirstSampleTaken) {
 }
 
 TEST(ProfilerTest, EwmaConvergesToSteadyCost) {
-  CostProfiler p(0.25);
+  CostProfiler p;
   p.Record(OperatorId{1}, Millis(10));
   for (int i = 0; i < 50; ++i) p.Record(OperatorId{1}, Millis(2));
   EXPECT_NEAR(static_cast<double>(p.Estimate(OperatorId{1})),
@@ -607,7 +607,7 @@ TEST(PolicyTest, TokenFairFloorsUntokenedTraffic) {
 TEST(PolicyTest, StrideRoundRobinsEqualTickets) {
   // Two jobs, equal tickets: passes interleave, so sorting by PRI_global
   // alternates jobs regardless of how many messages each offers.
-  StrideFair stride{PolicyOptions{}};
+  StrideFair stride;
   auto assign = [&](JobId job) {
     PriorityContext pc = MakePc(Seconds(1), Millis(800), Seconds(1));
     pc.job = job;
@@ -622,13 +622,13 @@ TEST(PolicyTest, StrideRoundRobinsEqualTickets) {
   EXPECT_EQ(a1, b1);
   EXPECT_LT(a0, a1);
   EXPECT_LT(a1, a2);
-  EXPECT_EQ(a1 - a0, StrideFair::kStrideScale / 100);  // default tickets
+  EXPECT_EQ(a1 - a0, StrideFair::kStrideScale / kTickets);
 }
 
 TEST(PolicyTest, StrideLateJoinerStartsAtPassFloor) {
   // A job joining after another has accumulated pass must not replay the
   // backlog from zero (it would monopolize workers until it caught up).
-  StrideFair stride{PolicyOptions{}};
+  StrideFair stride;
   const JobId early{1}, late{2};
   Priority last_early = 0;
   for (int i = 0; i < 10; ++i) {
@@ -662,19 +662,16 @@ TEST(PolicyTest, LotteryIsDeterministicPerSeed) {
 }
 
 TEST(PolicyTest, MlfqDemotesOnConsumedQuantumAndBoostsPeriodically) {
-  PolicyOptions opts;
-  opts.mlfq_quantum = Millis(10);
-  opts.mlfq_boost_period = Seconds(1);
-  MultiLevelFeedback mlfq{opts};
+  MultiLevelFeedback mlfq;
   const OperatorId hog{1}, mouse{2};
 
   // The hog burns its level-0 allotment: demoted to level 1; the level-1
   // allotment doubles, so the same consumption again demotes to level 2.
-  mlfq.OnInvoked(hog, JobId{1}, Millis(10), Millis(1));
+  mlfq.OnInvoked(hog, JobId{1}, kMlfqQuantum, Millis(1));
   EXPECT_EQ(mlfq.LevelOf(hog), 1);
-  mlfq.OnInvoked(hog, JobId{1}, Millis(19), Millis(2));
-  EXPECT_EQ(mlfq.LevelOf(hog), 1);  // 19 ms < the 20 ms level-1 allotment
-  mlfq.OnInvoked(hog, JobId{1}, Millis(1), Millis(3));
+  mlfq.OnInvoked(hog, JobId{1}, 2 * kMlfqQuantum - 1, Millis(2));
+  EXPECT_EQ(mlfq.LevelOf(hog), 1);  // 1 ns short of the level-1 allotment
+  mlfq.OnInvoked(hog, JobId{1}, 1, Millis(3));
   EXPECT_EQ(mlfq.LevelOf(hog), 2);
   EXPECT_EQ(mlfq.LevelOf(mouse), 0);
 
@@ -686,19 +683,19 @@ TEST(PolicyTest, MlfqDemotesOnConsumedQuantumAndBoostsPeriodically) {
   EXPECT_LT(mouse_pc.pri_global, hog_pc.pri_global);
 
   // The periodic boost returns everyone to level 0.
-  mlfq.OnInvoked(mouse, JobId{1}, Millis(1), Seconds(2));
+  mlfq.OnInvoked(mouse, JobId{1}, Millis(1), Millis(3) + kMlfqBoostPeriod);
   EXPECT_EQ(mlfq.LevelOf(hog), 0);
 }
 
 TEST(PolicyTest, MlfqNeverDemotesPastBottomLevel) {
-  PolicyOptions opts;
-  opts.mlfq_levels = 2;
-  opts.mlfq_quantum = Millis(1);
-  MultiLevelFeedback mlfq{opts};
+  // Each invocation outlasts every level's allotment, so each one demotes
+  // until the bottom level holds the operator.
+  MultiLevelFeedback mlfq;
+  const Duration hog = kMlfqQuantum << kMlfqLevels;
   for (int i = 0; i < 50; ++i) {
-    mlfq.OnInvoked(kTargetOp, JobId{1}, Millis(5), Millis(i));
+    mlfq.OnInvoked(kTargetOp, JobId{1}, hog, Millis(i));
+    EXPECT_EQ(mlfq.LevelOf(kTargetOp), std::min(i + 1, kMlfqLevels - 1));
   }
-  EXPECT_EQ(mlfq.LevelOf(kTargetOp), 1);
 }
 
 TEST(PolicyTest, FactoryCreatesEveryRosterEntry) {

@@ -102,8 +102,11 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowCase{Seconds(1), Seconds(1)},
                       WindowCase{Seconds(10), Seconds(1)}),
     [](const ::testing::TestParamInfo<WindowCase>& info) {
-      return "w" + std::to_string(info.param.size) + "s" +
-             std::to_string(info.param.slide);
+      // Appended, not "w" + ...: GCC 12 -O3 warns -Wrestrict on that.
+      return std::string("w")
+          .append(std::to_string(info.param.size))
+          .append("s")
+          .append(std::to_string(info.param.slide));
     });
 
 // ---------------- End-to-end conservation across schedulers ----------------

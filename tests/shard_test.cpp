@@ -926,7 +926,7 @@ TEST(SessionLossRepair, SingleDropRepairedByFastRetransmitBeforeTheRto) {
   // seq 2 is lost; seqs 3..8 follow 100 us apart. The receiver acks the
   // first three out-of-order arrivals at once, their SACK bits show the
   // sender a hole with three sacked frames above it, and the re-send lands
-  // about one round trip after seq 5 arrived -- long before rto_initial.
+  // about one round trip after seq 5 arrived -- long before kRtoInitial.
   SessionConfig cfg;
   cfg.enabled = true;
   const OneWayRun run = RunOneWay(8, Micros(100), {{2, 1}}, cfg);
@@ -937,7 +937,7 @@ TEST(SessionLossRepair, SingleDropRepairedByFastRetransmitBeforeTheRto) {
   EXPECT_EQ(run.stats.retransmits, 1u);
   EXPECT_EQ(run.stats.dup_drops, 0u);
   const Duration repair = run.delivered_at[1] - run.sent_at[1];
-  EXPECT_LT(repair, cfg.rto_initial);
+  EXPECT_LT(repair, SessionLayer::kRtoInitial);
   // seq 5 lands at 1.5 ms, its ack reaches the sender at 2.5 ms, and the
   // re-send lands at 3.5 ms: one link delay after the ack.
   EXPECT_LE(run.delivered_at[1], run.sent_at[4] + 3 * kLinkDelay);
@@ -960,9 +960,9 @@ TEST(SessionLossRepair, RepairedRunFeedsNoRttSample) {
   EXPECT_GE(run.stats.rto_retransmits, 3u);
   EXPECT_GT(run.stats.out_of_order, 3u * SessionLayer::kSackBits);
   // The fitted timer sits near the 2 ms round trip plus the receiver's
-  // delayed-ack bound, well under rto_initial.
-  EXPECT_LT(run.rto, 2 * kLinkDelay + cfg.ack_delay + Millis(2));
-  EXPECT_LT(run.rto, cfg.rto_initial);
+  // delayed-ack bound, well under kRtoInitial.
+  EXPECT_LT(run.rto, 2 * kLinkDelay + SessionLayer::kAckDelay + Millis(2));
+  EXPECT_LT(run.rto, SessionLayer::kRtoInitial);
 }
 
 // ---------------------------------------------------------------------------
@@ -975,11 +975,10 @@ TEST(ShardRuntimeReceive, CorruptFrameRejectedAndCountedOnBothPaths) {
     SCOPED_TRACE(session ? "session on" : "session off");
     auto link = std::make_unique<InprocTransport>(DelayModel{}, /*seed=*/1);
     InprocTransport* wire = link.get();
-    ShardRuntimeOptions opts;
-    opts.num_shards = 2;
-    opts.transport = std::move(link);
-    opts.session.enabled = session;
-    ShardRuntime rt(std::move(opts));
+    EngineOptions opts;
+    opts.shards = 2;
+    opts.sim.shard_session.enabled = session;
+    ShardRuntime rt(opts, std::move(link));
     ASSERT_EQ(rt.session_enabled(), session);
 
     // A frame corrupted on the wire after its checksum was written.
@@ -1005,6 +1004,93 @@ TEST(ShardRuntimeReceive, CorruptFrameRejectedAndCountedOnBothPaths) {
     msg.batch.Recycle();
     m.batch.Recycle();
   }
+}
+
+// ---------------------------------------------------------------------------
+// ShardRuntime construction from EngineOptions: the default link, an
+// injected transport, the session's auto-enable and the seed re-keying.
+// ---------------------------------------------------------------------------
+
+/// Ships `n` random messages 0 -> 1 at time 0 and returns each one's
+/// modeled delivery time (a frame the fault layer drops reads 0).
+std::vector<SimTime> SendTimes(ShardRuntime& rt, int n) {
+  Rng rng(31);
+  std::vector<SimTime> at;
+  for (int i = 0; i < n; ++i) {
+    Message m = RandomMessage(rng, 2);
+    at.push_back(rt.SendMessage(0, 1, 0, m));
+    m.batch.Recycle();
+  }
+  return at;
+}
+
+TEST(ShardRuntimeConstruction, DefaultLinkIsTheDocumentedConstant) {
+  EngineOptions opts;
+  opts.shards = 2;
+  ShardRuntime rt(opts);
+  EXPECT_FALSE(rt.session_enabled());
+  for (SimTime at : SendTimes(rt, 16)) {
+    EXPECT_GE(at, kDefaultLink.base);
+    EXPECT_LT(at, kDefaultLink.base + kDefaultLink.jitter);
+  }
+}
+
+TEST(ShardRuntimeConstruction, InjectedTransportIsUsedAsGiven) {
+  auto link = std::make_unique<InprocTransport>(
+      DelayModel{.base = Millis(7)}, /*seed=*/1);
+  InprocTransport* wire = link.get();
+  EngineOptions opts;
+  opts.shards = 2;
+  ShardRuntime rt(opts, std::move(link));
+  EXPECT_EQ(&rt.transport(), wire);
+  EXPECT_EQ(SendTimes(rt, 1), std::vector<SimTime>{Millis(7)});
+}
+
+TEST(ShardRuntimeConstruction, ArmedFaultsTurnTheSessionOn) {
+  EngineOptions opts;
+  opts.shards = 2;
+  EXPECT_FALSE(ShardRuntime(opts).session_enabled());
+  opts.sim.shard_faults.dup_rate = 0.01;
+  ShardRuntime rt(opts);
+  EXPECT_TRUE(rt.session_enabled());
+  EXPECT_EQ(rt.transport().name(), "fault+inproc");
+}
+
+TEST(ShardRuntimeConstruction, DefaultFaultSeedIsRekeyedToTheRunSeed) {
+  // Which frames the fault layer drops is a function of the plan's seed.
+  // The default plan seed (1) draws like an explicit plan seed equal to the
+  // run seed; any other explicit seed is kept.
+  auto drops = [](std::uint64_t plan_seed) {
+    EngineOptions opts;
+    opts.shards = 2;
+    opts.seed = 77;
+    opts.sim.shard_faults.drop_rate = 0.5;
+    opts.sim.shard_faults.seed = plan_seed;
+    ShardRuntime rt(opts);
+    return SendTimes(rt, 32);
+  };
+  EXPECT_EQ(drops(1), drops(77));
+  EXPECT_NE(drops(1), drops(2));
+}
+
+TEST(ShardRuntimeConstruction, DefaultSessionSeedIsRekeyedToTheRunSeed) {
+  // The retransmit timer's jitter comes from the session seed, so the first
+  // timer deadline after a send tells the seeds apart.
+  auto deadline = [](std::uint64_t session_seed) {
+    EngineOptions opts;
+    opts.shards = 2;
+    opts.seed = 77;
+    opts.sim.shard_session.enabled = true;
+    opts.sim.shard_session.seed = session_seed;
+    ShardRuntime rt(opts);
+    SendTimes(rt, 1);
+    return rt.ServiceSession(0, 0, nullptr);  // fires nothing before the RTO
+  };
+  const SimTime rekeyed = deadline(1);
+  EXPECT_GE(rekeyed, SessionLayer::kRtoInitial);
+  EXPECT_LT(rekeyed, SessionLayer::kRtoInitial + SessionLayer::kRtoJitter);
+  EXPECT_EQ(rekeyed, deadline(77));
+  EXPECT_NE(rekeyed, deadline(2));
 }
 
 // ---------------------------------------------------------------------------
