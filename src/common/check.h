@@ -1,6 +1,7 @@
-// Contract checking in the spirit of the Core Guidelines' Expects/Ensures.
-// Violations abort with a message; checks stay on in release builds because
-// scheduler invariants are cheap relative to message processing.
+// Contract checking in the spirit of the Core Guidelines' Expects: a
+// precondition check and a general invariant check. Violations abort with a
+// message; checks stay on in release builds because scheduler invariants are
+// cheap relative to message processing.
 #pragma once
 
 #include <cstdio>
@@ -21,9 +22,4 @@ namespace cameo::detail {
 #define CAMEO_EXPECTS(expr)                                                \
   ((expr) ? static_cast<void>(0)                                           \
           : ::cameo::detail::CheckFailed("Precondition", #expr, __FILE__,  \
-                                         __LINE__))
-
-#define CAMEO_ENSURES(expr)                                                \
-  ((expr) ? static_cast<void>(0)                                           \
-          : ::cameo::detail::CheckFailed("Postcondition", #expr, __FILE__, \
                                          __LINE__))

@@ -2,8 +2,8 @@
 // *live* reusable objects, for types whose value carries the thing worth
 // recycling -- vectors with grown capacity (the EventBatch column buffers,
 // wire frames) or a heap node parked behind a std::unique_ptr (the mailbox
-// and inproc-transport inbox nodes). Parked objects stay fully constructed;
-// Take hands one back as-is.
+// inbox nodes). Parked objects stay fully constructed; Take hands one back
+// as-is.
 //
 // Shape: a thread-local cache with a mutex-guarded global spillover, so
 // objects made on one thread and retired on another keep both threads'

@@ -52,8 +52,7 @@
 //    still hold a pointer to a node it parks, so reuse never aliases a live
 //    reference.
 // The epoch in the state word fences cross-session reuse of the *operator*;
-// node recycling only ever reuses the link. The inproc transport's frame
-// inbox (shard/inproc_transport.cpp) relies on the same argument.
+// node recycling only ever reuses the link.
 #pragma once
 
 #include <atomic>

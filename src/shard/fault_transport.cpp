@@ -5,8 +5,8 @@
 namespace cameo::shard {
 
 /// Per-channel fault state. The mutex serializes the Rng (senders on the
-/// same edge contend only here, mirroring the inner transport's send_mu) and
-/// the held-frame queue that the reorder fault uses.
+/// same edge contend only here and on the inner transport's channel lock)
+/// and the held-frame queue that the reorder fault uses.
 struct FaultInjectingTransport::Channel {
   std::mutex mu;
   Rng rng{1};  // guarded by mu

@@ -1,15 +1,13 @@
 // In-process Transport with a modeled network: the simulator's stand-in for
 // the machine-to-machine links of the paper's deployment.
 //
-// Each directed (from, to) shard pair owns an independent channel:
+// Each directed (from, to) shard pair owns an independent channel: one
+// locked FIFO. A single mutex per channel, shared by the senders and the
+// receiver, guards the delay model, a queue of frames in send order and the
+// channel's counters. Senders on one edge serialize on the delay draw
+// anyway, so the lock costs no contention a lock-free push would avoid, and
+// send order is queue order by construction.
 //
-//  - **Lock-free enqueue.** Producers push recycled frame nodes onto a
-//    Treiber stack (same pattern and reclamation argument as the scheduler
-//    mailboxes: "Inbox reclamation" in sched/mailbox.h); the consumer
-//    detaches the whole chain with one exchange and orders it by sequence
-//    number (see Sequencing). Multiple worker threads
-//    can therefore ship frames to the same destination without contending on
-//    anything but the channel head CAS.
 //  - **Modeled delay.** Send stamps deliver_at = max(prev_deliver_at,
 //    now + base + jitter * U[0,1)) where U comes from a per-channel Rng
 //    seeded from (seed, from, to). The max-clamp keeps per-channel delivery
@@ -17,19 +15,15 @@
 //    reorder; the per-channel seed makes every channel's delay sequence a
 //    pure function of the run seed, so fixed-seed sim replays of multi-shard
 //    topologies are bit-identical.
-//  - **Sequencing.** A per-channel sequence number is assigned under the
-//    same small mutex that serializes the delay model, so concurrent senders
-//    get a total per-channel order; Receive pops strictly in that order and
-//    only once deliver_at has passed.
+//  - **Delivery.** Receive scans the sources in a fixed order and pops at
+//    most one frame: the head of the first channel whose head is due.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "shard/transport.h"
 
 namespace cameo::shard {
@@ -56,7 +50,6 @@ class InprocTransport final : public Transport {
   std::string name() const override { return "inproc"; }
 
  private:
-  struct FrameNode;
   struct Channel;
 
   Channel& ChannelAt(int from, int to);
@@ -65,7 +58,7 @@ class InprocTransport final : public Transport {
   std::uint64_t seed_;
   int num_shards_ = 0;
   /// Dense (from, to) matrix, row-major; channels are heap-anchored so the
-  /// vector never moves a live atomic head.
+  /// vector never moves a live mutex.
   std::vector<std::unique_ptr<Channel>> channels_;
 };
 

@@ -87,11 +87,6 @@ class ShardRuntime {
     return WorkerId{global.value % workers_per_shard_};
   }
 
-  WorkerId GlobalWorker(int shard, WorkerId local) const {
-    return WorkerId{static_cast<std::int64_t>(shard) * workers_per_shard_ +
-                    local.value};
-  }
-
   // ---- per-shard instances ----
 
   Scheduler& scheduler(int shard) { return *shards_[Idx(shard)].scheduler; }

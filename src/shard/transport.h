@@ -20,9 +20,9 @@
 // Send() returns the modeled delivery time so a discrete-event caller can
 // schedule the receive; wall-clock callers ignore it and poll Receive.
 // Implementations:
-//  - InprocTransport (inproc_transport.h): lock-free in-memory channels with
-//    a seeded delay distribution -- the sim's deterministic stand-in for a
-//    network.
+//  - InprocTransport (inproc_transport.h): in-memory channels, one locked
+//    FIFO each, with a seeded delay distribution -- the sim's deterministic
+//    stand-in for a network.
 //  - FaultInjectingTransport (fault_transport.h): a decorator that drops,
 //    duplicates, reorders and corrupts frames of the transport it wraps.
 #pragma once

@@ -37,8 +37,6 @@ struct RunResult {
   /// snapshotted from the cluster's SchedulingPolicy at summary time.
   std::vector<PolicyCounter> policy_counters;
 
-  const JobResult& ByName(const std::string& name) const;
-
   /// Merged latency percentile across jobs whose name starts with `prefix`
   /// (e.g. all "LS*" jobs of a control group).
   double GroupPercentile(const std::string& prefix, double q) const;

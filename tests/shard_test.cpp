@@ -595,6 +595,49 @@ TEST(InprocTransportTest, ConcurrentSendersKeepPerChannelOrder) {
   EXPECT_EQ(t.stats().frames_sent, static_cast<std::uint64_t>(received));
 }
 
+TEST(InprocTransportTest, ReceiveRacingSendersKeepsPerChannelOrder) {
+  InprocTransport t({.jitter = Micros(50)}, 11);
+  t.Start(3);
+  constexpr int kPerSender = 500;
+  // Two producer threads ship into shard 2 while the receiver polls it, so
+  // Receive pops each channel's head while Send appends to the same channel.
+  auto sender = [&](int from) {
+    for (int i = 0; i < kPerSender; ++i) {
+      t.Send(from, 2, i, MakeDataFrame(from * kPerSender + i));
+    }
+  };
+  std::thread s0(sender, 0);
+  std::thread s1(sender, 1);
+  std::int64_t next[2] = {0, kPerSender};
+  SimTime last_at[2] = {kTimeMin, kTimeMin};
+  int received = 0;
+  WireFrame out;
+  int from = -1;
+  while (received < 2 * kPerSender) {
+    if (!t.Receive(2, kTimeMax, out, from)) {
+      std::this_thread::yield();
+      continue;
+    }
+    if (from != 0 && from != 1) {
+      ADD_FAILURE() << "frame from shard " << from;
+      break;  // still join the senders below
+    }
+    EXPECT_EQ(FrameTag(out), next[from]++);  // in order, each exactly once
+    EXPECT_GE(out.deliver_at, last_at[from]);
+    last_at[from] = out.deliver_at;
+    ++received;
+    ReleaseFrame(std::move(out));
+  }
+  s0.join();
+  s1.join();
+  EXPECT_FALSE(t.Receive(2, kTimeMax, out));
+  EXPECT_EQ(next[0], kPerSender);
+  EXPECT_EQ(next[1], 2 * kPerSender);
+  const TransportStats stats = t.stats();
+  EXPECT_EQ(stats.frames_sent, static_cast<std::uint64_t>(2 * kPerSender));
+  EXPECT_EQ(stats.in_flight(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Session layer over injected faults (PR 10 chaos property suite).
 //
