@@ -2,15 +2,18 @@
 //  - recycled vs heap node round-trips (what Mailbox::Push saves per
 //    message),
 //  - the mailbox push -> drain -> pop cycle,
-//  - the allocation-free sim event loop (key heap + inline closures).
+//  - the allocation-free sim event loop (key heap + inline closures), alone
+//    and in the simulator's event mix (fixed-delay lanes + heap).
 // Simple chrono loops rather than google-benchmark: scenarios share one
 // process-wide google-benchmark registry, and fig12 owns it.
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "bench/runner/registry.h"
 #include "common/pool.h"
+#include "common/rng.h"
 #include "sched/mailbox.h"
 #include "sim/event_queue.h"
 
@@ -97,16 +100,47 @@ void Run(bench::BenchContext& ctx) {
   const double event_ns = NsPerOp(t0, t1, kIters);
   CAMEO_CHECK(ran == kIters);
 
+  // The simulator's event mix at a steady depth: ~130 pending events, each
+  // run replaced by one new event whose delay is 0 (the wake-up sweep) 27%
+  // of the time, the intra-shard hop 34%, and otherwise spread over
+  // 10 us - 5 ms (arrivals, activation completions). Delays are drawn up
+  // front so the draw stays out of the timed loop.
+  constexpr std::size_t kMixDepth = 130;
+  std::vector<Duration> delays(4096);
+  Rng mix_rng(36);
+  for (Duration& d : delays) {
+    const double u = mix_rng.Uniform01();
+    d = u < 0.27   ? 0
+        : u < 0.61 ? EventQueue::kLaneDelays[1]
+                   : mix_rng.UniformInt(Micros(10), Millis(5));
+  }
+  EventQueue mix;
+  std::int64_t mix_ran = 0;
+  for (std::size_t i = 0; i < kMixDepth; ++i) {
+    mix.Schedule(delays[i], [&mix_ran] { ++mix_ran; });
+  }
+  t0 = clock_type::now();
+  for (int i = 0; i < kIters; ++i) {
+    const Duration d = delays[static_cast<std::size_t>(i) % delays.size()];
+    mix.Schedule(mix.now() + d, [&mix_ran] { ++mix_ran; });
+    mix.RunNext();
+  }
+  t1 = clock_type::now();
+  const double mix_ns = NsPerOp(t0, t1, kIters);
+  CAMEO_CHECK(mix_ran == kIters);
+
   std::printf("%-28s %10.1f ns/op\n", "heap node round-trip", heap_ns);
   std::printf("%-28s %10.1f ns/op\n", "stash node round-trip", stash_ns);
   std::printf("%-28s %10.1f ns/op\n", "mailbox push+drain+pop", mailbox_ns);
   std::printf("%-28s %10.1f ns/op\n", "event schedule+run", event_ns);
+  std::printf("%-28s %10.1f ns/op\n", "event mix, depth 130", mix_ns);
 
   ctx.Metric("heap_node.ns_per_op", heap_ns);
   // Key predates the stash; kept so the checked-in baseline still compares.
   ctx.Metric("pool_node.ns_per_op", stash_ns);
   ctx.Metric("mailbox_cycle.ns_per_op", mailbox_ns);
   ctx.Metric("event_cycle.ns_per_op", event_ns);
+  ctx.Metric("event_mix.ns_per_op", mix_ns);
 }
 
 CAMEO_BENCH_REGISTER("alloc_pool", "pooling",

@@ -59,13 +59,13 @@ class SimEngine final : public Engine {
   /// Condenses the run so far into the per-job rows the figures report.
   RunResult Summarize(SimTime span);
 
-  /// Constructs the cluster without running (pre-run hooks: timeline
-  /// filters, At() scripts). Idempotent.
+  /// Constructs the cluster without running (pre-run hooks such as timeline
+  /// filters). Idempotent.
   void Materialize();
   bool materialized() const { return cluster_ != nullptr; }
 
   /// Backend escape hatch for sim-only instruments (timeline, utilization,
-  /// purge accounting, At() scripting) and, through
+  /// purge accounting) and, through
   /// `cluster().shard_runtime()`, the per-shard read side (placement,
   /// per-shard scheduler stats, transport and wire counters). Materializes
   /// if needed.

@@ -13,6 +13,8 @@ namespace {
 /// The intra-shard hop (VM to VM): every delivery and reply ack between two
 /// operators of one shard lands this long after it was sent.
 constexpr Duration kNetworkDelay = kMillisecond;
+static_assert(kNetworkDelay == EventQueue::kLaneDelays[1],
+              "intra-shard hops would fall back to the event heap");
 
 /// Chaos-mode timer pump cadence: how often each shard services its session
 /// timers (retransmits, delayed acks) and drains parked frames when no
@@ -216,10 +218,6 @@ void Cluster::RemoveQueryNow(JobId job) {
   // purged at quiescence; messages_purged() reads the stats so purges an
   // active mailbox defers to its owner's release are counted too).
   runtime_->RetireOperators(ops);
-}
-
-void Cluster::At(SimTime t, std::function<void()> fn) {
-  events_.Schedule(t, std::move(fn));
 }
 
 void Cluster::PumpSource(std::size_t idx) {

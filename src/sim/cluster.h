@@ -26,7 +26,6 @@
 // them at kRetired.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -93,9 +92,6 @@ class Cluster {
   /// tail half of a ScheduleQuery departure.
   void RemoveQueryNow(JobId job);
 
-  /// Runs `fn` at virtual time `t` (scripted perturbations, rebalances, ...).
-  void At(SimTime t, std::function<void()> fn);
-
   /// Messages discarded by query retirement (accounted, never silent).
   /// Derived from scheduler stats so purges deferred to a worker's release
   /// path (mailbox active mid-invocation at departure) are included.
@@ -114,11 +110,10 @@ class Cluster {
   LatencyRecorder& latency() { return latency_; }
   UtilizationTracker& utilization() { return utilization_; }
   Timeline& timeline() { return timeline_; }
-  /// Shard 0's scheduler / policy (the only pair at num_shards == 1).
+  /// Shard 0's scheduler (the only one at num_shards == 1).
   /// Multi-shard readers want the merged views below.
   Scheduler& scheduler() { return runtime_->scheduler(0); }
   CostProfiler& profiler() { return profiler_; }
-  SchedulingPolicy& policy() { return runtime_->policy(0); }
   ContextConverter& converter(OperatorId op);
 
   /// Scheduler stats summed across every shard's stat shards (exact at
@@ -135,6 +130,9 @@ class Cluster {
   std::uint64_t messages_delivered() const { return messages_delivered_; }
   /// Simulator events run so far (the event loop's own cost unit).
   std::uint64_t events_executed() const { return events_.executed(); }
+  /// Events scheduled so far whose delay took the event heap rather than a
+  /// fixed-delay lane (EventQueue::kLaneDelays).
+  std::uint64_t heap_events() const { return events_.heap_pushes(); }
 
  private:
   struct WorkerState {

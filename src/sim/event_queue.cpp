@@ -6,13 +6,20 @@ namespace cameo {
 
 namespace {
 
+/// The total run order: (time, seq). Sequence numbers are unique, so two
+/// distinct keys never tie.
+template <typename Key>
+bool Before(const Key& a, const Key& b) {
+  if (a.time != b.time) return a.time < b.time;
+  return a.seq < b.seq;
+}
+
 /// Min-heap order on (time, seq): std heap algorithms build max-heaps, so
 /// the later key compares "less" and the earliest sits on top.
 struct Later {
   template <typename Key>
   bool operator()(const Key& a, const Key& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+    return Before(b, a);
   }
 };
 
@@ -30,15 +37,40 @@ void EventQueue::Schedule(SimTime t, Action fn) {
     free_slots_.pop_back();
     slots_[slot] = std::move(fn);
   }
-  heap_.push_back(Key{t, seq_++, slot});
+  const Key key{t, seq_++, slot};
+  // A lane only ever receives now + its delay, and now never decreases, so
+  // appending keeps every lane sorted on (time, seq).
+  const Duration delay = t - now_;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    if (delay == kLaneDelays[i]) {
+      lanes_[i].push_back(key);
+      return;
+    }
+  }
+  ++heap_pushes_;
+  heap_.push_back(key);
   std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
-void EventQueue::RunNext() {
-  CAMEO_EXPECTS(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Key key = heap_.back();
-  heap_.pop_back();
+std::size_t EventQueue::Earliest() const {
+  std::size_t best = heap_.empty() ? kNone : kHeap;
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    if (lanes_[i].empty()) continue;
+    if (best == kNone || Before(lanes_[i].front(), Head(best))) best = i;
+  }
+  return best;
+}
+
+void EventQueue::RunFrom(std::size_t src) {
+  Key key;
+  if (src == kHeap) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    key = heap_.back();
+    heap_.pop_back();
+  } else {
+    key = lanes_[src].front();
+    lanes_[src].pop_front();
+  }
   now_ = key.time;
   ++executed_;
   // Move the action out and free its slot before running it: the action may
@@ -48,8 +80,17 @@ void EventQueue::RunNext() {
   fn();
 }
 
+void EventQueue::RunNext() {
+  const std::size_t src = Earliest();
+  CAMEO_EXPECTS(src != kNone);
+  RunFrom(src);
+}
+
 void EventQueue::RunUntil(SimTime until) {
-  while (!empty() && NextTime() <= until) RunNext();
+  for (std::size_t src = Earliest(); src != kNone && Head(src).time <= until;
+       src = Earliest()) {
+    RunFrom(src);
+  }
   now_ = std::max(now_, until);
 }
 

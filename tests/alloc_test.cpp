@@ -226,6 +226,54 @@ TEST(ZeroAllocTest, EventQueueSteadyState) {
   }
 }
 
+// The fixed-delay lanes keep their storage too: ~130 pending events in the
+// simulator's mix (delay 0, the lane delay, and far-ahead delays that take
+// the heap), one scheduled per event run. The lane-delay lane stays busy
+// throughout, so this pins RingQueue's in-place compaction.
+TEST(ZeroAllocTest, EventQueueLaneSteadyState) {
+  constexpr int kDepth = 130;
+  const Duration lane = EventQueue::kLaneDelays[1];
+  EventQueue q;
+  std::int64_t ran = 0;
+  std::int64_t scheduled = 0;
+  auto schedule = [&](int i) {
+    Duration delay = 0;
+    switch (i % 8) {
+      case 0:
+      case 1:
+        break;  // the wake-up sweep's delay 0
+      case 2:
+      case 3:
+      case 4:
+        delay = lane;
+        break;
+      default:
+        delay = Micros(10) + (i * 7919 % 500) * Micros(10);
+        break;
+    }
+    q.Schedule(q.now() + delay, [&ran] { ++ran; });
+    ++scheduled;
+  };
+  for (int i = 0; i < kDepth; ++i) schedule(i);
+  auto drive = [&](int iters) {
+    for (int i = 0; i < iters; ++i) {
+      schedule(i);
+      q.RunNext();
+    }
+  };
+  drive(20000);
+
+  const std::int64_t before = HeapAllocs();
+  drive(20000);
+  const std::int64_t after = HeapAllocs();
+  while (!q.empty()) q.RunNext();
+  EXPECT_EQ(ran, scheduled);
+  if (kCountingReliable) {
+    EXPECT_EQ(after - before, 0)
+        << "steady-state lane events must not touch the heap";
+  }
+}
+
 TEST(ZeroAllocTest, ColumnarBatchRecycleSteadyState) {
   auto cycle = [](std::int64_t seed) {
     EventBatch b;
