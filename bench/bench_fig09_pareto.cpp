@@ -13,8 +13,7 @@
 namespace cameo {
 namespace {
 
-RunResult RunPareto(const bench::BenchContext& ctx, SchedulerKind kind,
-                    std::vector<std::pair<SimTime, Duration>>* series) {
+RunResult RunPareto(const bench::BenchContext& ctx, SchedulerKind kind) {
   MultiTenantOptions opt;
   opt.engine.scheduler = kind;
   opt.engine.workers = 4;
@@ -24,9 +23,7 @@ RunResult RunPareto(const bench::BenchContext& ctx, SchedulerKind kind,
   opt.ba_arrivals = ArrivalKind::kPareto;
   opt.pareto_alpha = 1.4;
   opt.ba_msgs_per_sec = 18;  // mean ~75% utilization, bursts overload
-  RunResult r = RunMultiTenant(opt);
-  (void)series;
-  return r;
+  return RunMultiTenant(opt);
 }
 
 void Run(bench::BenchContext& ctx) {
@@ -41,7 +38,7 @@ void Run(bench::BenchContext& ctx) {
   std::vector<Row> rows;
   for (SchedulerKind kind : {SchedulerKind::kOrleans, SchedulerKind::kFifo,
                              SchedulerKind::kCameo}) {
-    rows.push_back({ToString(kind), RunPareto(ctx, kind, nullptr)});
+    rows.push_back({ToString(kind), RunPareto(ctx, kind)});
   }
 
   PrintHeaderRow("scheduler", {"grp", "median", "p99", "stdev", "max"});

@@ -71,8 +71,6 @@ struct EngineOptions {
     /// Deterministic chaos schedule for the shard transport
     /// (shard/fault_transport.h).
     shard::FaultPlan shard_faults;
-    /// Per-shard admission-control backlog limit (0 = no shedding).
-    std::size_t admission_limit = 0;
   } sim{};
 
   /// Knobs only the wall-clock backend can honour.

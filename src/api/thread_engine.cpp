@@ -34,8 +34,6 @@ ThreadEngine::ThreadEngine(EngineOptions options) : Engine(std::move(options)) {
 
 ThreadEngine::~ThreadEngine() { Stop(); }
 
-void ThreadEngine::EnsureStarted() { Start(); }
-
 void ThreadEngine::Start() {
   if (runtime_ != nullptr) return;
   runtime_ = std::make_unique<ThreadRuntime>(ToRuntimeConfig(options_),
@@ -89,7 +87,7 @@ void ThreadEngine::AttachStage(const IngestSpec& spec, TimeDomain domain,
 
 void ThreadEngine::RunFor(Duration d) {
   CAMEO_EXPECTS(d >= 0);
-  EnsureStarted();
+  Start();
   const SimTime window_start = ingest_elapsed_;
   const SimTime window_end = window_start + d;
   const double scale = options_.wallclock.time_scale;
@@ -147,7 +145,7 @@ void ThreadEngine::RunFor(Duration d) {
 
 void ThreadEngine::Remove(const QueryHandle& q) {
   CAMEO_EXPECTS(q.handles.job.valid());
-  EnsureStarted();  // a staged query may be removed before the run starts
+  Start();  // a staged query may be removed before the run starts
   runtime_->RemoveQuery(q.handles.job);
 }
 
@@ -161,12 +159,12 @@ void ThreadEngine::Stop() {
 
 bool ThreadEngine::Ingest(OperatorId source, std::int64_t tuples,
                           std::optional<LogicalTime> p) {
-  EnsureStarted();
+  Start();
   return runtime_->Ingest(source, tuples, p);
 }
 
 bool ThreadEngine::IngestBatch(OperatorId source, EventBatch batch) {
-  EnsureStarted();
+  Start();
   return runtime_->IngestBatch(source, std::move(batch));
 }
 
@@ -190,7 +188,7 @@ SchedulerStats ThreadEngine::sched_stats() const {
 }
 
 ThreadRuntime& ThreadEngine::runtime() {
-  EnsureStarted();
+  Start();
   return *runtime_;
 }
 

@@ -58,7 +58,7 @@ class ThreadEngine final : public Engine {
   SchedulerStats sched_stats() const override;
   std::string backend() const override { return "thread"; }
 
-  /// Backend escape hatch (profiler, elastic workers, raw metrics).
+  /// Backend escape hatch (profiler, worker-pool growth, raw metrics).
   ThreadRuntime& runtime();
 
  private:
@@ -82,7 +82,6 @@ class ThreadEngine final : public Engine {
     Producer() : rng(1), key_rng(1) {}
   };
 
-  void EnsureStarted();
   void AttachProducers(const QueryDef& def, const JobHandles& h);
   void AttachStage(const IngestSpec& spec, TimeDomain domain, StageId stage);
 

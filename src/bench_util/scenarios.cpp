@@ -295,7 +295,6 @@ KeyedScenarioResult RunKeyedScenario(const KeyedScenarioOptions& opt) {
   out.frames_received = static_cast<std::int64_t>(ts.frames_received);
   out.wire_bytes = static_cast<std::int64_t>(ts.bytes_sent);
   out.transport = ts;
-  out.shed_messages = static_cast<std::int64_t>(ts.shed_messages);
   for (int s = 0; s < runtime.num_shards(); ++s) {
     out.shard_sched.push_back(runtime.scheduler(s).stats());
   }

@@ -187,7 +187,7 @@ struct KeyedScenarioOptions {
 
   /// `engine.workers` is per shard, so raising `engine.shards` is weak
   /// scaling -- the fig08 panel's axis. The chaos knobs are
-  /// `engine.sim.shard_faults`, `shard_session` and `admission_limit`.
+  /// `engine.sim.shard_faults` and `shard_session`.
   EngineOptions engine;
   SimTime duration = Seconds(30);
   Duration constraint = Millis(800);
@@ -203,10 +203,8 @@ struct KeyedScenarioResult {
   std::int64_t frames_sent = 0;
   std::int64_t frames_received = 0;
   std::int64_t wire_bytes = 0;
-  /// Full merged transport view (fault + session + shed counters).
+  /// Full merged transport view (fault + session counters).
   shard::TransportStats transport;
-  /// Admission-control sheds merged across shards.
-  std::int64_t shed_messages = 0;
   /// Per-shard scheduler stats (size == engine.shards), for balance reporting.
   std::vector<SchedulerStats> shard_sched;
   // Aggregated over the counter stage's replicas (deterministic per seed).

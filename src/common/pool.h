@@ -9,7 +9,7 @@
 // objects made on one thread and retired on another keep both threads'
 // caches fed. Once warm, Put/Take touch only the calling thread's cache; the
 // global lock is taken once per kTransfer objects moved. Each cache flushes
-// into the spillover at thread exit (elastic workers come and go), and the
+// into the spillover at thread exit (runtimes start and stop workers), and the
 // global stash is a leaked singleton (reachable from a static, so
 // LeakSanitizer stays quiet), which makes teardown order irrelevant.
 //

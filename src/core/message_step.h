@@ -135,7 +135,7 @@ void RunMessageStep(const StepTables& t, Hooks& hooks, Message& m,
     const bool windowed = t.graph.job(op.job()).output_slide > 0;
     latency.OnSinkOutput(op.job(), windowed ? m.progress() : m.event_time,
                          clock.now);
-    latency.OnSinkTuples(op.job(), rows, clock.now);
+    latency.OnSinkTuples(op.job(), rows);
   }
   // Last reader of this message's columns: park them for reuse (a no-op
   // when the operator moved them on).

@@ -100,16 +100,12 @@ void LatencyRecorder::MergeFrom(const LatencyRecorder& other) {
       std::inplace_merge(into.begin(), into.begin() + mid, into.end());
     };
     merge_series(s.series, o.series);
-    merge_series(s.tuple_series, o.tuple_series);
     merge_series(s.processed_series, o.processed_series);
   }
 }
 
-void LatencyRecorder::OnSinkTuples(JobId job, std::int64_t tuples,
-                                   SimTime now) {
-  JobState& s = state(job);
-  s.sink_tuples += tuples;
-  s.tuple_series.emplace_back(now, tuples);
+void LatencyRecorder::OnSinkTuples(JobId job, std::int64_t tuples) {
+  state(job).sink_tuples += tuples;
 }
 
 std::vector<std::int64_t> LatencyRecorder::Bucketize(
@@ -123,11 +119,6 @@ std::vector<std::int64_t> LatencyRecorder::Bucketize(
     if (idx < out.size()) out[idx] += n;
   }
   return out;
-}
-
-std::vector<std::int64_t> LatencyRecorder::ThroughputBuckets(
-    JobId job, Duration bucket, SimTime span) const {
-  return Bucketize(state(job).tuple_series, bucket, span);
 }
 
 void LatencyRecorder::OnProcessed(JobId job, std::int64_t tuples,

@@ -50,19 +50,14 @@ class LatencyRecorder {
   void MergeFrom(const LatencyRecorder& other);
 
   /// Tuples observed at the sink (throughput accounting).
-  void OnSinkTuples(JobId job, std::int64_t tuples, SimTime now = 0);
-
-  /// Sink tuple counts bucketed into `bucket`-sized intervals of the run
-  /// ending at `span`: element i is the tuple count in [i*bucket,
-  /// (i+1)*bucket). Used for throughput-over-time plots (Fig. 6).
-  std::vector<std::int64_t> ThroughputBuckets(JobId job, Duration bucket,
-                                              SimTime span) const;
+  void OnSinkTuples(JobId job, std::int64_t tuples);
 
   /// Tuples *processed* by the job's source stage (ingestion volume actually
   /// served). This is the Fig. 6 throughput metric: windowed queries emit a
   /// fixed number of sink tuples per window regardless of input volume, so
   /// sink counts cannot show proportional shares.
   void OnProcessed(JobId job, std::int64_t tuples, SimTime now);
+  /// Element i: tuples processed in [i*bucket, (i+1)*bucket), up to `span`.
   std::vector<std::int64_t> ProcessedBuckets(JobId job, Duration bucket,
                                              SimTime span) const;
   std::int64_t processed(JobId job) const;
@@ -91,7 +86,6 @@ class LatencyRecorder {
     std::uint64_t met = 0;
     std::int64_t sink_tuples = 0;
     std::vector<std::pair<SimTime, Duration>> series;
-    std::vector<std::pair<SimTime, std::int64_t>> tuple_series;
     std::int64_t processed_tuples = 0;
     std::vector<std::pair<SimTime, std::int64_t>> processed_series;
   };

@@ -58,14 +58,4 @@ LatencyRecorder ShardedLatencyRecorder::Merged() const {
   return merged;
 }
 
-Duration ShardedLatencyRecorder::constraint(JobId job) const {
-  std::lock_guard lock(ingest_mu_);
-  return ingest_.constraint(job);
-}
-
-std::vector<JobId> ShardedLatencyRecorder::jobs() const {
-  std::lock_guard lock(ingest_mu_);
-  return ingest_.jobs();
-}
-
 }  // namespace cameo

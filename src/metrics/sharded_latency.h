@@ -8,8 +8,8 @@
 // counters, series) goes into the invoking worker's shard under a per-shard
 // mutex that only that worker normally touches, so it is uncontended at
 // steady state; the lock exists because dynamic multi-tenancy registers
-// hot-added queries into every shard while workers are live, and elastic
-// worker pools merge shards mid-run.
+// hot-added queries into every shard while workers are live, and readers
+// merge shards mid-run.
 // Shard slots are pre-allocated for the scheduler's whole worker-id range,
 // so growing the pool needs no publication protocol at all. Readers merge
 // ingest + shards into a plain LatencyRecorder; reads are exact once workers
@@ -58,9 +58,9 @@ class ShardedLatencyRecorder {
       shard_.rec.OnProcessed(job, tuples, now);
     }
     void OnSinkOutput(JobId job, LogicalTime window_end, SimTime emit);
-    void OnSinkTuples(JobId job, std::int64_t tuples, SimTime now) {
+    void OnSinkTuples(JobId job, std::int64_t tuples) {
       std::lock_guard lock(shard_.mu);
-      shard_.rec.OnSinkTuples(job, tuples, now);
+      shard_.rec.OnSinkTuples(job, tuples);
     }
 
    private:
@@ -87,19 +87,13 @@ class ShardedLatencyRecorder {
     return Merged().sink_tuples(job);
   }
   std::int64_t processed(JobId job) const { return Merged().processed(job); }
-  Duration constraint(JobId job) const;
   std::vector<std::pair<SimTime, Duration>> Series(JobId job) const {
     return Merged().Series(job);
-  }
-  std::vector<std::int64_t> ThroughputBuckets(JobId job, Duration bucket,
-                                              SimTime span) const {
-    return Merged().ThroughputBuckets(job, bucket, span);
   }
   std::vector<std::int64_t> ProcessedBuckets(JobId job, Duration bucket,
                                              SimTime span) const {
     return Merged().ProcessedBuckets(job, bucket, span);
   }
-  std::vector<JobId> jobs() const;
 
  private:
   mutable std::mutex ingest_mu_;

@@ -140,42 +140,28 @@ void ThreadRuntime::Start() {
   start_ = std::chrono::steady_clock::now();
   stop_.store(false, std::memory_order_seq_cst);
   std::lock_guard control(control_mu_);
-  target_workers_.store(config_.num_workers, std::memory_order_seq_cst);
   for (int i = 0; i < config_.num_workers; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
 void ThreadRuntime::SetWorkerCount(int workers) {
-  CAMEO_EXPECTS(workers >= 1 && workers <= Scheduler::kMaxWorkers);
   std::lock_guard control(control_mu_);
+  CAMEO_EXPECTS(workers >= config_.num_workers &&
+                workers <= Scheduler::kMaxWorkers);
+  // Widen Slot's placement, before Start() too: otherwise it would never
+  // place an operator on the slots this call adds.
+  scheduler_->SetWorkerTarget(workers);
   config_.num_workers = workers;
-  // Retarget placement first (and also before Start(): a statically pinned
-  // scheduler sized at construction would otherwise keep placing work on
-  // slots that will never have a worker).
-  scheduler_->SetWorkerTarget(workers);
-  if (threads_.empty()) return;  // not started yet: Start() spawns to target
-  int cur = static_cast<int>(threads_.size());
-  if (workers == cur) return;
-  target_workers_.store(workers, std::memory_order_seq_cst);
-  if (workers > cur) {
-    for (int i = cur; i < workers; ++i) {
-      threads_.emplace_back([this, i] { WorkerLoop(i); });
-    }
-    return;
+  if (threads_.empty()) return;  // not started yet: Start() spawns them all
+  for (int i = static_cast<int>(threads_.size()); i < workers; ++i) {
+    threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
-  wake_cv_.notify_all();
-  for (int i = workers; i < cur; ++i) threads_[static_cast<std::size_t>(i)].join();
-  threads_.resize(static_cast<std::size_t>(workers));
-  // Second pass recovers any work the exiting workers parked on their
-  // private structures after the first retarget.
-  scheduler_->SetWorkerTarget(workers);
 }
 
 int ThreadRuntime::worker_count() const {
   std::lock_guard control(control_mu_);
-  return threads_.empty() ? config_.num_workers
-                          : static_cast<int>(threads_.size());
+  return config_.num_workers;  // the pool only grows, so this is its size
 }
 
 void ThreadRuntime::Drain() {
@@ -269,18 +255,11 @@ void ThreadRuntime::WorkerLoop(int index) {
   std::vector<DataflowGraph::Delivery> routed;
   const StepTables tables{graph_, profiler_, outs, routed, rng};
 
-  while (true) {
-    if (stop_.load(std::memory_order_seq_cst) ||
-        index >= target_workers_.load(std::memory_order_seq_cst)) {
-      return;
-    }
+  while (!stop_.load(std::memory_order_seq_cst)) {
     batch.clear();
     if (scheduler_->DequeueBatch(w, Now(), batch) == 0) {
       std::unique_lock lock(wake_mu_);
-      if (stop_.load(std::memory_order_seq_cst) ||
-          index >= target_workers_.load(std::memory_order_seq_cst)) {
-        return;
-      }
+      if (stop_.load(std::memory_order_seq_cst)) return;
       wake_cv_.wait_for(lock, std::chrono::microseconds(200));
       continue;
     }

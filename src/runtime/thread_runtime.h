@@ -27,10 +27,8 @@
 //  - Ingest is serialized per *source* (monotone progress per channel), not
 //    globally, and is gated per job: once RemoveQuery flips a job's live
 //    bit, Ingest returns false instead of enqueueing.
-//  - SetWorkerCount() grows and shrinks the worker pool mid-run (elastic
-//    workers); shrink signals the excess workers, joins them after their
-//    current invocation, and lets the scheduler re-pin any statically
-//    placed work.
+//  - SetWorkerCount() grows the worker pool mid-run; the pool never
+//    shrinks, so a worker thread exits only on Stop().
 #pragma once
 
 #include <atomic>
@@ -101,9 +99,10 @@ class ThreadRuntime {
   /// True until RemoveQuery(job) begins.
   bool QueryLive(JobId job) const;
 
-  /// Elastic worker pool: grows by spawning workers, shrinks by signalling
-  /// and joining the excess ones after their current invocation. May be
-  /// called before Start() (just retargets the initial pool size).
+  /// Grows the worker pool to `workers` (at least the current count; a
+  /// smaller count is a contract violation). Widens the scheduler's
+  /// placement first, then spawns the new workers. May be called before
+  /// Start() (just raises the initial pool size).
   void SetWorkerCount(int workers);
   int worker_count() const;
 
@@ -176,7 +175,6 @@ class ThreadRuntime {
   ShardedLatencyRecorder latency_;
 
   std::atomic<bool> stop_{false};
-  std::atomic<int> target_workers_{0};
   /// Messages enqueued but not yet fully processed (invocation + routing).
   std::atomic<std::int64_t> inflight_{0};
   std::atomic<std::int64_t> next_message_id_{0};

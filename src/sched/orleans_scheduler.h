@@ -35,12 +35,6 @@ class OrleansScheduler final
 
   std::string name() const override { return "Orleans"; }
 
-  /// Worker shrink: flushes exiting workers' bags to the global queue (call
-  /// after those workers have stopped) so their work stays reachable.
-  void SetWorkerTarget(int num_workers) override {
-    ready_.FlushBagsBeyond(num_workers);
-  }
-
  private:
   friend DispatchScheduler;
 

@@ -244,18 +244,6 @@ class OrleansReadyState {
     global_.erase_if(in_ops);
   }
 
-  /// Worker shrink: moves the bags of workers with index >= `workers` to the
-  /// global queue so their entries stay reachable after those threads exit.
-  /// Bags are flushed in worker index order.
-  void FlushBagsBeyond(int workers) {
-    std::lock_guard lock(mu_);
-    for (std::size_t w = static_cast<std::size_t>(workers); w < bags_.size();
-         ++w) {
-      for (ReadyEntry& e : bags_[w]) global_.push_back(e);
-      bags_[w].clear();
-    }
-  }
-
  private:
   mutable std::mutex mu_;
   std::vector<std::vector<ReadyEntry>> bags_;  // indexed by worker id
@@ -292,20 +280,6 @@ class SlotReadyQueues {
     for (RingQueue<ReadyEntry>& q : queues_) {
       q.erase_if([&](const ReadyEntry& e) { return ops.count(e.op) > 0; });
     }
-  }
-
-  /// Worker shrink: removes and returns every entry queued for a worker with
-  /// index >= `workers`, so the caller can re-pin and re-push them. Slots
-  /// are drained in worker index order.
-  std::vector<ReadyEntry> DrainSlotsBeyond(int workers) {
-    std::lock_guard lock(mu_);
-    std::vector<ReadyEntry> out;
-    for (std::size_t w = static_cast<std::size_t>(workers);
-         w < queues_.size(); ++w) {
-      out.insert(out.end(), queues_[w].begin(), queues_[w].end());
-      queues_[w].clear();
-    }
-    return out;
   }
 
  private:

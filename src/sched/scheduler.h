@@ -30,8 +30,9 @@
 // `stats().rejected`), has its remaining backlog purged with accounting
 // (`stats().purged`), and parks at the terminal kRetired state so no lazy
 // ready-queue entry can ever claim it again. SetWorkerTarget() lets the
-// wall-clock runtime grow and shrink its worker pool; only the placement-
-// aware schedulers (Slot, Orleans) have real work to do there.
+// wall-clock runtime grow its worker pool; only Slot, which pins operators
+// to workers, has work to do there (Orleans registers a new worker in its
+// steal order on that worker's first dequeue).
 #pragma once
 
 #include <atomic>
@@ -90,8 +91,9 @@ struct SchedulerStats {
   /// Messages accepted earlier but discarded by retirement purges. At
   /// quiescence, enqueued == dispatched + purged.
   std::uint64_t purged = 0;
-  /// Messages refused by admission control before reaching the scheduler
-  /// (overload shedding, shard_runtime.h). Not counted in `enqueued`.
+  /// Always 0: nothing refuses work before the scheduler. The field stays
+  /// only because the repository benchmark's sharded-run check
+  /// (perfbench/sim.cpp) still reads it; drop it with that read.
   std::uint64_t shed = 0;
 };
 
@@ -143,11 +145,9 @@ class Scheduler {
   /// Thread-safe; may run concurrently with Enqueue/Dequeue/OnComplete.
   std::int64_t RetireOperators(const std::vector<OperatorId>& ops);
 
-  /// Announces the runtime's new worker-pool size. Call once with the new
-  /// target before signalling shrinking workers to exit (so future work is
-  /// placed within the surviving range) and once after they have exited (so
-  /// work parked on dead workers' private structures is recovered). The
-  /// default is a no-op; only placement-aware schedulers override.
+  /// Announces that the runtime's worker pool grows to `num_workers`, before
+  /// the new workers start. The default is a no-op; only Slot, which places
+  /// operators by worker count, overrides.
   virtual void SetWorkerTarget(int num_workers) { (void)num_workers; }
 
   std::size_t pending() const {

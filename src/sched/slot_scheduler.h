@@ -31,11 +31,8 @@ class SlotScheduler final
 
   WorkerId SlotOf(OperatorId op);
 
-  /// Elastic workers: re-pins every operator assigned to a slot >= the new
-  /// count onto a surviving slot, and migrates the ready entries parked on
-  /// dead slots. Call once with the new target before shrinking workers stop
-  /// (future placement) and again after they have exited (stray migration);
-  /// growth only needs the first call.
+  /// Grows the slot count (never below the current one): existing pins stay,
+  /// and operators seen from now on are spread round-robin over all slots.
   void SetWorkerTarget(int num_workers) override;
 
  private:

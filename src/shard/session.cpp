@@ -199,8 +199,7 @@ SimTime SessionLayer::Send(int from, int to, SimTime now, WireFrame frame) {
   e.frame = std::move(frame);
 
   // A full window queues the frame until acks free a slot. Never shed here
-  // -- exact delivery conservation is the layer's contract; overload
-  // shedding belongs at admission (shard_runtime.h).
+  // -- exact delivery conservation is the layer's contract.
   SimTime deliver = now;
   if (ss.in_flight < cfg_.window) {
     deliver = TransmitLocked(from, to, now, e.frame, e.seq);

@@ -43,8 +43,8 @@
 //    retransmit path repairs the hole they leave.
 //  - **Bounded in-flight window.** At most `window` stamped frames per
 //    channel are on the wire; further sends queue in an unbounded outbox
-//    (conservation requires never shedding wire frames -- overload shedding
-//    happens at admission, shard_runtime.h) and drain as acks arrive.
+//    (conservation requires never shedding wire frames) and drain as acks
+//    arrive.
 //
 // Determinism: all timers are driven by the caller's SimTime and all jitter
 // comes from per-channel seeded Rngs, so a fixed-seed chaos run -- faults,

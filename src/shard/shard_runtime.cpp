@@ -9,20 +9,17 @@ ShardRuntime::ShardRuntime(const EngineOptions& options,
                            std::unique_ptr<Transport> transport)
     : num_shards_(options.shards),
       workers_per_shard_(options.workers),
-      admission_limit_(options.sim.admission_limit),
       placement_(options.shards, options.seed),
       transport_(std::move(transport)) {
   ValidateEngineOptions(options);
   shards_.reserve(static_cast<std::size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
-    Shard sh;
     // Same constructor arguments for every shard -- and, at one shard,
     // exactly the arguments the pre-shard runtime passed, which is half of
     // the bit-identity argument (the other half: no cross-shard edges).
-    sh.policy = MakePolicy(options.policy, PolicyOptions{.seed = options.seed});
-    sh.scheduler =
-        MakeScheduler(options.scheduler, workers_per_shard_, options.sched);
-    shards_.push_back(std::move(sh));
+    shards_.push_back(
+        {MakePolicy(options.policy, PolicyOptions{.seed = options.seed}),
+         MakeScheduler(options.scheduler, workers_per_shard_, options.sched)});
   }
   if (transport_ == nullptr) {
     transport_ = std::make_unique<InprocTransport>(kDefaultLink, options.seed);
@@ -53,39 +50,13 @@ void ShardRuntime::BindCostReader(const CostReader* reader) {
   for (Shard& sh : shards_) sh.policy->BindCostReader(reader);
 }
 
-bool ShardRuntime::ShouldShed(const Shard& sh, const Message& m) const {
-  if (admission_limit_ == 0) return false;
-  const std::size_t pending = sh.scheduler->pending();
-  if (pending < admission_limit_) return false;
-  // Hard limit: refuse everything rather than grow without bound.
-  if (pending >= 2 * admission_limit_) return true;
-  // Soft band: refuse work less urgent (larger PRI_global) than what the
-  // shard has been admitting, so deadline-critical messages still get in
-  // while background work absorbs the shedding.
-  const std::int64_t ewma = sh.admit_pri_ewma.load(std::memory_order_relaxed);
-  return m.pc.pri_global * 16 > ewma;
-}
-
 int ShardRuntime::Enqueue(Message m, WorkerId global_producer, SimTime now) {
   const int shard = ShardOf(m.target);
-  Shard& sh = shards_[Idx(shard)];
-  if (ShouldShed(sh, m)) {
-    sh.shed.fetch_add(1, std::memory_order_relaxed);
-    m.batch.Recycle();  // shedding must not leak pooled columns
-    return shard;
-  }
-  if (admission_limit_ > 0) {
-    // EWMA in x16 fixed point with alpha = 1/16.
-    const std::int64_t pri = m.pc.pri_global * 16;
-    std::int64_t ewma = sh.admit_pri_ewma.load(std::memory_order_relaxed);
-    sh.admit_pri_ewma.store(ewma + (pri - ewma) / 16,
-                            std::memory_order_relaxed);
-  }
   WorkerId producer;  // invalid: external arrival
   if (global_producer.valid() && ShardOfWorker(global_producer) == shard) {
     producer = LocalWorker(global_producer);
   }
-  sh.scheduler->Enqueue(std::move(m), producer, now);
+  shards_[Idx(shard)].scheduler->Enqueue(std::move(m), producer, now);
   return shard;
 }
 
@@ -159,7 +130,6 @@ SchedulerStats ShardRuntime::MergedSchedStats() const {
     total.continuations += s.continuations;
     total.rejected += s.rejected;
     total.purged += s.purged;
-    total.shed += sh.shed.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -218,9 +188,6 @@ TransportStats ShardRuntime::transport_stats() const {
     s.acks_sent = ses.acks_sent;
     s.sent_unique = ses.sent_unique;
     s.delivered = ses.delivered;
-  }
-  for (const Shard& sh : shards_) {
-    s.shed_messages += sh.shed.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -63,9 +63,7 @@ class ShardRuntime {
   /// InprocTransport over kDefaultLink (the test seam). Armed
   /// `sim.shard_faults` wrap the transport in a FaultInjectingTransport and
   /// turn the session layer on; a default seed (1) of the plan or the
-  /// session is re-keyed to `options.seed`. With `sim.admission_limit` > 0,
-  /// Enqueue sheds a shard's work past that backlog: the least urgent
-  /// first in [limit, 2*limit), everything beyond.
+  /// session is re-keyed to `options.seed`.
   explicit ShardRuntime(const EngineOptions& options,
                         std::unique_ptr<Transport> transport = nullptr);
 
@@ -159,7 +157,7 @@ class ShardRuntime {
 
   Transport& transport() { return *wire_; }
   /// Raw transport counters merged with the session layer's robustness
-  /// counters and the admission-control shed count: one gate-able view.
+  /// counters: one gate-able view.
   TransportStats transport_stats() const;
   WireStats wire_stats() const;
 
@@ -167,19 +165,6 @@ class ShardRuntime {
   struct Shard {
     std::unique_ptr<SchedulingPolicy> policy;
     std::unique_ptr<Scheduler> scheduler;
-    /// EWMA of admitted PRI_global (<<4 fixed point), steering the soft
-    /// shedding band toward the priorities the shard actually runs.
-    std::atomic<std::int64_t> admit_pri_ewma{0};
-    std::atomic<std::uint64_t> shed{0};
-
-    Shard() = default;
-    // Construction-time only (the shards_ vector is filled before any
-    // concurrency starts); atomics transfer by load/store.
-    Shard(Shard&& o) noexcept
-        : policy(std::move(o.policy)),
-          scheduler(std::move(o.scheduler)),
-          admit_pri_ewma(o.admit_pri_ewma.load()),
-          shed(o.shed.load()) {}
   };
 
   std::size_t Idx(int shard) const {
@@ -187,12 +172,8 @@ class ShardRuntime {
     return static_cast<std::size_t>(shard);
   }
 
-  /// True when admission control decides `m` should be refused at `shard`.
-  bool ShouldShed(const Shard& sh, const Message& m) const;
-
   int num_shards_;
   int workers_per_shard_;
-  std::size_t admission_limit_;
   ShardPlacement placement_;
   std::vector<Shard> shards_;
   std::unique_ptr<Transport> transport_;

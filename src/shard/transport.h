@@ -65,8 +65,10 @@ struct TransportStats {
   std::uint64_t sent_unique = 0;       // distinct app frames offered for send
   std::uint64_t delivered = 0;         // distinct app frames released, in order
 
-  // ---- overload protection (ShardRuntime admission control) ----
-  std::uint64_t shed_messages = 0;  // messages refused by admission control
+  /// Always 0: ShardRuntime admits every message. The field stays only
+  /// because the repository benchmark's sharded-run check
+  /// (perfbench/sim.cpp) still reads it; drop it with that read.
+  std::uint64_t shed_messages = 0;
 
   /// Sent but not yet received -- the conservation tests pin
   /// sent == received + in_flight at every quiescent point (on clean

@@ -683,7 +683,7 @@ struct CountingRecorder {
     processed += tuples;
   }
   void OnSinkOutput(JobId, LogicalTime, SimTime) { ++sink_outputs; }
-  void OnSinkTuples(JobId, std::int64_t tuples, SimTime) {
+  void OnSinkTuples(JobId, std::int64_t tuples) {
     sink_tuples += tuples;
   }
 };

@@ -82,17 +82,20 @@ TEST(LatencyRecorderTest, SeriesRecordsEmissionTimeline) {
   EXPECT_EQ(series[0].second, Millis(150));
 }
 
-TEST(LatencyRecorderTest, ThroughputBucketsSumTuples) {
+TEST(LatencyRecorderTest, ProcessedBucketsAndSinkTuplesSum) {
   LatencyRecorder r;
   r.RegisterJob(kJob, Millis(800), Seconds(1), Seconds(1));
-  r.OnSinkTuples(kJob, 100, Millis(200));
-  r.OnSinkTuples(kJob, 50, Millis(700));
-  r.OnSinkTuples(kJob, 30, Millis(1500));
-  auto buckets = r.ThroughputBuckets(kJob, kSecond, Seconds(3));
+  r.OnProcessed(kJob, 100, Millis(200));
+  r.OnProcessed(kJob, 50, Millis(700));
+  r.OnProcessed(kJob, 30, Millis(1500));
+  auto buckets = r.ProcessedBuckets(kJob, kSecond, Seconds(3));
   ASSERT_EQ(buckets.size(), 3u);
   EXPECT_EQ(buckets[0], 150);
   EXPECT_EQ(buckets[1], 30);
   EXPECT_EQ(buckets[2], 0);
+  EXPECT_EQ(r.processed(kJob), 180);
+  r.OnSinkTuples(kJob, 100);
+  r.OnSinkTuples(kJob, 80);
   EXPECT_EQ(r.sink_tuples(kJob), 180);
 }
 

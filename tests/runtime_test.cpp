@@ -249,28 +249,7 @@ TEST(ThreadRuntimeTest, RemoveQueryExecutesBacklogThenRejects) {
       << "a rejected ingest never reaches a mailbox";
 }
 
-TEST(ThreadRuntimeTest, SetWorkerCountBeforeStartRetargetsSlotPinning) {
-  // A pre-Start shrink must reach the slot scheduler: operators pinned by
-  // the construction-time worker count would otherwise wait on slots that
-  // never get a worker, and Drain() would hang.
-  DataflowGraph graph;
-  JobId job = BuildTenant(graph, "prestart");
-  RuntimeConfig cfg = FastConfig();
-  cfg.scheduler = SchedulerKind::kSlot;
-  cfg.num_workers = 4;
-  ThreadRuntime rt(cfg, std::move(graph));
-  OperatorId src =
-      rt.graph().stage(rt.graph().stages_of(job)[0]).operators[0];
-  rt.SetWorkerCount(1);
-  rt.Start();
-  EXPECT_EQ(rt.worker_count(), 1);
-  for (int k = 1; k <= 3; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-  rt.Drain();
-  rt.Stop();
-  EXPECT_GE(rt.latency().outputs(job), 2u);
-}
-
-TEST(ThreadRuntimeTest, SetWorkerCountGrowsAndShrinksMidRun) {
+TEST(ThreadRuntimeTest, SetWorkerCountGrowsMidRun) {
   for (SchedulerKind kind : {SchedulerKind::kCameo, SchedulerKind::kSlot,
                              SchedulerKind::kOrleans}) {
     DataflowGraph graph;
@@ -287,14 +266,34 @@ TEST(ThreadRuntimeTest, SetWorkerCountGrowsAndShrinksMidRun) {
     rt.SetWorkerCount(4);
     EXPECT_EQ(rt.worker_count(), 4);
     for (int k = 5; k <= 8; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
-    rt.SetWorkerCount(2);  // shrink: excess workers join, work migrates
-    EXPECT_EQ(rt.worker_count(), 2);
-    for (int k = 9; k <= 12; ++k) ASSERT_TRUE(rt.Ingest(src, 50, Seconds(k)));
     rt.Drain();
     rt.Stop();
-    EXPECT_GE(rt.latency().outputs(job), 11u) << ToString(kind);
+    EXPECT_GE(rt.latency().outputs(job), 7u) << ToString(kind);
     SchedulerStats stats = rt.scheduler().stats();
     EXPECT_EQ(stats.enqueued, stats.dispatched) << ToString(kind);
+  }
+}
+
+TEST(ThreadRuntimeDeathTest, SetWorkerCountNeverShrinks) {
+  // Fork-and-exec children: the second case forks after workers started.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RuntimeConfig cfg = FastConfig();
+  cfg.num_workers = 2;
+  {
+    DataflowGraph graph;
+    BuildTenant(graph, "unstarted");
+    ThreadRuntime rt(cfg, std::move(graph));
+    EXPECT_DEATH(rt.SetWorkerCount(1), "workers >= config_.num_workers");
+  }
+  {
+    DataflowGraph graph;
+    BuildTenant(graph, "started");
+    ThreadRuntime rt(cfg, std::move(graph));
+    rt.Start();
+    rt.SetWorkerCount(3);
+    EXPECT_DEATH(rt.SetWorkerCount(2), "workers >= config_.num_workers");
+    EXPECT_EQ(rt.worker_count(), 3);
+    rt.Stop();
   }
 }
 

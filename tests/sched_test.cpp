@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -364,6 +365,37 @@ TEST(SlotSchedulerTest, FifoWithinSlot) {
   auto m = s.Dequeue(kW0, 0);
   ASSERT_TRUE(m);
   EXPECT_EQ(m->target, OperatorId{1});
+}
+
+TEST(SlotSchedulerTest, GrowKeepsPinsAndSpreadsNewOperators) {
+  SlotScheduler s(1);
+  EXPECT_EQ(s.SlotOf(OperatorId{1}), kW0);
+  EXPECT_EQ(s.SlotOf(OperatorId{2}), kW0);
+  s.SetWorkerTarget(3);
+  EXPECT_EQ(s.SlotOf(OperatorId{1}), kW0) << "existing pins stay";
+  EXPECT_EQ(s.SlotOf(OperatorId{2}), kW0) << "existing pins stay";
+  std::set<std::int64_t> slots;
+  for (std::int64_t op = 3; op <= 5; ++op) {
+    const WorkerId w = s.SlotOf(OperatorId{op});
+    ASSERT_TRUE(w.valid() && w.value < 3);
+    slots.insert(w.value);
+  }
+  EXPECT_EQ(slots, (std::set<std::int64_t>{0, 1, 2}));
+  // A message for a newly placed operator runs on its new slot only.
+  s.Enqueue(Msg(1, 3, 0), kExternal, 0);
+  const WorkerId home = s.SlotOf(OperatorId{3});
+  for (int w = 0; w < 3; ++w) {
+    if (w != home.value) {
+      EXPECT_FALSE(s.Dequeue(WorkerId{w}, 0));
+    }
+  }
+  EXPECT_TRUE(s.Dequeue(home, 0));
+}
+
+TEST(SlotSchedulerDeathTest, SetWorkerTargetNeverShrinks) {
+  SlotScheduler s(2);
+  s.SetWorkerTarget(3);
+  EXPECT_DEATH(s.SetWorkerTarget(2), "num_workers >= num_workers_");
 }
 
 TEST(CameoSchedulerTest, BatchStopsAtMoreUrgentOperator) {

@@ -1371,30 +1371,6 @@ TEST(ChaosCluster, SessionWithoutFaultsStaysTransparent) {
   EXPECT_EQ(sess.transport.dup_drops, 0u);
 }
 
-TEST(ChaosCluster, AdmissionSheddingEngagesAndLedgerBalances) {
-  // A backlog limit far below the offered burst: the runtime must shed (and
-  // count) low-priority work instead of queueing without bound, while the
-  // enqueue/dispatch ledger stays exact for everything admitted.
-  KeyedScenarioOptions opt = SmallKeyedRun(2);
-  opt.duration = Seconds(2);
-  opt.msgs_per_sec = 100;
-  opt.tuples_per_msg = 500;
-  opt.counter_per_tuple = Micros(20);  // 10 ms/message: arrivals outrun CPU
-  opt.engine.sim.admission_limit = 8;
-  KeyedScenarioResult r = RunKeyedScenario(opt);
-  EXPECT_GT(r.shed_messages, 0);
-  EXPECT_EQ(r.transport.shed_messages,
-            static_cast<std::uint64_t>(r.shed_messages));
-  // Admitted work is conserved; the (bounded) remainder is the backlog an
-  // overloaded shard legitimately still holds at the horizon.
-  EXPECT_GE(r.run.sched.enqueued,
-            r.run.sched.dispatched + r.run.sched.purged);
-  EXPECT_LE(r.run.sched.enqueued -
-                (r.run.sched.dispatched + r.run.sched.purged),
-            static_cast<std::uint64_t>(2 * 2 * opt.engine.sim.admission_limit));
-  EXPECT_GT(r.rows_seen, 0);  // shedding degrades, it does not wedge
-}
-
 TEST(ShardedSimEngineTest, FacadeExposesShardReadSide) {
   EngineOptions eo;
   eo.workers = 2;
